@@ -202,6 +202,9 @@ class Tape:
         self._consumed = True
 
         scratch: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
+        # keys whose scratch array this walk allocated itself; rules may hand
+        # back aliased arrays, so only these are safe to add into in place
+        owned: set[int] = set()
         for out, inputs, backward_rule in reversed(self._records):
             gout = scratch.get(id(out))
             if gout is None:
@@ -211,15 +214,21 @@ class Tape:
                     continue
                 key = id(tensor)
                 held = scratch.get(key)
-                # rebind instead of += : rules may hand back aliased arrays
-                scratch[key] = gin if held is None else held + gin
+                if held is None:
+                    scratch[key] = gin
+                elif key in owned and held.ndim:
+                    held += gin
+                else:
+                    scratch[key] = held + gin
+                    owned.add(key)
         for out, inputs, _ in self._records:
             for tensor in inputs:
-                grad = scratch.pop(id(tensor), None)
-                if grad is None or id(tensor) in produced:
+                key = id(tensor)
+                grad = scratch.pop(key, None)
+                if grad is None or key in produced:
                     continue
                 if tensor.grad is None:
-                    tensor.grad = np.array(grad, copy=True)
+                    tensor.grad = grad if key in owned else np.array(grad, copy=True)
                 else:
                     tensor.grad = tensor.grad + grad
 
@@ -229,11 +238,6 @@ def _emit(out: Tensor, inputs: tuple, backward: Callable) -> Tensor:
     if tape is not None:
         tape._record(out, inputs, backward)
     return out
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Module-level alias for ``tape.backward(loss)``."""
-    tape.backward(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +309,13 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(out, (x,), lambda g: (g * (1.0 - ydata * ydata),))
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    # split form avoids exp overflow on large negative inputs
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # branch-free and overflow-free: tanh saturates where exp(-x) would overflow
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(_sigmoid_stable(np.asarray(x.data)))
+    out = Tensor(_sigmoid(np.asarray(x.data)))
     ydata = out.data
     return _emit(out, (x,), lambda g: (g * ydata * (1.0 - ydata),))
 
@@ -342,13 +341,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     out = Tensor(x.data.reshape(shape))
     old = x.data.shape
     return _emit(out, (x,), lambda g: (g.reshape(old),))
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"transpose needs a 2-D tensor, got {x.shape}")
-    out = Tensor(x.data.T)
-    return _emit(out, (x,), lambda g: (g.T,))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -425,6 +417,23 @@ def take_rows(x: Tensor, indices) -> Tensor:
         return (buf,)
 
     return _emit(out, (x,), back)
+
+
+def scatter_rows(x: Tensor, indices, n: int) -> Tensor:
+    """Place the rows of a 2-D tensor at ``indices`` of an [n x d] zero matrix.
+
+    The inverse of ``take_rows`` for distinct indices; backward gathers.
+    """
+    if x.ndim != 2:
+        raise DimensionError(f"scatter_rows needs a 2-D tensor, got {x.shape}")
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.shape != (x.shape[0],) or np.unique(idx).size != idx.size:
+        raise InvalidInputError(f"scatter_rows: need {x.shape[0]} distinct row indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvalidInputError(f"scatter_rows: index out of range for {n} rows")
+    buf = np.zeros((n, x.shape[1]), dtype=x.data.dtype)
+    buf[idx] = x.data
+    return _emit(Tensor(buf), (x,), lambda g: (g[idx],))
 
 
 # ---------------------------------------------------------------------------
@@ -583,3 +592,117 @@ def softmax_probs(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     e = np.exp(z - z.max())
     return e / e.sum()
+
+
+# ---------------------------------------------------------------------------
+# Fused layers: one tape record each, hand-written backward passes
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Batched affine map x·wᵀ + b: [B x d_in], [d_out x d_in], [d_out] -> [B x d_out].
+
+    ``w`` is read through a transposed view, so no weight copy is made in
+    either direction.
+    """
+    if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
+        raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
+    xdata, wdata = x.data, w.data
+    out = Tensor(xdata @ wdata.T + b.data)
+    return _emit(out, (x, w, b), lambda g: (g @ wdata, g.T @ xdata, g.sum(axis=0)))
+
+
+def lstm_sequence(
+    x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, reverse: bool = False
+) -> Tensor:
+    """One LSTM direction over the rows of ``x`` [n x d] from zero state.
+
+    Row t of the [n x h] result is the hidden state after the step that
+    reads row t; with ``reverse`` the steps run from the last row to the
+    first.  Gate order
+    is input, forget, cell, output.  The input projection x·w_ihᵀ + bias of
+    every step is one GEMM, so each step costs one w_hh matvec plus the
+    cell update.  The backward pass is BPTT over the stacked per-step gate
+    gradients dG [n x 4h]; the weight and input gradients are GEMMs on dG.
+    """
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise DimensionError(f"lstm_sequence needs a non-empty [n x d] input, got {x.shape}")
+    n, d = x.shape
+    h = w_hh.shape[1]
+    if w_hh.shape != (4 * h, h) or w_ih.shape != (4 * h, d) or bias.shape != (4 * h,):
+        raise DimensionError(
+            f"lstm_sequence: weights w_ih {w_ih.shape}, w_hh {w_hh.shape}, bias {bias.shape} "
+            f"do not fit input width {d}"
+        )
+    xdata, wi, wh = x.data, w_ih.data, w_hh.data
+    order = np.arange(n - 1, -1, -1) if reverse else np.arange(n)
+    acts = xdata @ wi.T + bias.data  # pre-activations, overwritten by the gate values
+    cells = np.empty((n, h), dtype=acts.dtype)
+    hidden = np.empty((n, h), dtype=acts.dtype)
+    prev = -1
+    for t in order:
+        pre = acts[t] if prev < 0 else acts[t] + wh @ hidden[prev]
+        gate = _sigmoid(pre)
+        gate[2 * h : 3 * h] = np.tanh(pre[2 * h : 3 * h])
+        i, f, g, o = gate[:h], gate[h : 2 * h], gate[2 * h : 3 * h], gate[3 * h :]
+        c = i * g if prev < 0 else f * cells[prev] + i * g
+        acts[t] = gate
+        cells[t] = c
+        hidden[t] = o * np.tanh(c)
+        prev = t
+    out = Tensor(hidden)
+
+    def back(gout):
+        i, f, g, o = (acts[:, k * h : (k + 1) * h] for k in range(4))
+        c_prev = np.zeros_like(cells)
+        c_prev[order[1:]] = cells[order[:-1]]
+        h_prev = np.zeros_like(hidden)
+        h_prev[order[1:]] = hidden[order[:-1]]
+        tanh_c = np.tanh(cells)
+        dh_to_dc = o * (1.0 - tanh_c * tanh_c)
+        dh_to_do = tanh_c * o * (1.0 - o)
+        dc_to_difg = np.stack(  # dc -> pre-activation gradients of i, f, g
+            [g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=1
+        )
+        dgates = np.empty((n, 4, h), dtype=acts.dtype)
+        dh_next = np.zeros(h, dtype=acts.dtype)
+        dc_next = np.zeros(h, dtype=acts.dtype)
+        for step, t in enumerate(order[::-1]):
+            dh = gout[t] + dh_next
+            dc = dh * dh_to_dc[t] + dc_next
+            dgates[t, :3] = dc_to_difg[t] * dc
+            dgates[t, 3] = dh * dh_to_do[t]
+            if step + 1 < n:
+                dh_next = dgates[t].reshape(-1) @ wh
+                dc_next = dc * f[t]
+        dg = dgates.reshape(n, 4 * h)
+        return dg @ wi, dg.T @ xdata, dg.T @ h_prev, dg.sum(axis=0)
+
+    return _emit(out, (x, w_ih, w_hh, bias), back)
+
+
+def attention_scores(H: Tensor, query: Tensor, w: Tensor, v: Tensor) -> Tensor:
+    """Inner-attention scores vᵀ·tanh(w·[query; h_i]) for every row h_i of H.
+
+    ``w`` is split as [w_q | w_h]: the query term w_q·query is computed
+    once per sentence instead of once per row, and H·w_hᵀ is one GEMM
+    through a transposed view, without a weight copy.
+    """
+    q = query.shape[0]
+    if H.ndim != 2 or query.ndim != 1 or w.shape[1] != q + H.shape[1] or v.shape != (w.shape[0],):
+        raise DimensionError(
+            f"attention_scores: shapes disagree: H {H.shape}, query {query.shape}, "
+            f"w {w.shape}, v {v.shape}"
+        )
+    hdata, qdata, wdata, vdata = H.data, query.data, w.data, v.data
+    w_q, w_h = wdata[:, :q], wdata[:, q:]
+    u = np.tanh(hdata @ w_h.T + w_q @ qdata)  # [n x a]
+    out = Tensor(u @ vdata)
+
+    def back(g):
+        dpre = np.outer(g, vdata) * (1.0 - u * u)
+        rows = np.empty((hdata.shape[0], wdata.shape[1]), dtype=hdata.dtype)
+        rows[:, :q] = qdata
+        rows[:, q:] = hdata  # row i is [query; h_i]
+        return dpre @ w_h, dpre.sum(axis=0) @ w_q, dpre.T @ rows, g @ u
+
+    return _emit(out, (H, query, w, v), back)

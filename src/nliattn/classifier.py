@@ -22,12 +22,15 @@ N_CLASSES = 3
 
 
 def aggregate(p: Tensor, h: Tensor) -> Tensor:
-    """Matching vector [p ; h ; p*h ; |p-h|] of two refined representations."""
+    """Matching vector [p ; h ; p*h ; |p-h|] of two refined representations.
+
+    Works on single vectors [d] and on row-stacked batches [B x d] alike.
+    """
     if p.shape != h.shape:
         raise DimensionError(f"aggregate: representation shapes disagree: {p.shape} vs {h.shape}")
     product = ad.mul(p, h)
     difference = ad.absolute(ad.sub(p, h))
-    return ad.concat([p, h, product, difference])
+    return ad.concat([p, h, product, difference], axis=p.ndim - 1)
 
 
 @dataclass
@@ -76,21 +79,33 @@ def classify(
     params: MLPParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, PredictionDistribution]:
-    """Map a matching vector to logits and a probability distribution.
+):
+    """Map matching vectors to logits and probability distributions.
 
-    Dropout fires only in training mode, between consecutive layers of the
-    stack (after each hidden ReLU, including before the final projection).
+    ``r`` is a batch [B x d] or a single vector [d].  A batch gives logits
+    [B x 3] and a list of B distributions; a single vector runs as a batch
+    of one and gives logits [3] and one distribution.  Every layer is one
+    [B x d_in] GEMM.  Dropout fires only in training mode, between
+    consecutive layers of the stack (after each hidden ReLU, including
+    before the final projection), with one mask per layer for the batch.
     """
-    if r.shape != (params.input_dim,):
-        raise DimensionError(f"classify: input shape {r.shape} != ({params.input_dim},)")
+    single = r.ndim == 1
+    if r.ndim not in (1, 2) or r.shape[-1] != params.input_dim:
+        raise DimensionError(
+            f"classify: input shape {r.shape} is not [{params.input_dim}] or [B x {params.input_dim}]"
+        )
     if training and params.dropout > 0 and rng is None:
         raise UsageError("classify: training with dropout needs a generator")
-    x = r
+    x = ad.reshape(r, (1, params.input_dim)) if single else r
     *hidden, (w_out, b_out) = params.layers
     for w, b in hidden:
-        x = ad.relu(ad.add(ad.matmul(w.value, x), b.value))
+        x = ad.relu(ad.affine(x, w.value, b.value))
         x = ad.dropout(x, params.dropout, training, rng)
-    logits = ad.add(ad.matmul(w_out.value, x), b_out.value)
-    probs = ad.softmax_probs(logits.data)
-    return logits, PredictionDistribution(probs=probs, predicted_class=int(np.argmax(probs)))
+    logits = ad.affine(x, w_out.value, b_out.value)
+    dists = []
+    for row in logits.data:
+        probs = ad.softmax_probs(row)
+        dists.append(PredictionDistribution(probs=probs, predicted_class=int(np.argmax(probs))))
+    if single:
+        return ad.reshape(logits, (N_CLASSES,)), dists[0]
+    return logits, dists

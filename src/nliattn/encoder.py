@@ -6,6 +6,10 @@ hypothesis are encoded independently but with the same weights.  All
 operations run per sentence on [n x d] tensors with a boolean mask marking
 the real (non-PAD) positions; masked rows stay exactly zero and never
 influence pooling or attention.
+
+Each LSTM direction runs as one fused ``autodiff.lstm_sequence`` op over
+the live rows.  ``lstm_step`` builds the same cell from elementary taped
+ops; it is kept as the reference the fused path is tested against.
 """
 
 from __future__ import annotations
@@ -85,7 +89,11 @@ class LSTMCellParams:
 
 
 def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One LSTM cell update; returns (h_t, c_t)."""
+    """One LSTM cell update from elementary ops; returns (h_t, c_t).
+
+    Reference implementation: the encoder runs ``ad.lstm_sequence``, and
+    the tests hold it to this step-by-step unroll.
+    """
     h = params.hidden
     if x_t.shape != (params.input_dim,):
         raise DimensionError(
@@ -104,18 +112,22 @@ def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tenso
     return h_t, c_t
 
 
+def run_lstm(x: Tensor, cell: LSTMCellParams, reverse: bool = False) -> Tensor:
+    """Hidden states [n x h] of one LSTM direction over every row of ``x``."""
+    return ad.lstm_sequence(x, cell.w_ih.value, cell.w_hh.value, cell.bias.value, reverse)
+
+
+def _row(x: Tensor, i: int) -> Tensor:
+    return ad.reshape(ad.narrow(x, 0, i, 1), (x.shape[1],))
+
+
 def char_encode(char_ids, char_embeddings: Parameter, cell: LSTMCellParams) -> Tensor:
     """Final hidden state of a unidirectional LSTM over a word's characters."""
     char_ids = np.asarray(char_ids, dtype=np.int64)
     if char_ids.size == 0:
         raise DataError("char_encode: empty character sequence")
-    embeds = ad.take_rows(char_embeddings.value, char_ids)
-    h = ad.zeros(cell.hidden)
-    c = ad.zeros(cell.hidden)
-    for t in range(char_ids.size):
-        x_t = ad.reshape(ad.narrow(embeds, 0, t, 1), (cell.input_dim,))
-        h, c = lstm_step(cell, x_t, h, c)
-    return h
+    states = run_lstm(ad.take_rows(char_embeddings.value, char_ids), cell)
+    return _row(states, char_ids.size - 1)
 
 
 @dataclass
@@ -145,6 +157,8 @@ def bilstm(
     """Run both LSTM directions from zero states over the unmasked positions.
 
     Row i of the result is [forward_i ; backward_i]; masked rows are zero.
+    The live rows are gathered once, each direction runs as one fused op
+    over them, and the result is scattered back to the masked layout.
     """
     n = x.shape[0]
     if mask is None:
@@ -156,36 +170,16 @@ def bilstm(
     if live.size == 0:
         raise InvalidInputError("bilstm: all positions are masked")
 
-    rows_in = {
-        int(i): ad.reshape(ad.narrow(x, 0, int(i), 1), (x.shape[1],)) for i in live
-    }
-
-    forward: dict[int, Tensor] = {}
-    h = ad.zeros(forward_cell.hidden)
-    c = ad.zeros(forward_cell.hidden)
-    for i in live:
-        h, c = lstm_step(forward_cell, rows_in[int(i)], h, c)
-        forward[int(i)] = h
-    final_forward = h
-
-    backward: dict[int, Tensor] = {}
-    h = ad.zeros(backward_cell.hidden)
-    c = ad.zeros(backward_cell.hidden)
-    for i in reversed(live):
-        h, c = lstm_step(backward_cell, rows_in[int(i)], h, c)
-        backward[int(i)] = h
-    final_backward = h
-
-    d = forward_cell.hidden + backward_cell.hidden
-    rows = [
-        ad.concat([forward[i], backward[i]]) if mask[i] else ad.zeros(d)
-        for i in range(n)
-    ]
+    holes = live.size < n
+    x_live = ad.take_rows(x, live) if holes else x
+    forward = run_lstm(x_live, forward_cell)
+    backward = run_lstm(x_live, backward_cell, reverse=True)
+    H = ad.concat([forward, backward], axis=1)
     return ContextualSequence(
-        H=ad.stack(rows),
+        H=ad.scatter_rows(H, live, n) if holes else H,
         mask=mask,
-        final_forward=final_forward,
-        final_backward=final_backward,
+        final_forward=_row(forward, live.size - 1),
+        final_backward=_row(backward, 0),
     )
 
 
@@ -207,14 +201,12 @@ def inner_attention(
 ) -> tuple[Tensor, Tensor]:
     """Refine the raw representation by attending over the context vectors.
 
-    Each position is scored by comparing it with the raw representation
-    through a tanh bottleneck; the scores pass through a masked softmax and
-    the refined vector is the weighted sum of the context rows.
+    Each position i is scored as v·tanh(W [raw; h_i]), comparing it with
+    the raw representation through a tanh bottleneck; the scores pass
+    through a masked softmax and the refined vector is the weighted sum of
+    the context rows.
     """
-    n = seq.H.shape[0]
-    queries = ad.stack([raw] * n)
-    combined = ad.concat([queries, seq.H], axis=1)  # rows [raw ; h_i]
-    scores = ad.matmul(ad.tanh(ad.matmul(combined, ad.transpose(W.value))), v.value)
+    scores = ad.attention_scores(seq.H, raw, W.value, v.value)
     alpha = ad.masked_softmax(scores, seq.mask)
     refined = ad.matmul(alpha, seq.H)
     return refined, alpha
@@ -290,16 +282,19 @@ class Encoder:
 
         if char_ids is None or char_mask is None:
             raise ConfigError("embed_tokens: character ids required when use_chars is on")
-        rows = []
-        for j in range(n):
-            if not mask[j]:
-                rows.append(ad.zeros(self.config.input_dim))
-                continue
-            word_row = Tensor(self.word_embeddings.data[word_ids[j]])
-            ids_j = np.asarray(char_ids[j])[np.asarray(char_mask[j], dtype=bool)]
-            char_vec = char_encode(ids_j, self.char_embeddings, self.char_cell)
-            rows.append(ad.concat([word_row, char_vec]))
-        return ad.stack(rows)
+        live = np.flatnonzero(mask)
+        char_vecs = ad.stack([
+            char_encode(
+                np.asarray(char_ids[j])[np.asarray(char_mask[j], dtype=bool)],
+                self.char_embeddings,
+                self.char_cell,
+            )
+            for j in live
+        ])
+        if live.size < n:
+            char_vecs = ad.scatter_rows(char_vecs, live, n)
+        words = self.word_embeddings.data[word_ids] * np.asarray(mask, dtype=bool)[:, None]
+        return ad.concat([Tensor(words), char_vecs], axis=1)
 
     def encode_sentence(
         self,

@@ -153,7 +153,6 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
     run("absolute", lambda: weighted_sum(ad.absolute(x), wxy), [x])
 
     run("reshape", lambda: weighted_sum(ad.reshape(x, (4, 3)), ad.Tensor(wxy.data.reshape(4, 3))), [x])
-    run("transpose", lambda: weighted_sum(ad.transpose(x), ad.Tensor(wxy.data.T)), [x])
     wn = rand(2, 4)
     run("narrow", lambda: weighted_sum(ad.narrow(x, 0, 1, 2), wn), [x])
     p1, p2 = rand(3), rand(2)
@@ -165,6 +164,8 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
     idx = np.array([0, 2, 2, 4])
     wt = rand(4, 3)
     run("take_rows", lambda: weighted_sum(ad.take_rows(table, idx), wt), [table])
+    ws = rand(5, 4)
+    run("scatter_rows", lambda: weighted_sum(ad.scatter_rows(wn, [3, 0], 5), ws), [wn])
 
     scores = rand(6)
     smask = np.array([True, True, False, True, True, False])
@@ -184,6 +185,32 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
         return weighted_sum(ad.dropout(x, 0.25, True, drop_rng), wxy)
 
     run("dropout", dropout_forward, [x])
+
+    # fused layers, at sizes where every weight gradient is exercised
+    w_aff, b_aff = rand(5, 4), rand(5)
+    wa = rand(3, 5)
+    run("affine", lambda: weighted_sum(ad.affine(x, w_aff, b_aff), wa), [x, w_aff, b_aff])
+
+    seq_x = rand(4, 3)
+    w_ih, w_hh, b_lstm = rand(8, 3), rand(8, 2), rand(8)
+    wl = rand(4, 2)
+    for direction, reverse in (("forward", False), ("reverse", True)):
+        run(
+            f"lstm_sequence_{direction}",
+            lambda reverse=reverse: weighted_sum(
+                ad.lstm_sequence(seq_x, w_ih, w_hh, b_lstm, reverse=reverse), wl
+            ),
+            [seq_x, w_ih, w_hh, b_lstm],
+        )
+
+    att_h, att_q = rand(4, 2), rand(2)
+    att_w, att_v = rand(3, 4), rand(3)
+    wsc = rand(4)
+    run(
+        "attention_scores",
+        lambda: weighted_sum(ad.attention_scores(att_h, att_q, att_w, att_v), wsc),
+        [att_h, att_q, att_w, att_v],
+    )
 
     logits = rand(4, 3)
     labels = np.array([0, 2, 1, 1])

@@ -131,6 +131,24 @@ class NLIModel:
         r = clf.aggregate(p_rep.refined, h_rep.refined)
         return clf.classify(r, self.mlp, training=training, rng=rng)
 
+    def batch_logits(
+        self,
+        batch: Batch,
+        training: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[Tensor, list[clf.PredictionDistribution]]:
+        """Logits [B x 3] and distributions for every pair of a batch.
+
+        Sentences are encoded one by one; the B matching vectors are then
+        stacked so that the MLP runs once for the whole batch.
+        """
+        p_rows, h_rows = [], []
+        for i in range(len(batch)):
+            p_rows.append(self.encode(*self._premise_slice(batch, i)).refined)
+            h_rows.append(self.encode(*self._hypothesis_slice(batch, i)).refined)
+        r = clf.aggregate(ad.stack(p_rows), ad.stack(h_rows))
+        return clf.classify(r, self.mlp, training=training, rng=rng)
+
     def batch_loss(
         self,
         batch: Batch,
@@ -138,29 +156,15 @@ class NLIModel:
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, int]:
         """Mean cross entropy over a batch, plus the number of correct argmaxes."""
-        logit_rows = []
-        correct = 0
-        for i in range(len(batch)):
-            logits, dist = self.pair_logits(
-                self._premise_slice(batch, i),
-                self._hypothesis_slice(batch, i),
-                training=training,
-                rng=rng,
-            )
-            logit_rows.append(logits)
-            if dist.predicted_class == int(batch.labels[i]):
-                correct += 1
-        loss = ad.cross_entropy_from_logits(ad.stack(logit_rows), batch.labels)
-        return loss, correct
+        logits, dists = self.batch_logits(batch, training=training, rng=rng)
+        correct = sum(
+            int(dist.predicted_class == label) for dist, label in zip(dists, batch.labels)
+        )
+        return ad.cross_entropy_from_logits(logits, batch.labels), correct
 
     def predict_batch(self, batch: Batch) -> list[clf.PredictionDistribution]:
         """Inference-mode distributions for every pair in a batch."""
-        return [
-            self.pair_logits(
-                self._premise_slice(batch, i), self._hypothesis_slice(batch, i)
-            )[1]
-            for i in range(len(batch))
-        ]
+        return self.batch_logits(batch)[1]
 
     def predict_tokens(
         self, premise_tokens: list[str], hypothesis_tokens: list[str]
@@ -193,10 +197,15 @@ class NLIModel:
 
     def tokens_to_inputs(self, tokens: list[str]) -> tuple:
         """Map a raw token list to the (ids, mask, char_ids, char_mask) tuple
-        the encoder consumes; unknown tokens fall back to UNK."""
+        the encoder consumes; unknown tokens fall back to UNK.  A literal
+        "<pad>" token maps to UNK as on the batch path, never to the PAD id."""
         if not tokens:
             raise ConfigError("cannot encode an empty token list")
-        ids = np.array([self.vocab.lookup(t) for t in tokens], dtype=np.int64)
+        pad, unk = self.vocab.pad, self.vocab.unk
+        ids = np.array(
+            [unk if idx == pad else idx for idx in map(self.vocab.lookup, tokens)],
+            dtype=np.int64,
+        )
         mask = np.ones(len(tokens), dtype=bool)
         max_chars = max(len(t) for t in tokens)
         char_ids = np.zeros((len(tokens), max_chars), dtype=np.int64)

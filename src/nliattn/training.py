@@ -231,14 +231,27 @@ def _manifest_for(model: NLIModel, epoch, dev_accuracy, seed) -> dict:
 
 
 def save_checkpoint(model: NLIModel, path, epoch=None, dev_accuracy=None, seed=None) -> None:
-    """Write manifest + float32 parameter blob; the round trip is bit-exact."""
+    """Write manifest + float32 parameter blob; the round trip is bit-exact.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so a failed write leaves any previous
+    checkpoint intact and no partial file behind.
+    """
     manifest = _manifest_for(model, epoch, dev_accuracy, seed)
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for p in model.parameters().values():
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+    path = os.fspath(path)
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for p in model.parameters().values():
+                fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
 
 
 @dataclass

@@ -251,6 +251,17 @@ class TestBackward:
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, 2 * x.data + 1, rtol=1e-6)
 
+    def test_repeated_use_through_aliased_gradients(self):
+        # add hands the same gradient array to both inputs; accumulating x's
+        # three contributions must not write through into b's gradient
+        x = ad.Tensor(np.array([1.0, -2.0]))
+        b = ad.Tensor(np.array([0.5, 4.0]))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad.add(ad.add(ad.add(x, b), x), x))
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
 
 class TestOperationSuite:
     def test_every_operation_within_tolerance(self):

@@ -181,3 +181,58 @@ class TestModel:
         assert len(errors) > 10
         for name, err in errors.items():
             assert err <= 1e-3, f"{name}: relative error {err:.3e}"
+
+
+def _probs_of(model, examples, pair_id):
+    batch = make_batches(examples, len(examples), "dev", model.vocab, model.char_vocab)[0]
+    return model.predict_batch(batch)[batch.pair_ids.index(pair_id)].probs
+
+
+class TestBatchPaths:
+    """A pair's output must not depend on its batch-mates, padding or path."""
+
+    TARGET = NLIExample("t", "g", ["a", "cat", "runs"], ["dogs", "sleep"], "neutral")
+    SHORT = NLIExample("s", "g", ["cat"], ["a"], "entailment")
+    LONG = NLIExample(
+        "l", "g", ["dogs", "play", "chess", "a", "cat", "runs", "far", "away"],
+        ["a", "cat", "moves", "and", "dogs", "sleep"], "contradiction",
+    )
+
+    def test_batch_composition_invariance(self):
+        with ad.precision("float64"):
+            model, *_ = tiny_model(seed=40)
+            # nonzero biases, so a padded step could not pass for a no-op
+            rng = np.random.default_rng(43)
+            for p in model.parameters().values():
+                if p.trainable:
+                    p.value.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+            alone = _probs_of(model, [self.TARGET], "t")
+            for mates in ([self.SHORT], [self.LONG], [self.LONG, self.SHORT]):
+                for examples in ([self.TARGET, *mates], [*mates, self.TARGET]):
+                    np.testing.assert_allclose(
+                        _probs_of(model, examples, "t"), alone, atol=1e-6
+                    )
+
+    def test_literal_pad_token_agrees_across_paths(self):
+        pair = NLIExample("p", "g", ["a", "<pad>", "cat"], ["<pad>", "runs"], "neutral")
+        with ad.precision("float64"):
+            model, *_ = tiny_model(seed=41)
+            batched = _probs_of(model, [pair, self.LONG], "p")
+            single = model.predict_tokens(pair.premise_tokens, pair.hypothesis_tokens).probs
+        np.testing.assert_allclose(single, batched, atol=1e-6)
+
+    def test_tape_records_do_not_grow_with_sentence_length(self):
+        model, *_ = tiny_model(seed=42, use_chars=False)
+
+        def records(length):
+            # mixed lengths, so every batch pads its shorter sentences
+            examples = [
+                NLIExample(str(i), "g", ["a", "cat"] * length * i, ["dogs"] * length, "neutral")
+                for i in range(1, 4)
+            ]
+            batch = make_batches(examples, 3, "train", model.vocab, model.char_vocab)[0]
+            with ad.Tape() as tape:
+                model.batch_loss(batch, training=True, rng=np.random.default_rng(0))
+            return len(tape)
+
+        assert records(1) == records(4) == records(20)

@@ -209,6 +209,75 @@ class TestBilstm:
             )
 
 
+class TestFusedBilstm:
+    """The fused sequence op against the step-by-step ``lstm_step`` oracle."""
+
+    MASK = np.array([True, False, True, True, False, True, False])  # interior and trailing holes
+
+    def _unroll(self, model, x: Tensor):
+        """(H, last-pooled vector) from per-step ``lstm_step`` calls over the live rows."""
+        rows = [ad.reshape(ad.narrow(x, 0, i, 1), (x.shape[1],)) for i in range(x.shape[0])]
+        live = np.flatnonzero(self.MASK)
+        hidden = model.forward_cell.hidden
+        states = {}
+        finals = []
+        for cell, order, side in (
+            (model.forward_cell, live, 0),
+            (model.backward_cell, live[::-1], 1),
+        ):
+            h, c = ad.zeros(hidden), ad.zeros(hidden)
+            for i in order:
+                h, c = enc.lstm_step(cell, rows[i], h, c)
+                states[(int(i), side)] = h
+            finals.append(h)
+        H = ad.stack([
+            ad.concat([states[(i, 0)], states[(i, 1)]]) if self.MASK[i] else ad.zeros(2 * hidden)
+            for i in range(len(self.MASK))
+        ])
+        return H, ad.concat(finals)
+
+    def test_matches_step_unroll_with_holes(self):
+        with ad.precision("float64"):
+            model = tiny_encoder(seed=30)
+            x = Tensor(np.random.default_rng(31).normal(size=(len(self.MASK), 5)))
+            seq = enc.bilstm(x, self.MASK, model.forward_cell, model.backward_cell)
+            H, last = self._unroll(model, x)
+            np.testing.assert_allclose(seq.H.data, H.data, atol=1e-6)
+            np.testing.assert_array_equal(seq.H.data[~self.MASK], 0.0)
+            np.testing.assert_allclose(enc.pool(seq, "last").data, last.data, atol=1e-6)
+
+    def test_gradients_match_step_unroll(self):
+        with ad.precision("float64"):
+            model = tiny_encoder(seed=32)
+            rng = np.random.default_rng(33)
+            x = Tensor(rng.normal(size=(len(self.MASK), 5)))
+            weights = Tensor(rng.normal(size=(len(self.MASK), 6)))
+            params = {
+                **model.forward_cell.parameters(),
+                **model.backward_cell.parameters(),
+            }
+
+            def grads(build):
+                for p in params.values():
+                    p.zero_grad()
+                x.grad = None
+                with ad.Tape() as tape:
+                    H, last = build()
+                    loss = ad.add(ad.sum_all(ad.mul(H, weights)), ad.sum_all(last))
+                tape.backward(loss)
+                return {name: p.grad.copy() for name, p in params.items()}, x.grad.copy()
+
+            def fused():
+                seq = enc.bilstm(x, self.MASK, model.forward_cell, model.backward_cell)
+                return seq.H, enc.pool(seq, "last")
+
+            fused_grads, fused_x = grads(fused)
+            step_grads, step_x = grads(lambda: self._unroll(model, x))
+        for name in params:
+            np.testing.assert_allclose(fused_grads[name], step_grads[name], atol=1e-6)
+        np.testing.assert_allclose(fused_x, step_x, atol=1e-6)
+
+
 class TestPool:
     def _seq(self, n=4, seed=13, mask=None):
         model = tiny_encoder(seed=seed)

@@ -1,3 +1,7 @@
+import builtins
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -174,6 +178,45 @@ class TestCheckpoint:
             seed=loaded.manifest["seed"],
         )
         assert path.read_bytes() == second.read_bytes()
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, path, _ = self._trained(tmp_path)
+        saved = {name: p.data.copy() for name, p in model.parameters().items()}
+
+        class DiskFullAfterHeader:
+            """File that accepts the header, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        for p in model.parameters().values():
+            p.value.data[...] += 1.0
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                training, "open",
+                lambda *args, **kwargs: DiskFullAfterHeader(builtins.open(*args, **kwargs)),
+                raising=False,
+            )
+            with pytest.raises(OSError):
+                save_checkpoint(model, path, epoch=4)
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+        loaded = load_checkpoint(path)
+        assert loaded.manifest["epoch"] == 3
+        for name, p in loaded.model.parameters().items():
+            np.testing.assert_array_equal(p.data, saved[name])
 
     def test_truncated_file_rejected(self, tmp_path):
         _, path, _ = self._trained(tmp_path)
