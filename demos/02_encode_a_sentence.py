@@ -7,7 +7,7 @@ Run:  python demos/02_encode_a_sentence.py
 import numpy as np
 
 from nliattn import synth
-from nliattn.data import CharVocabulary, Vocabulary, random_embeddings
+from nliattn.data import CharVocabulary, Vocabulary, pairs_to_batch, random_embeddings
 from nliattn.encoder import Encoder, EncoderConfig, POOLING_METHODS, bilstm, inner_attention, pool
 
 examples = synth.synthetic_examples(50, seed=3)
@@ -21,13 +21,9 @@ encoder = Encoder(config, random_embeddings(vocab, rng, scale=0.3), n_chars=len(
 sentence = examples[0].premise_tokens
 print("sentence:", " ".join(sentence))
 
-ids = np.array([vocab.lookup(t) for t in sentence])
-char_ids = np.zeros((len(sentence), max(map(len, sentence))), dtype=np.int64)
-char_mask = np.zeros_like(char_ids, dtype=bool)
-for i, token in enumerate(sentence):
-    for j, ch in enumerate(token):
-        char_ids[i, j] = chars.lookup(ch)
-        char_mask[i, j] = True
+# the model's one input format is a padded Batch of pairs; take its premise row
+batch = pairs_to_batch([sentence], [sentence], vocab, chars)
+ids, char_ids, char_mask = batch.premise_ids[0], batch.premise_char_ids[0], batch.premise_char_mask[0]
 
 x = encoder.embed_tokens(ids, None, char_ids, char_mask)
 print(f"embedded input: {x.shape}  (word {config.word_dim} + char {config.char_hidden})")

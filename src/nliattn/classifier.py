@@ -80,23 +80,18 @@ def classify(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ):
-    """Map matching vectors to logits and probability distributions.
+    """Map matching vectors [B x d] to logits [B x 3] and B distributions.
 
-    ``r`` is a batch [B x d] or a single vector [d].  A batch gives logits
-    [B x 3] and a list of B distributions; a single vector runs as a batch
-    of one and gives logits [3] and one distribution.  Every layer is one
-    [B x d_in] GEMM.  Dropout fires only in training mode, between
-    consecutive layers of the stack (after each hidden ReLU, including
-    before the final projection), with one mask per layer for the batch.
+    Every layer is one [B x d_in] GEMM.  Dropout fires only in training
+    mode, between consecutive layers of the stack (after each hidden ReLU,
+    including before the final projection), with one mask per layer for
+    the batch.
     """
-    single = r.ndim == 1
-    if r.ndim not in (1, 2) or r.shape[-1] != params.input_dim:
-        raise DimensionError(
-            f"classify: input shape {r.shape} is not [{params.input_dim}] or [B x {params.input_dim}]"
-        )
+    if r.ndim != 2 or r.shape[1] != params.input_dim:
+        raise DimensionError(f"classify: input shape {r.shape} is not [B x {params.input_dim}]")
     if training and params.dropout > 0 and rng is None:
         raise UsageError("classify: training with dropout needs a generator")
-    x = ad.reshape(r, (1, params.input_dim)) if single else r
+    x = r
     *hidden, (w_out, b_out) = params.layers
     for w, b in hidden:
         x = ad.relu(ad.affine(x, w.value, b.value))
@@ -106,6 +101,4 @@ def classify(
     for row in logits.data:
         probs = ad.softmax_probs(row)
         dists.append(PredictionDistribution(probs=probs, predicted_class=int(np.argmax(probs))))
-    if single:
-        return ad.reshape(logits, (N_CLASSES,)), dists[0]
     return logits, dists

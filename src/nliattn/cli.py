@@ -47,7 +47,6 @@ CONFIG_ENV_VAR = "NLIATTN_CONFIG"
 _PATH_KEYS = (
     "train_file",
     "dev_file",
-    "dev_mismatched_file",
     "snli_file",
     "embeddings_file",
     "out_dir",
@@ -78,7 +77,6 @@ class RunConfig:
 
     train_file: str | None = None
     dev_file: str | None = None
-    dev_mismatched_file: str | None = None
     snli_file: str | None = None
     embeddings_file: str | None = None
     out_dir: str = "runs"
@@ -351,8 +349,6 @@ def cmd_predict(args) -> int:
         raise UsageError("predict reads two lines from stdin: premise, then hypothesis")
     premise = [normalize_token(t) for t in lines[0].split() if t]
     hypothesis = [normalize_token(t) for t in lines[1].split() if t]
-    if not premise or not hypothesis:
-        raise DataError("both sentences must contain at least one token")
     dist = loaded.model.predict_tokens(premise, hypothesis)
     from .data import LABELS
 
@@ -379,6 +375,9 @@ def cmd_sweep(args) -> int:
     config = build_run_config(args)
     if config.train_file is None or config.dev_file is None:
         raise ConfigError("sweep needs train_file and dev_file")
+    for key in ("snli_file", "embeddings_file"):
+        if getattr(config, key) is not None:
+            raise ConfigError(f"sweep does not support {key}; remove it from the config")
     _require_files(config.train_file, config.dev_file)
     run_dir = make_run_dir(config)
     print(f"run directory: {run_dir}")

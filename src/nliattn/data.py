@@ -370,8 +370,7 @@ class Batch:
     premise_char_mask: np.ndarray
     hypothesis_char_ids: np.ndarray
     hypothesis_char_mask: np.ndarray
-    labels: np.ndarray  # [b] int64
-    genres: list[str] = field(default_factory=list)
+    labels: np.ndarray  # [b] int64, -1 for a pair without a gold label
     pair_ids: list[str] = field(default_factory=list)
 
     def __len__(self):
@@ -380,8 +379,10 @@ class Batch:
 
 def _encode_side(token_lists, vocab, char_vocab):
     b = len(token_lists)
+    if not all(token_lists):
+        raise DataError("every sentence needs at least one token")
     max_len = max(len(t) for t in token_lists)
-    max_chars = max((len(tok) for toks in token_lists for tok in toks), default=1)
+    max_chars = max(len(tok) for toks in token_lists for tok in toks)
     ids = np.zeros((b, max_len), dtype=np.int64)  # 0 == PAD id
     mask = np.zeros((b, max_len), dtype=bool)
     char_ids = np.zeros((b, max_len, max_chars), dtype=np.int64)
@@ -396,6 +397,37 @@ def _encode_side(token_lists, vocab, char_vocab):
                 char_ids[i, j, c] = char_vocab.lookup(ch)
                 char_mask[i, j, c] = True
     return ids, mask, char_ids, char_mask
+
+
+def pairs_to_batch(
+    premises: Sequence[list[str]],
+    hypotheses: Sequence[list[str]],
+    vocab: Vocabulary,
+    char_vocab: CharVocabulary,
+    labels: Sequence[int] | None = None,
+    pair_ids: Sequence[str] = (),
+) -> Batch:
+    """The one mapping from token lists to model input: a padded Batch.
+
+    Unknown tokens and characters fall back to UNK; an empty token list is
+    rejected.  Pairs without a gold label carry label -1.
+    """
+    p_ids, p_mask, p_cids, p_cmask = _encode_side(premises, vocab, char_vocab)
+    h_ids, h_mask, h_cids, h_cmask = _encode_side(hypotheses, vocab, char_vocab)
+    if labels is None:
+        labels = [-1] * len(premises)
+    return Batch(
+        premise_ids=p_ids,
+        premise_mask=p_mask,
+        hypothesis_ids=h_ids,
+        hypothesis_mask=h_mask,
+        premise_char_ids=p_cids,
+        premise_char_mask=p_cmask,
+        hypothesis_char_ids=h_cids,
+        hypothesis_char_mask=h_cmask,
+        labels=np.array(labels, dtype=np.int64),
+        pair_ids=list(pair_ids),
+    )
 
 
 def make_batches(
@@ -427,24 +459,13 @@ def make_batches(
     batches = []
     for start in range(0, len(kept), batch_size):
         chunk = kept[start : start + batch_size]
-        p_ids, p_mask, p_cids, p_cmask = _encode_side(
-            [ex.premise_tokens for ex in chunk], vocab, char_vocab
-        )
-        h_ids, h_mask, h_cids, h_cmask = _encode_side(
-            [ex.hypothesis_tokens for ex in chunk], vocab, char_vocab
-        )
         batches.append(
-            Batch(
-                premise_ids=p_ids,
-                premise_mask=p_mask,
-                hypothesis_ids=h_ids,
-                hypothesis_mask=h_mask,
-                premise_char_ids=p_cids,
-                premise_char_mask=p_cmask,
-                hypothesis_char_ids=h_cids,
-                hypothesis_char_mask=h_cmask,
-                labels=np.array([ex.label_index for ex in chunk], dtype=np.int64),
-                genres=[ex.genre for ex in chunk],
+            pairs_to_batch(
+                [ex.premise_tokens for ex in chunk],
+                [ex.hypothesis_tokens for ex in chunk],
+                vocab,
+                char_vocab,
+                labels=[ex.label_index for ex in chunk],
                 pair_ids=[ex.pair_id for ex in chunk],
             )
         )

@@ -34,6 +34,8 @@ GENRE_DISPLAY_ORDER = (
 )
 _DISPLAY_NAME = dict(GENRE_DISPLAY_ORDER)
 
+EXPORT_BATCH_SIZE = 32
+
 
 @dataclass
 class EvalReport:
@@ -186,23 +188,23 @@ def confidence_interval(accuracies: Sequence[float]) -> tuple[float, float]:
 def export_representations(model: NLIModel, examples: Sequence[NLIExample], path) -> int:
     """Write one TSV record per sentence role per pair: pair id, role, vector.
 
-    Returns the record count.  The file appears atomically: on any failure
-    the partial output is removed.
+    Pairs are encoded in padded batches of ``EXPORT_BATCH_SIZE`` and written
+    in input order, premise then hypothesis.  Returns the record count.  The
+    file appears atomically: on any failure the partial output is removed.
     """
     path = os.fspath(path)
     tmp_path = path + ".tmp"
     written = 0
+    batches = make_batches(examples, EXPORT_BATCH_SIZE, "dev", model.vocab, model.char_vocab)
     try:
         with open(tmp_path, "w", encoding="utf-8") as fh:
-            for ex in examples:
-                for role, tokens in (
-                    ("premise", ex.premise_tokens),
-                    ("hypothesis", ex.hypothesis_tokens),
-                ):
-                    rep = model.encode(*model.tokens_to_inputs(tokens))
-                    vector = "\t".join(f"{v:.9g}" for v in rep.refined.data)
-                    fh.write(f"{ex.pair_id}\t{role}\t{vector}\n")
-                    written += 1
+            for batch in batches:
+                premises, hypotheses = model.represent(batch)
+                for pair_id, p, h in zip(batch.pair_ids, premises.data, hypotheses.data):
+                    for role, rep in (("premise", p), ("hypothesis", h)):
+                        vector = "\t".join(f"{v:.9g}" for v in rep)
+                        fh.write(f"{pair_id}\t{role}\t{vector}\n")
+                        written += 1
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import classifier as clf
 from .autodiff import Parameter, Tensor
-from .data import Batch, CharVocabulary, Vocabulary
+from .data import Batch, CharVocabulary, Vocabulary, pairs_to_batch
 from .encoder import Encoder, EncoderConfig, POOLING_METHODS
 from .errors import ConfigError
 
@@ -109,27 +109,17 @@ class NLIModel:
 
     # -- forward ------------------------------------------------------------
 
-    def encode(self, word_ids, mask=None, char_ids=None, char_mask=None):
-        return self.encoder.encode_sentence(
-            word_ids,
-            self.config.pooling,
-            mask=mask,
-            char_ids=char_ids,
-            char_mask=char_mask,
-        )
-
-    def pair_logits(
-        self,
-        premise: tuple,
-        hypothesis: tuple,
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, clf.PredictionDistribution]:
-        """Logits for one (premise, hypothesis) id/mask/char tuple pair."""
-        p_rep = self.encode(*premise)
-        h_rep = self.encode(*hypothesis)
-        r = clf.aggregate(p_rep.refined, h_rep.refined)
-        return clf.classify(r, self.mlp, training=training, rng=rng)
+    def represent(self, batch: Batch) -> tuple[Tensor, Tensor]:
+        """Refined premise and hypothesis representations, [B x d] each;
+        sentences are encoded one by one and their rows stacked."""
+        encode, pooling = self.encoder.encode_sentence, self.config.pooling
+        p_rows, h_rows = [], []
+        for i in range(len(batch)):
+            p_rows.append(encode(batch.premise_ids[i], pooling, batch.premise_mask[i],
+                                 batch.premise_char_ids[i], batch.premise_char_mask[i]).refined)
+            h_rows.append(encode(batch.hypothesis_ids[i], pooling, batch.hypothesis_mask[i],
+                                 batch.hypothesis_char_ids[i], batch.hypothesis_char_mask[i]).refined)
+        return ad.stack(p_rows), ad.stack(h_rows)
 
     def batch_logits(
         self,
@@ -137,16 +127,9 @@ class NLIModel:
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, list[clf.PredictionDistribution]]:
-        """Logits [B x 3] and distributions for every pair of a batch.
-
-        Sentences are encoded one by one; the B matching vectors are then
-        stacked so that the MLP runs once for the whole batch.
-        """
-        p_rows, h_rows = [], []
-        for i in range(len(batch)):
-            p_rows.append(self.encode(*self._premise_slice(batch, i)).refined)
-            h_rows.append(self.encode(*self._hypothesis_slice(batch, i)).refined)
-        r = clf.aggregate(ad.stack(p_rows), ad.stack(h_rows))
+        """Logits [B x 3] and distributions for every pair of a batch; the
+        MLP runs once on the B stacked matching vectors."""
+        r = clf.aggregate(*self.represent(batch))
         return clf.classify(r, self.mlp, training=training, rng=rng)
 
     def batch_loss(
@@ -170,48 +153,8 @@ class NLIModel:
         self, premise_tokens: list[str], hypothesis_tokens: list[str]
     ) -> clf.PredictionDistribution:
         """Distribution for one raw token-list pair (unknown tokens -> UNK)."""
-        return self.pair_logits(
-            self.tokens_to_inputs(premise_tokens),
-            self.tokens_to_inputs(hypothesis_tokens),
-        )[1]
+        return self.batch_logits(self.tokens_to_inputs(premise_tokens, hypothesis_tokens))[1][0]
 
-    # -- input plumbing -----------------------------------------------------
-
-    @staticmethod
-    def _premise_slice(batch: Batch, i: int) -> tuple:
-        return (
-            batch.premise_ids[i],
-            batch.premise_mask[i],
-            batch.premise_char_ids[i],
-            batch.premise_char_mask[i],
-        )
-
-    @staticmethod
-    def _hypothesis_slice(batch: Batch, i: int) -> tuple:
-        return (
-            batch.hypothesis_ids[i],
-            batch.hypothesis_mask[i],
-            batch.hypothesis_char_ids[i],
-            batch.hypothesis_char_mask[i],
-        )
-
-    def tokens_to_inputs(self, tokens: list[str]) -> tuple:
-        """Map a raw token list to the (ids, mask, char_ids, char_mask) tuple
-        the encoder consumes; unknown tokens fall back to UNK.  A literal
-        "<pad>" token maps to UNK as on the batch path, never to the PAD id."""
-        if not tokens:
-            raise ConfigError("cannot encode an empty token list")
-        pad, unk = self.vocab.pad, self.vocab.unk
-        ids = np.array(
-            [unk if idx == pad else idx for idx in map(self.vocab.lookup, tokens)],
-            dtype=np.int64,
-        )
-        mask = np.ones(len(tokens), dtype=bool)
-        max_chars = max(len(t) for t in tokens)
-        char_ids = np.zeros((len(tokens), max_chars), dtype=np.int64)
-        char_mask = np.zeros((len(tokens), max_chars), dtype=bool)
-        for j, token in enumerate(tokens):
-            for c, ch in enumerate(token):
-                char_ids[j, c] = self.char_vocab.lookup(ch)
-                char_mask[j, c] = True
-        return ids, mask, char_ids, char_mask
+    def tokens_to_inputs(self, premise_tokens: list[str], hypothesis_tokens: list[str]) -> Batch:
+        """The one-pair Batch for a raw token-list pair."""
+        return pairs_to_batch([premise_tokens], [hypothesis_tokens], self.vocab, self.char_vocab)

@@ -314,6 +314,8 @@ def load_checkpoint(
     saved_chars = _rebuild_char_vocab(manifest["char_vocab"])
     if saved_vocab.content_hash() != manifest["vocab_hash"]:
         raise IntegrityError(f"{path}: vocabulary does not match its recorded hash")
+    if saved_chars.content_hash() != manifest["char_vocab_hash"]:
+        raise IntegrityError(f"{path}: char vocabulary does not match its recorded hash")
     if vocab is not None and vocab.content_hash() != manifest["vocab_hash"]:
         raise ConfigError(f"{path}: checkpoint was built against a different vocabulary")
     if char_vocab is not None and char_vocab.content_hash() != manifest["char_vocab_hash"]:

@@ -3,6 +3,7 @@ import pytest
 
 from nliattn import autodiff as ad
 from nliattn import classifier as clf
+from nliattn import evaluation as ev
 from nliattn import gradcheck as gc
 from nliattn.autodiff import Tensor
 from nliattn.data import CharVocabulary, NLIExample, Vocabulary, make_batches, random_embeddings
@@ -49,14 +50,14 @@ class TestClassify:
         params = self._params()
         for p in params.parameters().values():
             p.value.data[:] = 0.0
-        logits, dist = clf.classify(Tensor(np.ones(6)), params)
-        np.testing.assert_array_equal(logits.data, np.zeros(3, dtype=np.float32))
-        np.testing.assert_allclose(dist.probs, [1 / 3] * 3, atol=1e-9)
-        assert dist.predicted_class == 0
+        logits, dists = clf.classify(Tensor(np.ones((1, 6))), params)
+        np.testing.assert_array_equal(logits.data, np.zeros((1, 3), dtype=np.float32))
+        np.testing.assert_allclose(dists[0].probs, [1 / 3] * 3, atol=1e-9)
+        assert dists[0].predicted_class == 0
 
     def test_inference_deterministic(self):
         params = self._params(seed=2)
-        r = Tensor(np.random.default_rng(3).normal(size=6))
+        r = Tensor(np.random.default_rng(3).normal(size=(1, 6)))
         a, _ = clf.classify(r, params, training=False)
         b, _ = clf.classify(r, params, training=False)
         np.testing.assert_array_equal(a.data, b.data)
@@ -65,20 +66,20 @@ class TestClassify:
         # oracle: the affine/ReLU stack evaluated directly in float64
         with ad.precision("float64"):
             params = self._params(seed=4)
-            r = np.random.default_rng(5).normal(size=6)
+            r = np.random.default_rng(5).normal(size=(1, 6))
             logits, _ = clf.classify(Tensor(r), params, training=False)
-            x = r
+            x = r[0]
             for w, b in params.layers[:-1]:
                 x = np.maximum(w.data @ x + b.data, 0.0)
             w_out, b_out = params.layers[-1]
             expected = w_out.data @ x + b_out.data
-        np.testing.assert_allclose(logits.data, expected, atol=1e-6)
+        np.testing.assert_allclose(logits.data[0], expected, atol=1e-6)
 
     def test_probs_form_distribution(self):
         params = self._params(seed=6)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            _, dist = clf.classify(Tensor(rng.normal(size=6)), params)
+            dist = clf.classify(Tensor(rng.normal(size=(1, 6))), params)[1][0]
             assert abs(dist.probs.sum() - 1.0) < 1e-6
             assert np.all(dist.probs >= 0) and np.all(dist.probs <= 1)
 
@@ -91,17 +92,17 @@ class TestClassify:
     def test_shift_invariance_through_classifier(self):
         with ad.precision("float64"):
             params = self._params(seed=8)
-            r = Tensor(np.random.default_rng(9).normal(size=6))
-            _, before = clf.classify(r, params)
+            r = Tensor(np.random.default_rng(9).normal(size=(1, 6)))
+            before = clf.classify(r, params)[1][0]
             w_out, b_out = params.layers[-1]
             b_out.value.data[:] += 100.0  # shifts every logit equally
-            _, after = clf.classify(r, params)
+            after = clf.classify(r, params)[1][0]
         np.testing.assert_allclose(before.probs, after.probs, atol=1e-6)
         assert before.predicted_class == after.predicted_class
 
     def test_dropout_only_in_training(self):
         params = self._params(seed=10)
-        r = Tensor(np.random.default_rng(11).normal(size=6))
+        r = Tensor(np.random.default_rng(11).normal(size=(1, 6)))
         base, _ = clf.classify(r, params, training=False)
         rng = np.random.default_rng(12)
         seen_different = any(
@@ -113,7 +114,7 @@ class TestClassify:
     def test_wrong_input_width(self):
         params = self._params(input_dim=6)
         with pytest.raises(DimensionError):
-            clf.classify(Tensor(np.zeros(5)), params)
+            clf.classify(Tensor(np.zeros((1, 5))), params)
 
 
 def tiny_model(seed=0, use_chars=True, pooling="mean"):
@@ -188,6 +189,13 @@ def _probs_of(model, examples, pair_id):
     return model.predict_batch(batch)[batch.pair_ids.index(pair_id)].probs
 
 
+def _large_weights(model, seed):
+    rng = np.random.default_rng(seed)
+    for p in model.parameters().values():
+        if p.trainable:
+            p.value.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+
+
 class TestBatchPaths:
     """A pair's output must not depend on its batch-mates, padding or path."""
 
@@ -202,10 +210,7 @@ class TestBatchPaths:
         with ad.precision("float64"):
             model, *_ = tiny_model(seed=40)
             # nonzero biases, so a padded step could not pass for a no-op
-            rng = np.random.default_rng(43)
-            for p in model.parameters().values():
-                if p.trainable:
-                    p.value.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+            _large_weights(model, seed=43)
             alone = _probs_of(model, [self.TARGET], "t")
             for mates in ([self.SHORT], [self.LONG], [self.LONG, self.SHORT]):
                 for examples in ([self.TARGET, *mates], [*mates, self.TARGET]):
@@ -213,13 +218,40 @@ class TestBatchPaths:
                         _probs_of(model, examples, "t"), alone, atol=1e-6
                     )
 
-    def test_literal_pad_token_agrees_across_paths(self):
+    def test_literal_pad_token_agrees_across_paths(self, monkeypatch, tmp_path):
+        # predict, eval, ensemble and export all see the pair through a Batch;
+        # LONG is longer on both sides, so the pair's rows are padded there
         pair = NLIExample("p", "g", ["a", "<pad>", "cat"], ["<pad>", "runs"], "neutral")
+        padded = [pair, self.LONG]
+        reported = []
+        report = ev._report_from_predictions
+
+        def spy(predictions, examples, split):
+            reported.append(predictions[0].probs)
+            return report(predictions, examples, split)
+
+        monkeypatch.setattr(ev, "_report_from_predictions", spy)
         with ad.precision("float64"):
             model, *_ = tiny_model(seed=41)
-            batched = _probs_of(model, [pair, self.LONG], "p")
+            assert model.config.encoder.use_chars
+            # weights large enough that 1e-6 is a tight bound on every value
+            _large_weights(model, seed=44)
+            one = make_batches([pair], 1, "dev", model.vocab, model.char_vocab)[0]
             single = model.predict_tokens(pair.premise_tokens, pair.hypothesis_tokens).probs
-        np.testing.assert_allclose(single, batched, atol=1e-6)
+            np.testing.assert_array_equal(single, model.predict_batch(one)[0].probs)
+            batched = _probs_of(model, padded, "p")
+            ev.evaluate(model, padded)
+            ev.ensemble_evaluate([model], padded)
+            ensembled = ev.ensemble_predict([model], pair).probs
+            ev.export_representations(model, padded, tmp_path / "reps.tsv")
+            premise, hypothesis = model.represent(one)
+        assert len(reported) == 2
+        for probs in (batched, *reported, ensembled):
+            np.testing.assert_allclose(probs, single, atol=1e-6)
+        rows = [line.split("\t") for line in (tmp_path / "reps.tsv").read_text().splitlines()]
+        assert [row[:2] for row in rows[:2]] == [["p", "premise"], ["p", "hypothesis"]]
+        np.testing.assert_allclose(np.array(rows[0][2:], dtype=float), premise.data[0], atol=1e-6)
+        np.testing.assert_allclose(np.array(rows[1][2:], dtype=float), hypothesis.data[0], atol=1e-6)
 
     def test_tape_records_do_not_grow_with_sentence_length(self):
         model, *_ = tiny_model(seed=42, use_chars=False)

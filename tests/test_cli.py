@@ -2,6 +2,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 from nliattn import autodiff as ad
 from nliattn import gradcheck
@@ -12,9 +13,10 @@ from conftest import FIXTURES, find_run_dir, write_tiny_config
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text("train_file=x\nwat=1\n")
-        assert main(["train", "--config", str(config)]) == 1
-        assert "wat" in capsys.readouterr().err
+        for key in ("wat", "dev_mismatched_file"):
+            config.write_text(f"train_file=x\n{key}=1\n")
+            assert main(["train", "--config", str(config)]) == 1
+            assert key in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["train", "--config", "/nonexistent/nli.cfg"]) == 1
@@ -204,6 +206,11 @@ class TestPredict:
         monkeypatch.setattr("sys.stdin", io.StringIO("only one line\n"))
         assert main(["predict", "--checkpoint", str(trained_run["checkpoint"])]) == 1
 
+    def test_empty_sentence_is_data_error(self, trained_run, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("   \nthe man .\n"))
+        assert main(["predict", "--checkpoint", str(trained_run["checkpoint"])]) == 2
+        assert "at least one token" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_clean_report_exits_zero(self, capsys, monkeypatch):
@@ -260,6 +267,13 @@ class TestSweepAndExport:
         assert (run_dir / "sweep_best.txt").exists()
         for method in ("mean", "sum", "last", "max"):
             assert method in (run_dir / "sweep_mean.txt").read_text()
+
+    @pytest.mark.parametrize("key", ["snli_file", "embeddings_file"])
+    def test_sweep_rejects_unsupported_key(self, tmp_path, capsys, key):
+        config = write_tiny_config(tmp_path, **{key: FIXTURES / "train.jsonl"})
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_export_row_width_matches_checkpoint(self, trained_run, tmp_path):
         out_tsv = tmp_path / "r.tsv"

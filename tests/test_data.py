@@ -269,9 +269,10 @@ class TestMakeBatches:
 
     def test_unknown_tokens_fall_back_to_unk(self):
         exs, vocab, chars = self._fixtures()
-        novel = data.NLIExample("n", "g", ["zebra"], ["x"], "neutral")
+        # a literal "<pad>" in running text is unknown too, never the PAD id
+        novel = data.NLIExample("n", "g", ["zebra", "<pad>"], ["x"], "neutral")
         batch = data.make_batches([novel], 1, "dev", vocab, chars)[0]
-        assert batch.premise_ids[0, 0] == vocab.unk
+        assert batch.premise_ids[0].tolist() == [vocab.unk, vocab.unk]
 
     def test_char_masks_cover_exact_lengths(self):
         exs, vocab, chars = self._fixtures()

@@ -1,6 +1,8 @@
 import builtins
 import errno
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +231,18 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"\x02\x00\x00\x00\x00\x00\x00\x00{}")
         with pytest.raises(IntegrityError):
+            load_checkpoint(path)
+
+    def test_edited_char_vocabulary_rejected(self, tmp_path):
+        _, path, _ = self._trained(tmp_path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[:8])
+        manifest = json.loads(raw[8 : 8 + header_len])
+        chars = manifest["char_vocab"]["chars"]
+        chars[2], chars[3] = chars[3], chars[2]  # same size, different mapping
+        header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(header)) + header + raw[8 + header_len :])
+        with pytest.raises(IntegrityError, match="char vocabulary"):
             load_checkpoint(path)
 
     def test_vocab_hash_guard(self, tmp_path):
