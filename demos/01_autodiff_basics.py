@@ -22,10 +22,11 @@ tape.backward(loss)
 print("\nloss =", loss.item())
 print("d loss / d theta =", theta.grad, "(expected 2*theta =", 2 * theta.data, ")")
 
-# Masked softmax: padding positions stay exactly zero.
-scores = ad.Tensor([2.0, -1.0, 0.5, 9.9])
-mask = np.array([True, True, True, False])
-print("\nmasked softmax:", ad.masked_softmax(scores, mask).data)
+# Segment softmax: a batch of sentences packs its live positions end to end
+# (here 3 and 2 of them); each sentence normalizes over its own segment and
+# padding never enters.
+scores = ad.Tensor([2.0, -1.0, 0.5, 9.9, 9.9])
+print("\nsegment softmax:", ad.segment_softmax(scores, [3, 2]).data)
 
 # The finite-difference oracle is how every backward rule in the package is
 # verified; float64 mode keeps the differences out of the rounding noise.

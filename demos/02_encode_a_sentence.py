@@ -1,5 +1,8 @@
-"""Encode one sentence step by step: embedding, BiLSTM context vectors, the
-four pooling strategies, and attention-based refinement.
+"""Encode a batch of sentences step by step: embedding, BiLSTM context
+vectors, the four pooling strategies, and attention-based refinement.
+
+Every step runs on all sentences at once.  Only the live (non-PAD) tokens
+enter the encoder, packed into one [L x d] block, sentence after sentence.
 
 Run:  python demos/02_encode_a_sentence.py
 """
@@ -18,25 +21,33 @@ rng = np.random.default_rng(0)
 config = EncoderConfig(use_chars=True, word_dim=16, char_dim=4, char_hidden=6, hidden_per_dir=8)
 encoder = Encoder(config, random_embeddings(vocab, rng, scale=0.3), n_chars=len(chars), rng=rng)
 
-sentence = examples[0].premise_tokens
-print("sentence:", " ".join(sentence))
+pair = examples[0]
+print("premise:   ", " ".join(pair.premise_tokens))
+print("hypothesis:", " ".join(pair.hypothesis_tokens))
 
-# the model's one input format is a padded Batch of pairs; take its premise row
-batch = pairs_to_batch([sentence], [sentence], vocab, chars)
-ids, char_ids, char_mask = batch.premise_ids[0], batch.premise_char_ids[0], batch.premise_char_mask[0]
+# the model's one input format is a padded Batch of pairs; its premises and
+# hypotheses form one set of 2B sentences
+batch = pairs_to_batch([pair.premise_tokens], [pair.hypothesis_tokens], vocab, chars)
+ids, mask, char_ids, char_mask = batch.sentences()
+lengths = mask.sum(axis=1)
+print(f"\n{ids.shape[0]} sentences of {ids.shape[1]} slots; live lengths {lengths.tolist()}")
 
-x = encoder.embed_tokens(ids, None, char_ids, char_mask)
-print(f"embedded input: {x.shape}  (word {config.word_dim} + char {config.char_hidden})")
+x = encoder.embed_tokens(ids, mask, char_ids, char_mask)
+print(f"embedded input: {x.shape}  (word {config.word_dim} + char {config.char_hidden} per token)")
 
-seq = bilstm(x, None, encoder.forward_cell, encoder.backward_cell)
-print(f"context vectors: {seq.H.shape}  (2 x {config.hidden_per_dir} per position)")
+seq = bilstm(x, mask, encoder.forward_cell, encoder.backward_cell)
+print(f"context vectors: {seq.H.shape}  (2 x {config.hidden_per_dir} per live token)")
 
+starts = np.cumsum(lengths) - lengths
 for method in POOLING_METHODS:
     raw = pool(seq, method)
     refined, alpha = inner_attention(seq, raw, encoder.attention_w, encoder.attention_v)
-    weights = " ".join(f"{a:.2f}" for a in alpha.data)
-    print(f"{method:>5s} pooling -> refined norm {np.linalg.norm(refined.data):.3f}, attention [{weights}]")
+    weights = " | ".join(
+        " ".join(f"{a:.2f}" for a in alpha.data[start : start + n])
+        for start, n in zip(starts, lengths)
+    )
+    print(f"{method:>5s} pooling -> refined {refined.shape}, attention [{weights}]")
 
-rep = encoder.encode_sentence(ids, "mean", char_ids=char_ids, char_mask=char_mask)
-print(f"\nfull encode_sentence: refined representation has {rep.refined.shape[0]} components")
-print("attention sums to", rep.attention_weights.data.sum())
+rep = encoder.encode(ids, "mean", mask, char_ids, char_mask)
+print(f"\nfull encode: refined representations {rep.refined.shape}")
+print("attention sums per sentence:", np.add.reduceat(rep.attention_weights.data, starts))

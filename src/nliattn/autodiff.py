@@ -21,6 +21,7 @@ import contextlib
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import (
     ConfigError,
@@ -309,9 +310,8 @@ def tanh(x: Tensor) -> Tensor:
     return _emit(out, (x,), lambda g: (g * (1.0 - ydata * ydata),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # branch-free and overflow-free: tanh saturates where exp(-x) would overflow
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+# logistic sigmoid as one overflow-free ufunc
+_sigmoid = expit
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -419,117 +419,101 @@ def take_rows(x: Tensor, indices) -> Tensor:
     return _emit(out, (x,), back)
 
 
-def scatter_rows(x: Tensor, indices, n: int) -> Tensor:
-    """Place the rows of a 2-D tensor at ``indices`` of an [n x d] zero matrix.
-
-    The inverse of ``take_rows`` for distinct indices; backward gathers.
-    """
-    if x.ndim != 2:
-        raise DimensionError(f"scatter_rows needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.shape != (x.shape[0],) or np.unique(idx).size != idx.size:
-        raise InvalidInputError(f"scatter_rows: need {x.shape[0]} distinct row indices")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise InvalidInputError(f"scatter_rows: index out of range for {n} rows")
-    buf = np.zeros((n, x.shape[1]), dtype=x.data.dtype)
-    buf[idx] = x.data
-    return _emit(Tensor(buf), (x,), lambda g: (g[idx],))
-
-
 # ---------------------------------------------------------------------------
 # Reductions, softmax, loss
+#
+# A batch of variable-length sequences is packed: the rows of sequence s
+# follow those of sequence s - 1, and ``lengths`` [S] says how many rows
+# each holds.  Segment operations work on every sequence at once.
 
 
-def _check_mask(mask, n: int, what: str) -> np.ndarray:
-    if mask is None:
-        return np.ones(n, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise DimensionError(f"{what}: mask shape {mask.shape} does not match length {n}")
-    return mask
+def _segments(lengths, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated segment lengths and their first rows, for ``n`` packed rows."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0:
+        raise DimensionError(f"{what}: need a non-empty 1-D list of lengths, got {lengths.shape}")
+    if lengths.min() < 1:
+        raise InvalidInputError(f"{what}: every segment needs at least one row")
+    ends = np.cumsum(lengths)
+    if ends[-1] != n:
+        raise DimensionError(f"{what}: lengths sum to {ends[-1]}, input has {n} rows")
+    return lengths, ends - lengths
 
 
-def masked_softmax(scores: Tensor, mask=None) -> Tensor:
-    """Softmax over unmasked positions; masked positions get exactly 0.
+def segment_softmax(scores: Tensor, lengths) -> Tensor:
+    """Softmax of a packed score vector [L] within each segment.
 
-    Max-subtraction keeps the exponentials finite.  Masked scores are
-    excluded before normalization, never merely zeroed after.
+    Max-subtraction per segment keeps the exponentials finite; no segment's
+    scores reach another's probabilities.
     """
     if scores.ndim != 1:
-        raise DimensionError(f"masked_softmax needs a 1-D score vector, got {scores.shape}")
-    mask = _check_mask(mask, scores.shape[0], "masked_softmax")
-    if not mask.any():
-        raise InvalidInputError("masked_softmax: all positions are masked")
-    live = scores.data[mask]
-    e = np.exp(live - live.max())
-    probs = np.zeros_like(scores.data)
-    probs[mask] = e / e.sum()
+        raise DimensionError(f"segment_softmax needs a 1-D score vector, got {scores.shape}")
+    lengths, starts = _segments(lengths, scores.shape[0], "segment_softmax")
+    s = scores.data
+    e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts), lengths))
+    probs = e / np.repeat(np.add.reduceat(e, starts), lengths)
     out = Tensor(probs)
-    pdata = out.data
 
     def back(g):
-        inner = float((g * pdata).sum())
-        gs = pdata * (g - inner)
-        gs[~mask] = 0.0
-        return (gs,)
+        inner = np.add.reduceat(g * probs, starts)
+        return (probs * (g - np.repeat(inner, lengths)),)
 
     return _emit(out, (scores,), back)
 
 
-def reduce_sum(x: Tensor, mask=None) -> Tensor:
-    """Sum of the unmasked rows of an [n x d] tensor."""
-    mask = _reduce_check(x, mask, "reduce_sum")
-    out = Tensor(x.data[mask].sum(axis=0))
-    n, dtype = x.shape[0], x.data.dtype
+def _segment_rows(x: Tensor, lengths, what: str) -> tuple[np.ndarray, np.ndarray]:
+    if x.ndim != 2:
+        raise DimensionError(f"{what} needs an [L x d] tensor, got {x.shape}")
+    return _segments(lengths, x.shape[0], what)
+
+
+def segment_sum(x: Tensor, lengths, weights: Tensor | None = None) -> Tensor:
+    """Per-segment sums [S x d] of the rows of x [L x d].
+
+    With ``weights`` [L], row i enters its segment's sum as weights_i·x_i.
+    """
+    lengths, starts = _segment_rows(x, lengths, "segment_sum")
+    xdata = x.data
+    if weights is None:
+        out = Tensor(np.add.reduceat(xdata, starts, axis=0))
+        return _emit(out, (x,), lambda g: (np.repeat(g, lengths, axis=0),))
+    if weights.shape != (x.shape[0],):
+        raise DimensionError(f"segment_sum: weights {weights.shape} do not match x {x.shape}")
+    wdata = weights.data
+    out = Tensor(np.add.reduceat(xdata * wdata[:, None], starts, axis=0))
 
     def back(g):
-        buf = np.zeros((n, g.shape[0]), dtype=dtype)
-        buf[mask] = g
-        return (buf,)
+        rows = np.repeat(g, lengths, axis=0)
+        return rows * wdata[:, None], np.einsum("ij,ij->i", rows, xdata)
 
-    return _emit(out, (x,), back)
-
-
-def reduce_mean(x: Tensor, mask=None) -> Tensor:
-    """Mean of the unmasked rows; divides by the true (unmasked) count."""
-    mask = _reduce_check(x, mask, "reduce_mean")
-    k = int(mask.sum())
-    out = Tensor(x.data[mask].sum(axis=0) / k)
-    n, dtype = x.shape[0], x.data.dtype
-
-    def back(g):
-        buf = np.zeros((n, g.shape[0]), dtype=dtype)
-        buf[mask] = g / k
-        return (buf,)
-
-    return _emit(out, (x,), back)
+    return _emit(out, (x, weights), back)
 
 
-def reduce_max(x: Tensor, mask=None) -> Tensor:
-    """Columnwise max over unmasked rows; gradient goes to the first argmax row."""
-    mask = _reduce_check(x, mask, "reduce_max")
-    live_idx = np.flatnonzero(mask)
-    sub = x.data[live_idx]
-    argmax = sub.argmax(axis=0)  # first maximal index on ties
-    winners = live_idx[argmax]
-    out = Tensor(sub.max(axis=0))
-    n, d, dtype = x.shape[0], x.shape[1], x.data.dtype
+def segment_mean(x: Tensor, lengths) -> Tensor:
+    """Per-segment means [S x d]; each divides by its segment's row count."""
+    lengths, starts = _segment_rows(x, lengths, "segment_mean")
+    counts = lengths[:, None].astype(x.data.dtype)
+    out = Tensor(np.add.reduceat(x.data, starts, axis=0) / counts)
+    return _emit(out, (x,), lambda g: (np.repeat(g / counts, lengths, axis=0),))
+
+
+def segment_max(x: Tensor, lengths) -> Tensor:
+    """Columnwise per-segment maxima [S x d]; the gradient goes to the
+    first maximal row of each segment."""
+    lengths, starts = _segment_rows(x, lengths, "segment_max")
+    xdata = x.data
+    out = Tensor(np.maximum.reduceat(xdata, starts, axis=0))
+    top = out.data
 
     def back(g):
-        buf = np.zeros((n, d), dtype=dtype)
+        n, d = xdata.shape
+        rows = np.where(xdata == np.repeat(top, lengths, axis=0), np.arange(n)[:, None], n)
+        winners = np.minimum.reduceat(rows, starts, axis=0)
+        buf = np.zeros_like(xdata)
         buf[winners, np.arange(d)] = g
         return (buf,)
 
     return _emit(out, (x,), back)
-
-
-def _reduce_check(x: Tensor, mask, what: str) -> np.ndarray:
-    if x.ndim != 2:
-        raise DimensionError(f"{what} needs an [n x d] tensor, got {x.shape}")
-    mask = _check_mask(mask, x.shape[0], what)
-    if not mask.any():
-        raise InvalidInputError(f"{what}: all rows are masked")
-    return mask
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -611,21 +595,45 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _emit(out, (x, w, b), lambda g: (g @ wdata, g.T @ xdata, g.sum(axis=0)))
 
 
-def lstm_sequence(
-    x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor, reverse: bool = False
-) -> Tensor:
-    """One LSTM direction over the rows of ``x`` [n x d] from zero state.
+def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
+    """Time-major packing of sequences laid end to end (``_segments``).
 
-    Row t of the [n x h] result is the hidden state after the step that
-    reads row t; with ``reverse`` the steps run from the last row to the
-    first.  Gate order
-    is input, forget, cell, output.  The input projection x·w_ihᵀ + bias of
-    every step is one GEMM, so each step costs one w_hh matvec plus the
-    cell update.  The backward pass is BPTT over the stacked per-step gate
-    gradients dG [n x 4h]; the weight and input gradients are GEMMs on dG.
+    Sequences are sorted by length, longest first, so the ones still
+    running at step t are the first ``sizes[t]``; the rows of step t are
+    ``offsets[t]:offsets[t + 1]``, and row j of them reads input row
+    ``perm[offsets[t] + j]``.  With ``reverse`` each sequence is read from
+    its last row to its first.
     """
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise DimensionError(f"lstm_sequence needs a non-empty [n x d] input, got {x.shape}")
+    if lengths.size == 1:  # one sequence (a word's characters): no sorting to do
+        n = int(lengths[0])
+        return np.arange(n)[::-1] if reverse else np.arange(n), np.ones(n, int), np.arange(n + 1)
+    order = np.argsort(-lengths, kind="stable")
+    sizes = np.count_nonzero(lengths[order] > np.arange(lengths.max())[:, None], axis=1)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    step = np.repeat(np.arange(sizes.size), sizes)
+    seq = order[np.arange(offsets[-1]) - offsets[step]]
+    pos = lengths[seq] - 1 - step if reverse else step
+    return starts[seq] + pos, sizes, offsets
+
+
+def lstm_sequence(
+    x: Tensor, lengths, w_ih: Tensor, w_hh: Tensor, bias: Tensor, reverse: bool = False
+) -> Tensor:
+    """One LSTM direction over every packed sequence of ``x`` [L x d], each
+    from zero state.
+
+    Row i of the [L x h] result is the hidden state after the step that
+    reads row i; with ``reverse`` each sequence runs from its last row to
+    its first.  Gate order is input, forget, cell, output.  The input
+    projection x·w_ihᵀ + bias of every row is one GEMM; each time step is
+    then one GEMM against a contiguous copy of w_hhᵀ over the sequences
+    still running, plus the cell update.  The backward pass is BPTT over
+    the stacked gate gradients dG [L x 4h]; the weight and input gradients
+    are GEMMs on dG.
+    """
+    if x.ndim != 2:
+        raise DimensionError(f"lstm_sequence needs an [L x d] input, got {x.shape}")
+    lengths, starts = _segments(lengths, x.shape[0], "lstm_sequence")
     n, d = x.shape
     h = w_hh.shape[1]
     if w_hh.shape != (4 * h, h) or w_ih.shape != (4 * h, d) or bias.shape != (4 * h,):
@@ -633,30 +641,39 @@ def lstm_sequence(
             f"lstm_sequence: weights w_ih {w_ih.shape}, w_hh {w_hh.shape}, bias {bias.shape} "
             f"do not fit input width {d}"
         )
-    xdata, wi, wh = x.data, w_ih.data, w_hh.data
-    order = np.arange(n - 1, -1, -1) if reverse else np.arange(n)
-    acts = xdata @ wi.T + bias.data  # pre-activations, overwritten by the gate values
+    wi, wh = w_ih.data, w_hh.data
+    wh_t = np.ascontiguousarray(wh.T)
+    perm, sizes, offsets = _time_major(lengths, starts, reverse)
+    bounds = offsets.tolist()
+    xp = x.data[perm]
+    acts = xp @ wi.T + bias.data  # pre-activations, overwritten by the gate values
     cells = np.empty((n, h), dtype=acts.dtype)
     hidden = np.empty((n, h), dtype=acts.dtype)
-    prev = -1
-    for t in order:
-        pre = acts[t] if prev < 0 else acts[t] + wh @ hidden[prev]
-        gate = _sigmoid(pre)
-        gate[2 * h : 3 * h] = np.tanh(pre[2 * h : 3 * h])
-        i, f, g, o = gate[:h], gate[h : 2 * h], gate[2 * h : 3 * h], gate[3 * h :]
-        c = i * g if prev < 0 else f * cells[prev] + i * g
-        acts[t] = gate
-        cells[t] = c
-        hidden[t] = o * np.tanh(c)
-        prev = t
-    out = Tensor(hidden)
+    i, f, g, o = (acts[:, k * h : (k + 1) * h] for k in range(4))
+    for t in range(sizes.size):
+        lo, hi = bounds[t], bounds[t + 1]
+        gate = acts[lo:hi]
+        if t:
+            prev = slice(bounds[t - 1], bounds[t - 1] + hi - lo)
+            gate += hidden[prev] @ wh_t
+        cell_gate = np.tanh(g[lo:hi])
+        _sigmoid(gate, out=gate)
+        g[lo:hi] = cell_gate
+        c = cells[lo:hi]
+        np.multiply(i[lo:hi], cell_gate, out=c)
+        if t:
+            c += f[lo:hi] * cells[prev]
+        np.tanh(c, out=hidden[lo:hi])
+        hidden[lo:hi] *= o[lo:hi]
+    out = Tensor(np.empty_like(hidden))
+    out.data[perm] = hidden
 
     def back(gout):
-        i, f, g, o = (acts[:, k * h : (k + 1) * h] for k in range(4))
+        gout = gout[perm]
+        first = bounds[1]  # from here on, row r continues row prev_rows[r - first]
+        prev_rows = np.arange(first, n) - np.repeat(sizes[:-1], sizes[1:])
         c_prev = np.zeros_like(cells)
-        c_prev[order[1:]] = cells[order[:-1]]
-        h_prev = np.zeros_like(hidden)
-        h_prev[order[1:]] = hidden[order[:-1]]
+        c_prev[first:] = cells[prev_rows]
         tanh_c = np.tanh(cells)
         dh_to_dc = o * (1.0 - tanh_c * tanh_c)
         dh_to_do = tanh_c * o * (1.0 - o)
@@ -664,45 +681,62 @@ def lstm_sequence(
             [g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=1
         )
         dgates = np.empty((n, 4, h), dtype=acts.dtype)
-        dh_next = np.zeros(h, dtype=acts.dtype)
-        dc_next = np.zeros(h, dtype=acts.dtype)
-        for step, t in enumerate(order[::-1]):
-            dh = gout[t] + dh_next
-            dc = dh * dh_to_dc[t] + dc_next
-            dgates[t, :3] = dc_to_difg[t] * dc
-            dgates[t, 3] = dh * dh_to_do[t]
-            if step + 1 < n:
-                dh_next = dgates[t].reshape(-1) @ wh
-                dc_next = dc * f[t]
+        dh_next = np.zeros((sizes[0], h), dtype=acts.dtype)
+        dc_next = np.zeros((sizes[0], h), dtype=acts.dtype)
+        for t in range(sizes.size - 1, -1, -1):
+            lo, hi = bounds[t], bounds[t + 1]
+            k = hi - lo
+            dh = gout[lo:hi] + dh_next[:k]
+            dc = dh * dh_to_dc[lo:hi]
+            dc += dc_next[:k]
+            dgates[lo:hi, :3] = dc_to_difg[lo:hi] * dc[:, None]
+            dgates[lo:hi, 3] = dh * dh_to_do[lo:hi]
+            if t:
+                np.matmul(dgates[lo:hi].reshape(k, -1), wh, out=dh_next[:k])
+                np.multiply(dc, f[lo:hi], out=dc_next[:k])
         dg = dgates.reshape(n, 4 * h)
-        return dg @ wi, dg.T @ xdata, dg.T @ h_prev, dg.sum(axis=0)
+        dx = np.empty_like(x.data)
+        dx[perm] = dg @ wi
+        return dx, dg.T @ xp, dg[first:].T @ hidden[prev_rows], dg.sum(axis=0)
 
     return _emit(out, (x, w_ih, w_hh, bias), back)
 
 
-def attention_scores(H: Tensor, query: Tensor, w: Tensor, v: Tensor) -> Tensor:
-    """Inner-attention scores vᵀ·tanh(w·[query; h_i]) for every row h_i of H.
+def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) -> Tensor:
+    """Inner-attention scores vᵀ·tanh(w·[query_s; h_i]) for every packed row
+    h_i of H [L x d], where segment s of H is scored against row s of
+    ``query`` [S x q].
 
-    ``w`` is split as [w_q | w_h]: the query term w_q·query is computed
-    once per sentence instead of once per row, and H·w_hᵀ is one GEMM
-    through a transposed view, without a weight copy.
+    ``w`` is split as [w_q | w_h]: the query term is one GEMM over the S
+    queries, repeated over each segment's rows, and H·w_hᵀ one GEMM over
+    all L rows, neither copying a weight block; the backward pass forms
+    the gradient of ``w`` once per batch.
     """
-    q = query.shape[0]
-    if H.ndim != 2 or query.ndim != 1 or w.shape[1] != q + H.shape[1] or v.shape != (w.shape[0],):
+    lengths, starts = _segments(lengths, H.shape[0], "attention_scores")
+    q = query.shape[-1]
+    if (
+        H.ndim != 2
+        or query.shape != (lengths.size, q)
+        or w.shape[1] != q + H.shape[1]
+        or v.shape != (w.shape[0],)
+    ):
         raise DimensionError(
-            f"attention_scores: shapes disagree: H {H.shape}, query {query.shape}, "
-            f"w {w.shape}, v {v.shape}"
+            f"attention_scores: shapes disagree: H {H.shape}, {lengths.size} segments, "
+            f"query {query.shape}, w {w.shape}, v {v.shape}"
         )
     hdata, qdata, wdata, vdata = H.data, query.data, w.data, v.data
     w_q, w_h = wdata[:, :q], wdata[:, q:]
-    u = np.tanh(hdata @ w_h.T + w_q @ qdata)  # [n x a]
+    # the column blocks of w are strided views: BLAS reads them as the left
+    # operand without a copy, faster than through a transposed view
+    u = np.tanh((w_h @ hdata.T).T + np.repeat((w_q @ qdata.T).T, lengths, axis=0))  # [L x a]
     out = Tensor(u @ vdata)
 
     def back(g):
         dpre = np.outer(g, vdata) * (1.0 - u * u)
-        rows = np.empty((hdata.shape[0], wdata.shape[1]), dtype=hdata.dtype)
-        rows[:, :q] = qdata
-        rows[:, q:] = hdata  # row i is [query; h_i]
-        return dpre @ w_h, dpre.sum(axis=0) @ w_q, dpre.T @ rows, g @ u
+        dquery_term = np.add.reduceat(dpre, starts, axis=0)  # [S x a]
+        dw = np.empty_like(wdata)
+        dw[:, :q] = dquery_term.T @ qdata
+        dw[:, q:] = dpre.T @ hdata
+        return dpre @ w_h, dquery_term @ w_q, dw, g @ u
 
     return _emit(out, (H, query, w, v), back)

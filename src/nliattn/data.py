@@ -376,6 +376,25 @@ class Batch:
     def __len__(self):
         return self.premise_ids.shape[0]
 
+    def sentences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Word ids, mask, char ids and char mask of all 2B sentences,
+        premises first, each side padded to the longer one."""
+        return (
+            _stack_padded(self.premise_ids, self.hypothesis_ids),
+            _stack_padded(self.premise_mask, self.hypothesis_mask),
+            _stack_padded(self.premise_char_ids, self.hypothesis_char_ids),
+            _stack_padded(self.premise_char_mask, self.hypothesis_char_mask),
+        )
+
+
+def _stack_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` then rows of ``b``, zero-padded to a common shape."""
+    shape = (a.shape[0] + b.shape[0], *np.maximum(a.shape[1:], b.shape[1:]))
+    out = np.zeros(shape, dtype=a.dtype)
+    out[tuple(slice(0, n) for n in a.shape)] = a
+    out[(slice(a.shape[0], None), *(slice(0, n) for n in b.shape[1:]))] = b
+    return out
+
 
 def _encode_side(token_lists, vocab, char_vocab):
     b = len(token_lists)

@@ -2,14 +2,18 @@
 and attention-based refinement.
 
 One encoder instance serves both sentences of a pair: premise and
-hypothesis are encoded independently but with the same weights.  All
-operations run per sentence on [n x d] tensors with a boolean mask marking
-the real (non-PAD) positions; masked rows stay exactly zero and never
-influence pooling or attention.
+hypothesis are encoded independently but with the same weights.  Every
+operation runs on all sentences of a batch at once.  A batch of S
+sentences comes as word ids [S x T] with a boolean mask marking the real
+(non-PAD) tokens; only the live tokens enter the encoder, packed into
+[L x d] rows in mask order (sentence by sentence, each in token order).
+Masked positions, interior holes included, take no part in the recurrence,
+pooling or attention.  One sentence is a batch of one.
 
 Each LSTM direction runs as one fused ``autodiff.lstm_sequence`` op over
-the live rows.  ``lstm_step`` builds the same cell from elementary taped
-ops; it is kept as the reference the fused path is tested against.
+the packed rows, stepping every sentence that is still running with one
+GEMM per time step.  ``lstm_step`` builds the same cell from elementary
+taped ops; it is kept as the reference the fused path is tested against.
 """
 
 from __future__ import annotations
@@ -112,40 +116,44 @@ def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tenso
     return h_t, c_t
 
 
-def run_lstm(x: Tensor, cell: LSTMCellParams, reverse: bool = False) -> Tensor:
-    """Hidden states [n x h] of one LSTM direction over every row of ``x``."""
-    return ad.lstm_sequence(x, cell.w_ih.value, cell.w_hh.value, cell.bias.value, reverse)
-
-
-def _row(x: Tensor, i: int) -> Tensor:
-    return ad.reshape(ad.narrow(x, 0, i, 1), (x.shape[1],))
+def run_lstm(x: Tensor, lengths, cell: LSTMCellParams, reverse: bool = False) -> Tensor:
+    """Hidden states [L x h] of one LSTM direction over packed sequences."""
+    return ad.lstm_sequence(
+        x, lengths, cell.w_ih.value, cell.w_hh.value, cell.bias.value, reverse
+    )
 
 
 def char_encode(char_ids, char_embeddings: Parameter, cell: LSTMCellParams) -> Tensor:
-    """Final hidden state of a unidirectional LSTM over a word's characters."""
+    """Final hidden state [1 x h] of a unidirectional LSTM over one word's
+    characters."""
     char_ids = np.asarray(char_ids, dtype=np.int64)
     if char_ids.size == 0:
         raise DataError("char_encode: empty character sequence")
-    states = run_lstm(ad.take_rows(char_embeddings.value, char_ids), cell)
-    return _row(states, char_ids.size - 1)
+    states = run_lstm(ad.take_rows(char_embeddings.value, char_ids), [char_ids.size], cell)
+    return ad.narrow(states, 0, char_ids.size - 1, 1)
 
 
 @dataclass
 class ContextualSequence:
-    """Context-aware token vectors [n x d] plus their mask and the final
-    per-direction states (used by 'last' pooling)."""
+    """Context vectors of the live tokens of S sentences, packed [L x d] in
+    mask order, plus the mask [S x T] and the final per-direction states
+    [S x h] (used by 'last' pooling)."""
 
     H: Tensor
     mask: np.ndarray
-    final_forward: Tensor  # forward state after the last real token
-    final_backward: Tensor  # backward state after the first real token
+    final_forward: Tensor  # forward state after each sentence's last real token
+    final_backward: Tensor  # backward state after each sentence's first real token
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self.mask.sum(axis=1)
 
 
 @dataclass
 class SentenceRepresentation:
-    raw: Tensor  # pooled representation
-    refined: Tensor  # attention-weighted combination of the context vectors
-    attention_weights: Tensor  # [n], zero on masked positions
+    raw: Tensor  # pooled representations [S x d]
+    refined: Tensor  # attention-weighted combinations of the context vectors [S x d]
+    attention_weights: Tensor  # [L], packed like the context vectors
 
 
 def bilstm(
@@ -154,62 +162,57 @@ def bilstm(
     forward_cell: LSTMCellParams,
     backward_cell: LSTMCellParams,
 ) -> ContextualSequence:
-    """Run both LSTM directions from zero states over the unmasked positions.
+    """Run both LSTM directions from zero states over every sentence.
 
-    Row i of the result is [forward_i ; backward_i]; masked rows are zero.
-    The live rows are gathered once, each direction runs as one fused op
-    over them, and the result is scattered back to the masked layout.
+    ``x`` holds the live tokens' input rows packed in mask order; ``mask``
+    is [S x T], or [T] for one sentence, or None for one sentence over all
+    rows of ``x``.  Row i of the result is [forward_i ; backward_i].  The
+    backward direction starts at each sentence's last real token.
     """
-    n = x.shape[0]
     if mask is None:
-        mask = np.ones(n, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise DimensionError(f"bilstm: mask shape {mask.shape} != ({n},)")
-    live = np.flatnonzero(mask)
-    if live.size == 0:
-        raise InvalidInputError("bilstm: all positions are masked")
-
-    holes = live.size < n
-    x_live = ad.take_rows(x, live) if holes else x
-    forward = run_lstm(x_live, forward_cell)
-    backward = run_lstm(x_live, backward_cell, reverse=True)
-    H = ad.concat([forward, backward], axis=1)
+        mask = np.ones((1, x.shape[0]), dtype=bool)
+    mask = np.atleast_2d(np.asarray(mask, dtype=bool))
+    lengths = mask.sum(axis=1)
+    forward = run_lstm(x, lengths, forward_cell)
+    backward = run_lstm(x, lengths, backward_cell, reverse=True)
+    starts = np.cumsum(lengths) - lengths
     return ContextualSequence(
-        H=ad.scatter_rows(H, live, n) if holes else H,
+        H=ad.concat([forward, backward], axis=1),
         mask=mask,
-        final_forward=_row(forward, live.size - 1),
-        final_backward=_row(backward, 0),
+        final_forward=ad.take_rows(forward, starts + lengths - 1),
+        final_backward=ad.take_rows(backward, starts),
     )
 
 
 def pool(seq: ContextualSequence, method: str) -> Tensor:
-    """Reduce the context vectors to one fixed-size raw representation."""
+    """Reduce each sentence's context vectors to one raw representation [S x d]."""
     if method == "mean":
-        return ad.reduce_mean(seq.H, seq.mask)
+        return ad.segment_mean(seq.H, seq.lengths)
     if method == "sum":
-        return ad.reduce_sum(seq.H, seq.mask)
+        return ad.segment_sum(seq.H, seq.lengths)
     if method == "max":
-        return ad.reduce_max(seq.H, seq.mask)
+        return ad.segment_max(seq.H, seq.lengths)
     if method == "last":
-        return ad.concat([seq.final_forward, seq.final_backward])
+        return ad.concat([seq.final_forward, seq.final_backward], axis=1)
     raise ConfigError(f"unknown pooling method {method!r}; choose from {POOLING_METHODS}")
 
 
 def inner_attention(
     seq: ContextualSequence, raw: Tensor, W: Parameter, v: Parameter
 ) -> tuple[Tensor, Tensor]:
-    """Refine the raw representation by attending over the context vectors.
+    """Refine each raw representation by attending over its sentence's
+    context vectors; returns the refined rows [S x d] and the packed
+    attention weights [L].
 
     Each position i is scored as v·tanh(W [raw; h_i]), comparing it with
     the raw representation through a tanh bottleneck; the scores pass
-    through a masked softmax and the refined vector is the weighted sum of
-    the context rows.
+    through a softmax within the sentence and the refined vector is the
+    weighted sum of the sentence's context rows.
     """
-    scores = ad.attention_scores(seq.H, raw, W.value, v.value)
-    alpha = ad.masked_softmax(scores, seq.mask)
-    refined = ad.matmul(alpha, seq.H)
-    return refined, alpha
+    lengths = seq.lengths
+    scores = ad.attention_scores(seq.H, lengths, raw, W.value, v.value)
+    alpha = ad.segment_softmax(scores, lengths)
+    return ad.segment_sum(seq.H, lengths, alpha), alpha
 
 
 class Encoder:
@@ -268,35 +271,38 @@ class Encoder:
         char_ids=None,
         char_mask=None,
     ) -> Tensor:
-        """Per-token input vectors: frozen word vector, plus the char-LSTM
-        summary when character features are on.  PAD rows come out all-zero."""
+        """Input rows [L x d] of the live tokens, packed in mask order: the
+        frozen word vector, plus the char-LSTM summary when character
+        features are on.
+
+        ``word_ids`` is [S x T] (or [T] for one sentence) with ``mask`` of
+        the same shape, None meaning every token is live; ``char_ids`` and
+        ``char_mask`` add a trailing character axis.
+        """
         word_ids = np.asarray(word_ids, dtype=np.int64)
-        n = word_ids.shape[0]
         if mask is None:
-            mask = np.ones(n, dtype=bool)
-        if word_ids.min(initial=0) < 0 or word_ids.max(initial=0) >= self.word_embeddings.shape[0]:
+            mask = np.ones(word_ids.shape, dtype=bool)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != word_ids.shape:
+            raise DimensionError(f"embed_tokens: mask {mask.shape} != ids {word_ids.shape}")
+        live = word_ids[mask]
+        if live.min(initial=0) < 0 or live.max(initial=0) >= self.word_embeddings.shape[0]:
             raise InvalidInputError("embed_tokens: token id outside the vocabulary")
+        # frozen lookup: a constant leaf, nothing to backpropagate into
+        words = Tensor(self.word_embeddings.data[live])
         if not self.config.use_chars:
-            # frozen lookup: a constant leaf, nothing to backpropagate into
-            return Tensor(self.word_embeddings.data[word_ids])
+            return words
 
         if char_ids is None or char_mask is None:
             raise ConfigError("embed_tokens: character ids required when use_chars is on")
-        live = np.flatnonzero(mask)
-        char_vecs = ad.stack([
-            char_encode(
-                np.asarray(char_ids[j])[np.asarray(char_mask[j], dtype=bool)],
-                self.char_embeddings,
-                self.char_cell,
-            )
-            for j in live
-        ])
-        if live.size < n:
-            char_vecs = ad.scatter_rows(char_vecs, live, n)
-        words = self.word_embeddings.data[word_ids] * np.asarray(mask, dtype=bool)[:, None]
-        return ad.concat([Tensor(words), char_vecs], axis=1)
+        word_chars = zip(np.asarray(char_ids)[mask], np.asarray(char_mask, dtype=bool)[mask])
+        char_vecs = ad.concat(
+            [char_encode(ids[present], self.char_embeddings, self.char_cell)
+             for ids, present in word_chars]
+        )
+        return ad.concat([words, char_vecs], axis=1)
 
-    def encode_sentence(
+    def encode(
         self,
         word_ids,
         method: str,
@@ -304,7 +310,10 @@ class Encoder:
         char_ids=None,
         char_mask=None,
     ) -> SentenceRepresentation:
-        """Embed, contextualize, pool and refine one sentence."""
+        """Embed, contextualize, pool and refine every sentence of a batch
+        (inputs as for ``embed_tokens``)."""
+        if mask is None:
+            mask = np.ones(np.shape(word_ids), dtype=bool)
         x = self.embed_tokens(word_ids, mask, char_ids, char_mask)
         seq = bilstm(x, mask, self.forward_cell, self.backward_cell)
         raw = pool(seq, method)

@@ -164,20 +164,25 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
     idx = np.array([0, 2, 2, 4])
     wt = rand(4, 3)
     run("take_rows", lambda: weighted_sum(ad.take_rows(table, idx), wt), [table])
-    ws = rand(5, 4)
-    run("scatter_rows", lambda: weighted_sum(ad.scatter_rows(wn, [3, 0], 5), ws), [wn])
 
+    # packed segments of lengths 2, 1 and 3: every reduction sees a
+    # length-1 segment beside longer ones
+    lengths = np.array([2, 1, 3])
     scores = rand(6)
-    smask = np.array([True, True, False, True, True, False])
     wsm = rand(6)
-    run("masked_softmax", lambda: weighted_sum(ad.masked_softmax(scores, smask), wsm), [scores])
+    run("segment_softmax", lambda: weighted_sum(ad.segment_softmax(scores, lengths), wsm), [scores])
 
-    m = rand(5, 3)
-    rmask = np.array([True, False, True, True, False])
-    wr = rand(3)
-    run("reduce_sum", lambda: weighted_sum(ad.reduce_sum(m, rmask), wr), [m])
-    run("reduce_mean", lambda: weighted_sum(ad.reduce_mean(m, rmask), wr), [m])
-    run("reduce_max", lambda: weighted_sum(ad.reduce_max(m, rmask), wr), [m])
+    m = rand(6, 3)
+    weights = rand(6)
+    wr = rand(3, 3)
+    run("segment_sum", lambda: weighted_sum(ad.segment_sum(m, lengths), wr), [m])
+    run(
+        "segment_sum_weighted",
+        lambda: weighted_sum(ad.segment_sum(m, lengths, weights), wr),
+        [m, weights],
+    )
+    run("segment_mean", lambda: weighted_sum(ad.segment_mean(m, lengths), wr), [m])
+    run("segment_max", lambda: weighted_sum(ad.segment_max(m, lengths), wr), [m])
 
     def dropout_forward():
         # identical mask on every call so the finite differences see a fixed function
@@ -191,24 +196,24 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
     wa = rand(3, 5)
     run("affine", lambda: weighted_sum(ad.affine(x, w_aff, b_aff), wa), [x, w_aff, b_aff])
 
-    seq_x = rand(4, 3)
+    # three sequences of unequal lengths, one of them a single step
+    seq_x, seq_lengths = rand(6, 3), [1, 3, 2]
     w_ih, w_hh, b_lstm = rand(8, 3), rand(8, 2), rand(8)
-    wl = rand(4, 2)
+    wl = rand(6, 2)
     for direction, reverse in (("forward", False), ("reverse", True)):
         run(
             f"lstm_sequence_{direction}",
             lambda reverse=reverse: weighted_sum(
-                ad.lstm_sequence(seq_x, w_ih, w_hh, b_lstm, reverse=reverse), wl
+                ad.lstm_sequence(seq_x, seq_lengths, w_ih, w_hh, b_lstm, reverse=reverse), wl
             ),
             [seq_x, w_ih, w_hh, b_lstm],
         )
 
-    att_h, att_q = rand(4, 2), rand(2)
+    att_h, att_q = rand(6, 2), rand(3, 2)
     att_w, att_v = rand(3, 4), rand(3)
-    wsc = rand(4)
     run(
         "attention_scores",
-        lambda: weighted_sum(ad.attention_scores(att_h, att_q, att_w, att_v), wsc),
+        lambda: weighted_sum(ad.attention_scores(att_h, lengths, att_q, att_w, att_v), wsm),
         [att_h, att_q, att_w, att_v],
     )
 

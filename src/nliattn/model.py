@@ -111,15 +111,11 @@ class NLIModel:
 
     def represent(self, batch: Batch) -> tuple[Tensor, Tensor]:
         """Refined premise and hypothesis representations, [B x d] each;
-        sentences are encoded one by one and their rows stacked."""
-        encode, pooling = self.encoder.encode_sentence, self.config.pooling
-        p_rows, h_rows = [], []
-        for i in range(len(batch)):
-            p_rows.append(encode(batch.premise_ids[i], pooling, batch.premise_mask[i],
-                                 batch.premise_char_ids[i], batch.premise_char_mask[i]).refined)
-            h_rows.append(encode(batch.hypothesis_ids[i], pooling, batch.hypothesis_mask[i],
-                                 batch.hypothesis_char_ids[i], batch.hypothesis_char_mask[i]).refined)
-        return ad.stack(p_rows), ad.stack(h_rows)
+        all 2B sentences of the batch go through the encoder together."""
+        ids, mask, char_ids, char_mask = batch.sentences()
+        refined = self.encoder.encode(ids, self.config.pooling, mask, char_ids, char_mask).refined
+        b = len(batch)
+        return ad.narrow(refined, 0, 0, b), ad.narrow(refined, 0, b, b)
 
     def batch_logits(
         self,

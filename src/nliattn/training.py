@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, Tape
+from .autodiff import Parameter, Tape, default_dtype
 from .data import CharVocabulary, Vocabulary, make_batches
-from .errors import ConfigError, IntegrityError, NumericError
+from .errors import ConfigError, IntegrityError, InvalidInputError, NumericError
+from .evaluation import _batched_predictions
 from .model import ModelConfig, NLIModel
 
 CHECKPOINT_MAGIC = "nliattn-checkpoint"
@@ -49,7 +50,9 @@ class TrainConfig:
 class RMSProp:
     """Plain RMSProp: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s)+eps).
 
-    No momentum, no centering.  Frozen parameters are never updated.
+    No momentum, no centering.  Frozen parameters are never updated.  A
+    step works in place: two work arrays, sized for the largest parameter
+    and shared by all, hold the intermediate terms, so it allocates nothing.
     """
 
     def __init__(
@@ -66,18 +69,36 @@ class RMSProp:
         self.square_avg = {
             name: np.zeros_like(p.data) for name, p in params.items() if p.trainable
         }
+        trainable = [p.data for p in params.values() if p.trainable]
+        self._work = np.empty(
+            (2, max((a.size for a in trainable), default=0)),
+            dtype=np.result_type(*trainable) if trainable else default_dtype(),
+        )
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            if not p.trainable:
-                continue
+        """Update every trainable parameter; a non-finite gradient raises
+        ``NumericError`` naming its parameter before anything changes."""
+        trainable = [(name, p) for name, p in self.params.items() if p.trainable]
+        for name, p in trainable:
             g = p.grad
-            if not np.all(np.isfinite(g)):
+            # min and max are NaN or infinite exactly when some entry is
+            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
+        for name, p in trainable:
+            g = p.grad
             s = self.square_avg[name]
+            term, denom = (w[: g.size].reshape(g.shape) for w in self._work)
+            # the operations of s*rho + (1-rho)*g*g and lr*g / (sqrt(s) + eps),
+            # in that order, so the result is the same to the last bit
             s *= self.rho
-            s += (1.0 - self.rho) * g * g
-            p.value.data -= self.learning_rate * g / (np.sqrt(s) + self.eps)
+            np.multiply(g, 1.0 - self.rho, out=term)
+            term *= g
+            s += term
+            np.multiply(g, self.learning_rate, out=term)
+            np.sqrt(s, out=denom)
+            denom += self.eps
+            term /= denom
+            p.value.data -= term
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -108,14 +129,11 @@ class TrainResult:
 
 
 def _dev_accuracy(model: NLIModel, dev_examples, batch_size: int) -> float:
-    batches = make_batches(dev_examples, batch_size, "dev", model.vocab, model.char_vocab)
-    correct = 0
-    total = 0
-    for batch in batches:
-        for dist, label in zip(model.predict_batch(batch), batch.labels):
-            correct += int(dist.predicted_class == int(label))
-            total += 1
-    return correct / total if total else 0.0
+    examples, predictions = _batched_predictions(model, dev_examples, batch_size)
+    correct = sum(
+        int(dist.predicted_class == ex.label_index) for dist, ex in zip(predictions, examples)
+    )
+    return correct / len(examples)
 
 
 def train(
@@ -131,7 +149,10 @@ def train(
 
     Writes one key=value record per epoch to ``log_path`` when given.
     ``target_dev_accuracy`` stops early once the best accuracy reaches it.
+    An empty dev set is rejected: there would be nothing to select on.
     """
+    if not len(dev_examples):
+        raise InvalidInputError("train: empty dev set")
     optimizer = RMSProp(
         model.parameters(), learning_rate=config.learning_rate, rho=config.rho, eps=config.eps
     )
@@ -254,6 +275,14 @@ def save_checkpoint(model: NLIModel, path, epoch=None, dev_accuracy=None, seed=N
         raise
 
 
+class _Unfilled:
+    """Stands in for the generator ``NLIModel`` initialises its parameters
+    from: hands out uninitialised arrays, since a load overwrites every one."""
+
+    def uniform(self, low, high, size):
+        return np.empty(size, dtype=default_dtype())
+
+
 @dataclass
 class LoadedCheckpoint:
     model: NLIModel
@@ -323,11 +352,11 @@ def load_checkpoint(
 
     config = ModelConfig.from_dict(manifest["config"])
     embeddings = Parameter(
-        np.zeros((len(saved_vocab), saved_vocab.dim), dtype=np.float32),
+        np.empty((len(saved_vocab), saved_vocab.dim), dtype=default_dtype()),
         name="word_embeddings",
         trainable=False,
     )
-    model = NLIModel(config, saved_vocab, saved_chars, embeddings, np.random.default_rng(0))
+    model = NLIModel(config, saved_vocab, saved_chars, embeddings, _Unfilled())
 
     params = model.parameters()
     declared = [entry["name"] for entry in manifest["parameters"]]

@@ -71,14 +71,21 @@ class TestElementwise:
 
 
 class TestMaskedSoftmax:
+    """Softmax over the live positions of each packed sentence (``segment_softmax``)."""
+
     def test_uniform(self):
-        out = ad.masked_softmax(ad.Tensor([0.0, 0.0, 0.0]))
+        out = ad.segment_softmax(ad.Tensor([0.0, 0.0, 0.0]), [3])
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-7)
 
     def test_masked_position_forced_to_zero(self):
-        out = ad.masked_softmax(ad.Tensor([5.0, 5.0, -999.0]), np.array([True, True, False]))
-        assert out.data[2] == 0.0
-        np.testing.assert_allclose(out.data[:2], [0.5, 0.5], atol=1e-7)
+        # the encoder packs the live positions, so a masked one has no slot
+        scores = np.array([5.0, 5.0, -999.0])
+        mask = np.array([True, True, False])
+        out = ad.segment_softmax(ad.Tensor(scores[mask]), [int(mask.sum())])
+        probs = np.zeros(3)
+        probs[mask] = out.data
+        assert probs[2] == 0.0
+        np.testing.assert_allclose(probs[:2], [0.5, 0.5], atol=1e-7)
 
     def test_matches_direct_formula(self):
         # oracle: exponentiate-and-normalize at 64-bit, no max-subtraction
@@ -86,64 +93,69 @@ class TestMaskedSoftmax:
         scores = rng.normal(size=7)
         expected = np.exp(scores.astype(np.float64))
         expected /= expected.sum()
-        out = ad.masked_softmax(ad.Tensor(scores))
+        out = ad.segment_softmax(ad.Tensor(scores), [7])
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
     def test_all_masked_rejected(self):
         with pytest.raises(InvalidInputError):
-            ad.masked_softmax(ad.Tensor([1.0, 2.0]), np.array([False, False]))
+            ad.segment_softmax(ad.Tensor([1.0, 2.0]), [2, 0])
 
     def test_sums_to_one_random(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            n = int(rng.integers(1, 12))
-            mask = rng.random(n) < 0.7
-            if not mask.any():
-                mask[int(rng.integers(n))] = True
-            out = ad.masked_softmax(ad.Tensor(rng.normal(scale=5, size=n)), mask)
-            assert abs(float(out.data[mask].sum()) - 1.0) < 1e-6
-            assert np.all(out.data[mask] > 0)
-            assert np.all(out.data[~mask] == 0.0)
+            mask = rng.random((int(rng.integers(1, 5)), int(rng.integers(1, 12)))) < 0.7
+            mask[np.arange(mask.shape[0]), rng.integers(mask.shape[1], size=mask.shape[0])] = True
+            lengths = mask.sum(axis=1)
+            out = ad.segment_softmax(ad.Tensor(rng.normal(scale=5, size=lengths.sum())), lengths)
+            starts = np.cumsum(lengths) - lengths
+            np.testing.assert_allclose(np.add.reduceat(out.data, starts), 1.0, atol=1e-6)
+            assert np.all(out.data > 0)
 
     def test_large_scores_do_not_overflow(self):
-        out = ad.masked_softmax(ad.Tensor([1000.0, 1000.0, 999.0]))
+        out = ad.segment_softmax(ad.Tensor([1000.0, 1000.0, 999.0]), [3])
         assert np.all(np.isfinite(out.data))
+
+
+SEGMENT_REDUCTIONS = (ad.segment_mean, ad.segment_sum, ad.segment_max)
 
 
 class TestReduce:
     def test_single_row_degenerate(self):
         row = np.array([[2.0, -3.0, 0.5]])
         x = ad.Tensor(row)
-        for fn in (ad.reduce_mean, ad.reduce_sum, ad.reduce_max):
-            np.testing.assert_allclose(fn(x).data, row[0], atol=1e-7)
+        for fn in SEGMENT_REDUCTIONS:
+            np.testing.assert_allclose(fn(x, [1]).data, row, atol=1e-7)
 
     def test_hand_forced(self):
         x = ad.Tensor([[1.0, 3.0], [5.0, 1.0]])
-        np.testing.assert_allclose(ad.reduce_mean(x).data, [3.0, 2.0])
-        np.testing.assert_allclose(ad.reduce_sum(x).data, [6.0, 4.0])
-        np.testing.assert_allclose(ad.reduce_max(x).data, [5.0, 3.0])
+        np.testing.assert_allclose(ad.segment_mean(x, [2]).data, [[3.0, 2.0]])
+        np.testing.assert_allclose(ad.segment_sum(x, [2]).data, [[6.0, 4.0]])
+        np.testing.assert_allclose(ad.segment_max(x, [2]).data, [[5.0, 3.0]])
 
     def test_masked_padding_neutral(self):
-        # oracle: same reductions over the truncated, unpadded tensor
+        # oracle: the same reductions over the sentence alone; the rows
+        # packed after it belong to another segment
         rng = np.random.default_rng(5)
         real = rng.normal(size=(4, 6))
-        padded = np.vstack([real, np.zeros((3, 6))])
-        mask = np.array([True] * 4 + [False] * 3)
-        for fn in (ad.reduce_mean, ad.reduce_sum, ad.reduce_max):
+        packed = np.vstack([real, rng.normal(size=(3, 6))])
+        for fn in SEGMENT_REDUCTIONS:
             np.testing.assert_array_equal(
-                fn(ad.Tensor(padded), mask).data, fn(ad.Tensor(real)).data
+                fn(ad.Tensor(packed), [4, 3]).data[0], fn(ad.Tensor(real), [4]).data[0]
             )
 
     def test_all_masked_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ad.reduce_mean(ad.Tensor(np.ones((2, 2))), np.array([False, False]))
+        for fn in SEGMENT_REDUCTIONS:
+            with pytest.raises(InvalidInputError):
+                fn(ad.Tensor(np.ones((2, 2))), [2, 0])
 
     def test_max_gradient_routes_to_first_argmax(self):
-        x = ad.Tensor([[1.0, 7.0], [1.0, 7.0], [0.0, 2.0]])
+        x = ad.Tensor([[1.0, 7.0], [1.0, 7.0], [0.0, 2.0], [3.0, 3.0], [3.0, 3.0]])
         with ad.Tape() as tape:
-            loss = ad.sum_all(ad.reduce_max(x))
+            loss = ad.sum_all(ad.segment_max(x, [3, 2]))
         tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(
+            x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
+        )
 
 
 class TestDropout:
@@ -278,9 +290,8 @@ class TestDeterminismAndPrecision:
             rng = np.random.default_rng(77)
             x = ad.Tensor(rng.normal(size=(6, 4)))
             w = ad.Tensor(rng.normal(size=(4, 3)))
-            out = ad.masked_softmax(
-                ad.reduce_mean(ad.tanh(ad.matmul(x, w))), np.array([True, True, True])
-            )
+            pooled = ad.segment_mean(ad.tanh(ad.matmul(x, w)), [2, 4])
+            out = ad.segment_softmax(ad.reshape(pooled, (6,)), [6])
             return out.data.tobytes()
 
         assert run() == run()

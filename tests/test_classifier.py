@@ -3,6 +3,7 @@ import pytest
 
 from nliattn import autodiff as ad
 from nliattn import classifier as clf
+from nliattn import encoder as enc
 from nliattn import evaluation as ev
 from nliattn import gradcheck as gc
 from nliattn.autodiff import Tensor
@@ -10,6 +11,7 @@ from nliattn.data import CharVocabulary, NLIExample, Vocabulary, make_batches, r
 from nliattn.encoder import EncoderConfig
 from nliattn.errors import DimensionError
 from nliattn.model import ModelConfig, NLIModel
+from test_encoder import unrolled_bilstm
 
 
 class TestAggregate:
@@ -196,6 +198,30 @@ def _large_weights(model, seed):
             p.value.data[:] = rng.uniform(-0.5, 0.5, p.shape)
 
 
+def unrolled_represent(model, batch):
+    """Refined premise and hypothesis rows [B x d] with every sentence
+    encoded on its own: an ``lstm_step`` unroll of both directions, then
+    pooling and attention over that one sentence."""
+    encoder = model.encoder
+    sides = []
+    for ids, mask, char_ids, char_mask in (
+        (batch.premise_ids, batch.premise_mask, batch.premise_char_ids, batch.premise_char_mask),
+        (batch.hypothesis_ids, batch.hypothesis_mask,
+         batch.hypothesis_char_ids, batch.hypothesis_char_mask),
+    ):
+        rows = []
+        for i in range(len(batch)):
+            live = mask[i]
+            x = encoder.embed_tokens(ids[i][live], None, char_ids[i][live], char_mask[i][live])
+            H, [(last_forward, last_backward)] = unrolled_bilstm(encoder, x, [int(live.sum())])
+            whole = np.ones((1, int(live.sum())), dtype=bool)
+            seq = enc.ContextualSequence(H, whole, last_forward, last_backward)
+            raw = enc.pool(seq, model.config.pooling)
+            rows.append(enc.inner_attention(seq, raw, encoder.attention_w, encoder.attention_v)[0])
+        sides.append(ad.concat(rows))
+    return sides
+
+
 class TestBatchPaths:
     """A pair's output must not depend on its batch-mates, padding or path."""
 
@@ -205,6 +231,46 @@ class TestBatchPaths:
         "l", "g", ["dogs", "play", "chess", "a", "cat", "runs", "far", "away"],
         ["a", "cat", "moves", "and", "dogs", "sleep"], "contradiction",
     )
+    # the lengths of TARGET's sentences, so the length sort must break ties
+    TIE = NLIExample("e", "g", ["dogs", "sleep", "now"], ["cat", "runs"], "contradiction")
+    # a 1-token premise, shorter than its hypothesis
+    ONE = NLIExample("o", "g", ["cat"], ["a", "cat", "runs", "far"], "entailment")
+
+    @pytest.mark.parametrize("pooling", enc.POOLING_METHODS)
+    def test_batched_logits_and_gradients_match_step_unroll(self, pooling):
+        examples = [self.ONE, self.TARGET, self.LONG, self.TIE]
+        with ad.precision("float64"):
+            model, *_ = tiny_model(seed=45, pooling=pooling)
+            _large_weights(model, seed=46)
+            # word vectors of unit scale, so the encoder's outputs are too
+            words = model.encoder.word_embeddings.data
+            words[1:] = np.random.default_rng(47).uniform(-1.0, 1.0, words[1:].shape)
+            batch = make_batches(examples, len(examples), "dev", model.vocab, model.char_vocab)[0]
+
+            def unrolled_logits():
+                return clf.classify(clf.aggregate(*unrolled_represent(model, batch)), model.mlp)[0]
+
+            def grads(loss_of):
+                model.zero_grads()
+                with ad.Tape() as tape:
+                    loss = loss_of()
+                tape.backward(loss)
+                return {name: p.grad.copy() for name, p in model.parameters().items()
+                        if p.trainable}
+
+            rows = [r.data for r in model.represent(batch)]
+            ref_rows = [r.data for r in unrolled_represent(model, batch)]
+            logits = model.batch_logits(batch)[0].data
+            ref_logits = unrolled_logits().data
+            batched = grads(lambda: model.batch_loss(batch)[0])
+            unrolled = grads(lambda: ad.cross_entropy_from_logits(unrolled_logits(), batch.labels))
+        for row, ref in zip(rows, ref_rows):
+            np.testing.assert_allclose(row, ref, atol=1e-6)
+        np.testing.assert_allclose(logits, ref_logits, atol=1e-6)
+        for name, grad in batched.items():
+            # relative to the gradient's own size, which the MLP makes small
+            size = np.abs(unrolled[name]).max()
+            np.testing.assert_allclose(grad / size, unrolled[name] / size, atol=1e-6, err_msg=name)
 
     def test_batch_composition_invariance(self):
         with ad.precision("float64"):
@@ -212,7 +278,10 @@ class TestBatchPaths:
             # nonzero biases, so a padded step could not pass for a no-op
             _large_weights(model, seed=43)
             alone = _probs_of(model, [self.TARGET], "t")
-            for mates in ([self.SHORT], [self.LONG], [self.LONG, self.SHORT]):
+            for mates in (
+                [self.SHORT], [self.LONG], [self.LONG, self.SHORT],
+                [self.TIE], [self.ONE, self.TIE], [self.LONG, self.TIE, self.SHORT, self.ONE],
+            ):
                 for examples in ([self.TARGET, *mates], [*mates, self.TARGET]):
                     np.testing.assert_allclose(
                         _probs_of(model, examples, "t"), alone, atol=1e-6
@@ -256,15 +325,17 @@ class TestBatchPaths:
     def test_tape_records_do_not_grow_with_sentence_length(self):
         model, *_ = tiny_model(seed=42, use_chars=False)
 
-        def records(length):
+        def records(length, size):
             # mixed lengths, so every batch pads its shorter sentences
             examples = [
-                NLIExample(str(i), "g", ["a", "cat"] * length * i, ["dogs"] * length, "neutral")
-                for i in range(1, 4)
+                NLIExample(str(i), "g", ["a", "cat"] * length * (1 + i % 3), ["dogs"] * length,
+                           "neutral")
+                for i in range(size)
             ]
-            batch = make_batches(examples, 3, "train", model.vocab, model.char_vocab)[0]
+            batch = make_batches(examples, size, "train", model.vocab, model.char_vocab)[0]
             with ad.Tape() as tape:
                 model.batch_loss(batch, training=True, rng=np.random.default_rng(0))
             return len(tape)
 
-        assert records(1) == records(4) == records(20)
+        counts = {(n, b): records(n, b) for n in (1, 4, 20) for b in (1, 4, 32)}
+        assert len(set(counts.values())) == 1, counts

@@ -99,7 +99,7 @@ class TestCharEncode:
         emb, cell = self._char_model(rng)
         out = enc.char_encode([3], emb, cell)
         expected, _ = enc.lstm_step(cell, Tensor(emb.data[3]), ad.zeros(2), ad.zeros(2))
-        np.testing.assert_array_equal(out.data, expected.data)
+        np.testing.assert_array_equal(out.data[0], expected.data)
 
     def test_purity(self):
         rng = np.random.default_rng(5)
@@ -118,7 +118,7 @@ class TestCharEncode:
             c = np.zeros(2)
             for i in ids:
                 h, c = np_lstm_step(cell.w_ih.data, cell.w_hh.data, cell.bias.data, emb.data[i], h, c)
-        np.testing.assert_allclose(out.data, h, atol=1e-6)
+        np.testing.assert_allclose(out.data[0], h, atol=1e-6)
 
     def test_empty_word_rejected(self):
         rng = np.random.default_rng(7)
@@ -144,14 +144,20 @@ class TestEmbedTokens:
         assert out.shape == (2, 5 + 2)
 
     def test_pad_row_is_zero_both_halves(self):
+        # a PAD position gets no row at all: only live tokens are packed
         model = tiny_encoder(use_chars=True)
-        ids = np.array([3, 0])
-        mask = np.array([True, False])
-        char_ids = np.zeros((2, 2), dtype=np.int64)
-        char_ids[0] = [1, 2]
-        char_mask = np.array([[True, True], [False, False]])
+        ids = np.array([[3, 0], [4, 5]])
+        mask = np.array([[True, False], [True, True]])
+        char_ids = np.zeros((2, 2, 2), dtype=np.int64)
+        char_ids[0, 0] = [1, 2]
+        char_ids[1] = [[3, 0], [2, 1]]
+        char_mask = char_ids > 0
         out = model.embed_tokens(ids, mask, char_ids, char_mask)
-        np.testing.assert_array_equal(out.data[1], np.zeros(7, dtype=np.float32))
+        alone = [
+            model.embed_tokens(ids[s][mask[s]], None, char_ids[s][mask[s]], char_mask[s][mask[s]])
+            for s in range(2)
+        ]
+        np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
 
     def test_out_of_range_id_rejected(self):
         model = tiny_encoder()
@@ -189,12 +195,10 @@ class TestBilstm:
     def test_padding_neutrality(self):
         model = tiny_encoder(seed=11)
         x_real = np.random.default_rng(12).normal(size=(3, 5)).astype(np.float32)
-        x_padded = np.vstack([x_real, np.zeros((2, 5), dtype=np.float32)])
         mask = np.array([True, True, True, False, False])
         plain = enc.bilstm(Tensor(x_real), None, model.forward_cell, model.backward_cell)
-        padded = enc.bilstm(Tensor(x_padded), mask, model.forward_cell, model.backward_cell)
-        np.testing.assert_array_equal(plain.H.data, padded.H.data[:3])
-        np.testing.assert_array_equal(padded.H.data[3:], 0.0)
+        padded = enc.bilstm(Tensor(x_real), mask, model.forward_cell, model.backward_cell)
+        np.testing.assert_array_equal(plain.H.data, padded.H.data)
         np.testing.assert_array_equal(plain.final_forward.data, padded.final_forward.data)
         np.testing.assert_array_equal(plain.final_backward.data, padded.final_backward.data)
 
@@ -203,55 +207,76 @@ class TestBilstm:
         with pytest.raises(InvalidInputError):
             enc.bilstm(
                 Tensor(np.zeros((2, 5))),
-                np.array([False, False]),
+                np.array([[True, True], [False, False]]),
                 model.forward_cell,
                 model.backward_cell,
             )
 
 
-class TestFusedBilstm:
-    """The fused sequence op against the step-by-step ``lstm_step`` oracle."""
-
-    MASK = np.array([True, False, True, True, False, True, False])  # interior and trailing holes
-
-    def _unroll(self, model, x: Tensor):
-        """(H, last-pooled vector) from per-step ``lstm_step`` calls over the live rows."""
-        rows = [ad.reshape(ad.narrow(x, 0, i, 1), (x.shape[1],)) for i in range(x.shape[0])]
-        live = np.flatnonzero(self.MASK)
-        hidden = model.forward_cell.hidden
+def unrolled_bilstm(model, x: Tensor, lengths):
+    """Per-sentence ``lstm_step`` unroll of both directions over packed rows:
+    H [L x 2h] and, per sentence, the forward state after its last row and
+    the backward state after its first, each [1 x h]."""
+    rows = [ad.reshape(ad.narrow(x, 0, i, 1), (x.shape[1],)) for i in range(x.shape[0])]
+    hidden = model.forward_cell.hidden
+    H, finals = [], []
+    start = 0
+    for n in lengths:
         states = {}
-        finals = []
-        for cell, order, side in (
-            (model.forward_cell, live, 0),
-            (model.backward_cell, live[::-1], 1),
+        ends = []
+        for cell, order in (
+            (model.forward_cell, range(start, start + n)),
+            (model.backward_cell, range(start + n - 1, start - 1, -1)),
         ):
             h, c = ad.zeros(hidden), ad.zeros(hidden)
             for i in order:
                 h, c = enc.lstm_step(cell, rows[i], h, c)
-                states[(int(i), side)] = h
-            finals.append(h)
-        H = ad.stack([
-            ad.concat([states[(i, 0)], states[(i, 1)]]) if self.MASK[i] else ad.zeros(2 * hidden)
-            for i in range(len(self.MASK))
-        ])
-        return H, ad.concat(finals)
+                states[(i, cell)] = h
+            ends.append(ad.reshape(h, (1, hidden)))
+        H += [
+            ad.concat([states[(i, model.forward_cell)], states[(i, model.backward_cell)]])
+            for i in range(start, start + n)
+        ]
+        finals.append(ends)
+        start += n
+    return ad.stack(H), finals
+
+
+class TestFusedBilstm:
+    """The fused, batched sequence op against the step-by-step ``lstm_step`` oracle."""
+
+    # interior, leading and trailing holes, a 1-token sentence and a length tie
+    MASK = np.array([
+        [True, False, True, True, False, True, False],
+        [False, False, False, True, False, False, False],
+        [False, True, True, False, True, False, True],
+        [True, True, True, True, True, True, True],
+    ])
+
+    def _fused(self, model, x):
+        seq = enc.bilstm(x, self.MASK, model.forward_cell, model.backward_cell)
+        return seq.H, enc.pool(seq, "last")
+
+    def _unroll(self, model, x):
+        H, finals = unrolled_bilstm(model, x, self.MASK.sum(axis=1))
+        last = ad.concat([ad.concat([f, b], axis=1) for f, b in finals], axis=0)
+        return H, last
 
     def test_matches_step_unroll_with_holes(self):
         with ad.precision("float64"):
             model = tiny_encoder(seed=30)
-            x = Tensor(np.random.default_rng(31).normal(size=(len(self.MASK), 5)))
-            seq = enc.bilstm(x, self.MASK, model.forward_cell, model.backward_cell)
-            H, last = self._unroll(model, x)
-            np.testing.assert_allclose(seq.H.data, H.data, atol=1e-6)
-            np.testing.assert_array_equal(seq.H.data[~self.MASK], 0.0)
-            np.testing.assert_allclose(enc.pool(seq, "last").data, last.data, atol=1e-6)
+            x = Tensor(np.random.default_rng(31).normal(size=(self.MASK.sum(), 5)))
+            H, last = self._fused(model, x)
+            ref_H, ref_last = self._unroll(model, x)
+            np.testing.assert_allclose(H.data, ref_H.data, atol=1e-6)
+            np.testing.assert_allclose(last.data, ref_last.data, atol=1e-6)
 
     def test_gradients_match_step_unroll(self):
         with ad.precision("float64"):
             model = tiny_encoder(seed=32)
             rng = np.random.default_rng(33)
-            x = Tensor(rng.normal(size=(len(self.MASK), 5)))
-            weights = Tensor(rng.normal(size=(len(self.MASK), 6)))
+            x = Tensor(rng.normal(size=(self.MASK.sum(), 5)))
+            weights = Tensor(rng.normal(size=(self.MASK.sum(), 6)))
             params = {
                 **model.forward_cell.parameters(),
                 **model.backward_cell.parameters(),
@@ -267,11 +292,7 @@ class TestFusedBilstm:
                 tape.backward(loss)
                 return {name: p.grad.copy() for name, p in params.items()}, x.grad.copy()
 
-            def fused():
-                seq = enc.bilstm(x, self.MASK, model.forward_cell, model.backward_cell)
-                return seq.H, enc.pool(seq, "last")
-
-            fused_grads, fused_x = grads(fused)
+            fused_grads, fused_x = grads(lambda: self._fused(model, x))
             step_grads, step_x = grads(lambda: self._unroll(model, x))
         for name in params:
             np.testing.assert_allclose(fused_grads[name], step_grads[name], atol=1e-6)
@@ -289,7 +310,7 @@ class TestPool:
         outputs = [enc.pool(seq, m).data for m in enc.POOLING_METHODS]
         for out in outputs[1:]:
             np.testing.assert_allclose(out, outputs[0], atol=1e-7)
-        np.testing.assert_allclose(outputs[0], seq.H.data[0], atol=1e-7)
+        np.testing.assert_allclose(outputs[0], seq.H.data, atol=1e-7)
 
     def test_mean_times_length_equals_sum(self):
         seq = self._seq(n=5)
@@ -298,15 +319,20 @@ class TestPool:
         np.testing.assert_allclose(mean * 5, total, atol=1e-5)
 
     def test_masked_rows_match_truncation_oracle(self):
+        # a sentence pooled inside a batch, beside a longer mate, equals the
+        # sentence pooled alone
         model = tiny_encoder(seed=14)
-        x_real = np.random.default_rng(15).normal(size=(3, 5)).astype(np.float32)
-        x_padded = np.vstack([x_real, np.zeros((1, 5), dtype=np.float32)])
-        mask = np.array([True, True, True, False])
-        seq_full = enc.bilstm(Tensor(x_padded), mask, model.forward_cell, model.backward_cell)
+        rng = np.random.default_rng(15)
+        x_real = rng.normal(size=(3, 5)).astype(np.float32)
+        x_mate = rng.normal(size=(4, 5)).astype(np.float32)
+        mask = np.array([[True, True, True, False], [True, True, True, True]])
+        seq_full = enc.bilstm(
+            Tensor(np.vstack([x_real, x_mate])), mask, model.forward_cell, model.backward_cell
+        )
         seq_trunc = enc.bilstm(Tensor(x_real), None, model.forward_cell, model.backward_cell)
         for method in enc.POOLING_METHODS:
             np.testing.assert_allclose(
-                enc.pool(seq_full, method).data,
+                enc.pool(seq_full, method).data[:1],
                 enc.pool(seq_trunc, method).data,
                 atol=1e-6,
             )
@@ -315,7 +341,7 @@ class TestPool:
         seq = self._seq(n=3)
         out = enc.pool(seq, "last")
         np.testing.assert_array_equal(
-            out.data, np.concatenate([seq.final_forward.data, seq.final_backward.data])
+            out.data, np.concatenate([seq.final_forward.data, seq.final_backward.data], axis=1)
         )
 
     def test_unknown_method_rejected(self):
@@ -332,7 +358,9 @@ class TestInnerAttention:
         raw = enc.pool(seq, "mean")
         refined, alpha = enc.inner_attention(seq, raw, model.attention_w, model.attention_v)
         np.testing.assert_allclose(alpha.data, np.full(4, 0.25), atol=1e-6)
-        np.testing.assert_allclose(refined.data, ad.reduce_mean(seq.H, seq.mask).data, atol=1e-5)
+        np.testing.assert_allclose(
+            refined.data, ad.segment_mean(seq.H, seq.lengths).data, atol=1e-5
+        )
 
     def test_length_one_degenerate(self):
         model = tiny_encoder(seed=17)
@@ -340,7 +368,7 @@ class TestInnerAttention:
         raw = enc.pool(seq, "max")
         refined, alpha = enc.inner_attention(seq, raw, model.attention_w, model.attention_v)
         np.testing.assert_allclose(alpha.data, [1.0], atol=1e-7)
-        np.testing.assert_allclose(refined.data, seq.H.data[0], atol=1e-6)
+        np.testing.assert_allclose(refined.data, seq.H.data, atol=1e-6)
 
     def test_matches_direct_formula(self):
         # oracle: score/softmax/weighted-sum evaluated directly in float64
@@ -355,12 +383,12 @@ class TestInnerAttention:
                 seq, raw, model.attention_w, model.attention_v
             )
             H, W, v = seq.H.data, model.attention_w.data, model.attention_v.data
-            u = np.array([v @ np.tanh(W @ np.concatenate([raw.data, H[i]])) for i in range(3)])
+            u = np.array([v @ np.tanh(W @ np.concatenate([raw.data[0], H[i]])) for i in range(3)])
             e = np.exp(u - u.max())
             a = e / e.sum()
             expected = (a[:, None] * H).sum(axis=0)
         np.testing.assert_allclose(alpha.data, a, atol=1e-6)
-        np.testing.assert_allclose(refined.data, expected, atol=1e-6)
+        np.testing.assert_allclose(refined.data[0], expected, atol=1e-6)
 
     def test_refined_inside_convex_hull(self):
         model = tiny_encoder(seed=20)
@@ -387,8 +415,8 @@ class TestEncodeSentence:
     def test_purity(self):
         model = tiny_encoder(use_chars=False)
         ids = np.array([2, 3, 4])
-        a = model.encode_sentence(ids, "mean")
-        b = model.encode_sentence(ids, "mean")
+        a = model.encode(ids, "mean")
+        b = model.encode(ids, "mean")
         np.testing.assert_array_equal(a.refined.data, b.refined.data)
         np.testing.assert_array_equal(a.raw.data, b.raw.data)
 
@@ -396,26 +424,27 @@ class TestEncodeSentence:
         model = tiny_encoder()
         p = np.array([2, 3])
         h = np.array([4, 5, 6])
-        first = (model.encode_sentence(p, "mean").refined.data,
-                 model.encode_sentence(h, "mean").refined.data)
-        swapped = (model.encode_sentence(h, "mean").refined.data,
-                   model.encode_sentence(p, "mean").refined.data)
+        first = (model.encode(p, "mean").refined.data,
+                 model.encode(h, "mean").refined.data)
+        swapped = (model.encode(h, "mean").refined.data,
+                   model.encode(p, "mean").refined.data)
         np.testing.assert_array_equal(first[0], swapped[1])
         np.testing.assert_array_equal(first[1], swapped[0])
 
     def test_padding_neutrality_end_to_end(self):
         model = tiny_encoder(seed=23)
         ids = np.array([2, 3, 4])
-        plain = model.encode_sentence(ids, "mean")
+        plain = model.encode(ids, "mean")
         padded_ids = np.array([2, 3, 4, 0, 0])
         mask = np.array([True, True, True, False, False])
-        padded = model.encode_sentence(padded_ids, "mean", mask=mask)
+        padded = model.encode(padded_ids, "mean", mask=mask)
         np.testing.assert_allclose(plain.raw.data, padded.raw.data, atol=1e-6)
         np.testing.assert_allclose(plain.refined.data, padded.refined.data, atol=1e-6)
+        # the PAD positions carry no attention weight: they have no slot
+        assert padded.attention_weights.shape == (3,)
         np.testing.assert_allclose(
-            plain.attention_weights.data, padded.attention_weights.data[:3], atol=1e-6
+            plain.attention_weights.data, padded.attention_weights.data, atol=1e-6
         )
-        np.testing.assert_array_equal(padded.attention_weights.data[3:], 0.0)
 
     def test_full_scale_dimensions(self):
         rng = np.random.default_rng(24)
@@ -435,14 +464,14 @@ class TestEncodeSentence:
         assert model.attention_v.shape == (1400,)
         char_ids = np.array([[1, 2], [3, 0]])
         char_mask = np.array([[True, True], [True, False]])
-        rep = model.encode_sentence(
+        rep = model.encode(
             np.array([2, 3]), "mean", char_ids=char_ids, char_mask=char_mask
         )
-        assert rep.refined.shape == (700,)
+        assert rep.refined.shape == (1, 700)
 
         model_nc = enc.Encoder(without, emb, n_chars=8, rng=rng)
-        rep = model_nc.encode_sentence(np.array([2, 3]), "mean")
-        assert rep.refined.shape == (600,)
+        rep = model_nc.encode(np.array([[2, 3], [4, 0]]), "mean", np.array([[1, 1], [1, 0]]))
+        assert rep.refined.shape == (2, 600)
 
 
 class TestEncoderGradients:
@@ -457,10 +486,10 @@ class TestEncoderGradients:
             ids = np.array([2, 3, 4])
             char_ids = np.array([[1, 2], [3, 0], [2, 2]])
             char_mask = np.array([[True, True], [True, False], [True, True]])
-            weights = ad.Tensor(rng.normal(size=4))
+            weights = ad.Tensor(rng.normal(size=(1, 4)))
 
             def loss():
-                rep = model.encode_sentence(
+                rep = model.encode(
                     ids, "mean", char_ids=char_ids, char_mask=char_mask
                 )
                 return ad.sum_all(ad.mul(rep.refined, weights))

@@ -11,7 +11,7 @@ from nliattn import synth, training
 from nliattn.autodiff import Parameter
 from nliattn.data import CharVocabulary, Vocabulary, make_batches, random_embeddings
 from nliattn.encoder import EncoderConfig
-from nliattn.errors import ConfigError, IntegrityError, NumericError
+from nliattn.errors import ConfigError, IntegrityError, InvalidInputError, NumericError
 from nliattn.model import ModelConfig, NLIModel
 from nliattn.training import (
     RMSProp,
@@ -80,11 +80,18 @@ class TestRMSProp:
         assert not np.array_equal(live.data, np.ones(2))
 
     def test_nan_gradient_names_parameter(self):
+        # the finite parameter comes first: it must not move either
+        q = Parameter(np.ones(2), name="bias")
         p = Parameter(np.ones(2), name="w_ih")
-        opt = RMSProp({"w_ih": p})
-        p.value.grad = np.array([np.nan, 0.0], dtype=np.float32)
-        with pytest.raises(NumericError, match="w_ih"):
-            opt.step()
+        opt = RMSProp({"bias": q, "w_ih": p})
+        q.value.grad = np.array([1.0, -1.0], dtype=np.float32)
+        for bad in (np.nan, np.inf, -np.inf):
+            p.value.grad = np.array([bad, 0.0], dtype=np.float32)
+            with pytest.raises(NumericError, match="w_ih"):
+                opt.step()
+            for param in (q, p):
+                np.testing.assert_array_equal(param.data, np.ones(2))
+                np.testing.assert_array_equal(opt.square_avg[param.name], np.zeros(2))
 
     def test_single_step_decreases_loss_at_small_lr(self):
         examples = synth.synthetic_examples(2, seed=3)
@@ -145,6 +152,17 @@ class TestTrainLoop:
         config = TrainConfig(learning_rate=0.002, batch_size=8, max_epochs=300, seed=3)
         result = train(model, examples, examples, config, target_dev_accuracy=1.0)
         assert result.best_dev_accuracy == 1.0
+
+    def test_empty_dev_set_rejected_before_the_first_step(self, tmp_path):
+        examples = synth.synthetic_examples(6, seed=16)
+        model = build_model(examples, seed=17)
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        ckpt = tmp_path / "best.ckpt"
+        with pytest.raises(InvalidInputError, match="dev"):
+            train(model, examples, [], TrainConfig(batch_size=3, max_epochs=1, seed=5), ckpt)
+        assert not ckpt.exists()
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, before[name])
 
     def test_frozen_embeddings_bit_identical_after_training(self):
         examples = synth.synthetic_examples(9, seed=14)
