@@ -604,9 +604,6 @@ def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
     ``perm[offsets[t] + j]``.  With ``reverse`` each sequence is read from
     its last row to its first.
     """
-    if lengths.size == 1:  # one sequence (a word's characters): no sorting to do
-        n = int(lengths[0])
-        return np.arange(n)[::-1] if reverse else np.arange(n), np.ones(n, int), np.arange(n + 1)
     order = np.argsort(-lengths, kind="stable")
     sizes = np.count_nonzero(lengths[order] > np.arange(lengths.max())[:, None], axis=1)
     offsets = np.concatenate(([0], np.cumsum(sizes)))

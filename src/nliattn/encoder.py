@@ -12,8 +12,11 @@ pooling or attention.  One sentence is a batch of one.
 
 Each LSTM direction runs as one fused ``autodiff.lstm_sequence`` op over
 the packed rows, stepping every sentence that is still running with one
-GEMM per time step.  ``lstm_step`` builds the same cell from elementary
-taped ops; it is kept as the reference the fused path is tested against.
+GEMM per time step.  The char-LSTM runs the same way over the distinct
+words of a batch: each distinct character sequence is encoded once, all
+of them in one packed call, and the results are gathered back to the
+tokens.  ``lstm_step`` builds the same cell from elementary taped ops; it
+is kept as the reference the fused path is tested against.
 """
 
 from __future__ import annotations
@@ -123,14 +126,19 @@ def run_lstm(x: Tensor, lengths, cell: LSTMCellParams, reverse: bool = False) ->
     )
 
 
-def char_encode(char_ids, char_embeddings: Parameter, cell: LSTMCellParams) -> Tensor:
-    """Final hidden state [1 x h] of a unidirectional LSTM over one word's
-    characters."""
+def char_encode(char_ids, lengths, char_embeddings: Parameter, cell: LSTMCellParams) -> Tensor:
+    """Final hidden states [W x h] of a unidirectional LSTM over W words.
+
+    ``char_ids`` holds the words' character ids packed word after word and
+    ``lengths`` [W] each word's character count; all words run in one
+    ``lstm_sequence`` call.
+    """
     char_ids = np.asarray(char_ids, dtype=np.int64)
-    if char_ids.size == 0:
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.size == 0 or lengths.min() < 1:
         raise DataError("char_encode: empty character sequence")
-    states = run_lstm(ad.take_rows(char_embeddings.value, char_ids), [char_ids.size], cell)
-    return ad.narrow(states, 0, char_ids.size - 1, 1)
+    states = run_lstm(ad.take_rows(char_embeddings.value, char_ids), lengths, cell)
+    return ad.take_rows(states, np.cumsum(lengths) - 1)
 
 
 @dataclass
@@ -295,11 +303,18 @@ class Encoder:
 
         if char_ids is None or char_mask is None:
             raise ConfigError("embed_tokens: character ids required when use_chars is on")
-        word_chars = zip(np.asarray(char_ids)[mask], np.asarray(char_mask, dtype=bool)[mask])
-        char_vecs = ad.concat(
-            [char_encode(ids[present], self.char_embeddings, self.char_cell)
-             for ids, present in word_chars]
+        char_ids = np.asarray(char_ids, dtype=np.int64)
+        char_mask = np.asarray(char_mask, dtype=bool)
+        if char_ids[char_mask].min(initial=0) < 0:
+            raise InvalidInputError("embed_tokens: negative character id")
+        # encode each distinct character sequence once; -1 marks an absent char
+        live_chars = np.where(char_mask, char_ids, -1)[mask]
+        distinct, inverse = np.unique(live_chars, axis=0, return_inverse=True)
+        present = distinct >= 0
+        char_vecs = char_encode(
+            distinct[present], present.sum(axis=1), self.char_embeddings, self.char_cell
         )
+        char_vecs = ad.take_rows(char_vecs, inverse.reshape(-1))
         return ad.concat([words, char_vecs], axis=1)
 
     def encode(

@@ -7,11 +7,18 @@ from nliattn import encoder as enc
 from nliattn import evaluation as ev
 from nliattn import gradcheck as gc
 from nliattn.autodiff import Tensor
-from nliattn.data import CharVocabulary, NLIExample, Vocabulary, make_batches, random_embeddings
+from nliattn.data import (
+    CharVocabulary,
+    NLIExample,
+    Vocabulary,
+    make_batches,
+    pairs_to_batch,
+    random_embeddings,
+)
 from nliattn.encoder import EncoderConfig
-from nliattn.errors import DimensionError
+from nliattn.errors import DataError, DimensionError
 from nliattn.model import ModelConfig, NLIModel
-from test_encoder import unrolled_bilstm
+from test_encoder import unrolled_bilstm, unrolled_embed_tokens
 
 
 class TestAggregate:
@@ -200,8 +207,8 @@ def _large_weights(model, seed):
 
 def unrolled_represent(model, batch):
     """Refined premise and hypothesis rows [B x d] with every sentence
-    encoded on its own: an ``lstm_step`` unroll of both directions, then
-    pooling and attention over that one sentence."""
+    encoded on its own: a per-token char unroll, an ``lstm_step`` unroll of
+    both directions, then pooling and attention over that one sentence."""
     encoder = model.encoder
     sides = []
     for ids, mask, char_ids, char_mask in (
@@ -212,7 +219,7 @@ def unrolled_represent(model, batch):
         rows = []
         for i in range(len(batch)):
             live = mask[i]
-            x = encoder.embed_tokens(ids[i][live], None, char_ids[i][live], char_mask[i][live])
+            x = unrolled_embed_tokens(encoder, ids[i], live, char_ids[i], char_mask[i])
             H, [(last_forward, last_backward)] = unrolled_bilstm(encoder, x, [int(live.sum())])
             whole = np.ones((1, int(live.sum())), dtype=bool)
             seq = enc.ContextualSequence(H, whole, last_forward, last_backward)
@@ -322,8 +329,9 @@ class TestBatchPaths:
         np.testing.assert_allclose(np.array(rows[0][2:], dtype=float), premise.data[0], atol=1e-6)
         np.testing.assert_allclose(np.array(rows[1][2:], dtype=float), hypothesis.data[0], atol=1e-6)
 
-    def test_tape_records_do_not_grow_with_sentence_length(self):
-        model, *_ = tiny_model(seed=42, use_chars=False)
+    @pytest.mark.parametrize("use_chars", [False, True])
+    def test_tape_records_do_not_grow_with_sentence_length(self, use_chars):
+        model, *_ = tiny_model(seed=42, use_chars=use_chars)
 
         def records(length, size):
             # mixed lengths, so every batch pads its shorter sentences
@@ -339,3 +347,72 @@ class TestBatchPaths:
 
         counts = {(n, b): records(n, b) for n in (1, 4, 20) for b in (1, 4, 32)}
         assert len(set(counts.values())) == 1, counts
+
+
+class TestCharHalf:
+    """The char half of ``embed_tokens`` (each distinct word encoded once,
+    gathered back to its tokens) against a per-token ``lstm_step`` unroll."""
+
+    # "dog" repeats inside a premise and across premise and hypothesis;
+    # "dog"/"dogs" and "a"/"at" are prefix pairs; "a" has one character
+    PREMISES = [["dog", "dogs", "a", "dog"], ["a", "sat"]]
+    HYPOTHESES = [["dog", "at", "a", "dogs"], ["dog", "sat", "a"]]
+
+    def _batch(self, model, premises=PREMISES, hypotheses=HYPOTHESES):
+        return pairs_to_batch(
+            premises, hypotheses, model.vocab, model.char_vocab, labels=[0] * len(premises)
+        )
+
+    def test_values_and_gradients_match_per_token_unroll(self, monkeypatch):
+        with ad.precision("float64"):
+            model, *_ = tiny_model(seed=50)
+            _large_weights(model, seed=51)
+            batch = self._batch(model)
+            fast = model.encoder.embed_tokens(*batch.sentences()).data
+            slow = unrolled_embed_tokens(model.encoder, *batch.sentences()).data
+
+            def char_grads():
+                model.zero_grads()
+                with ad.Tape() as tape:
+                    loss = model.batch_loss(batch)[0]
+                tape.backward(loss)
+                return {name: p.grad.copy() for name, p in model.parameters().items()
+                        if name.startswith("char_")}
+
+            batched = char_grads()
+            monkeypatch.setattr(
+                model.encoder, "embed_tokens",
+                lambda *inputs: unrolled_embed_tokens(model.encoder, *inputs),
+            )
+            unrolled = char_grads()
+        assert fast.shape == (sum(map(len, self.PREMISES + self.HYPOTHESES)), 4 + 2)
+        np.testing.assert_allclose(fast, slow, atol=1e-6)
+        assert sorted(batched) == [
+            "char_embeddings", "char_lstm.bias", "char_lstm.w_hh", "char_lstm.w_ih"
+        ]
+        for name, grad in batched.items():
+            size = np.abs(unrolled[name]).max()
+            assert size > 0, name
+            np.testing.assert_allclose(grad / size, unrolled[name] / size, atol=1e-6, err_msg=name)
+
+    def test_word_vector_independent_of_batch_mates(self):
+        with ad.precision("float64"):
+            model, *_ = tiny_model(seed=52)
+            _large_weights(model, seed=53)
+
+            def char_half(premises, hypotheses):
+                inputs = self._batch(model, premises, hypotheses).sentences()
+                return model.encoder.embed_tokens(*inputs).data[:, 4:]
+
+            full = char_half(self.PREMISES, self.HYPOTHESES)
+            tokens = [t for sentence in self.PREMISES + self.HYPOTHESES for t in sentence]
+            alone = {word: char_half([[word]], [[word]])[0] for word in set(tokens)}
+        for row, word in zip(full, tokens):
+            np.testing.assert_allclose(row, alone[word], rtol=0, atol=1e-12, err_msg=word)
+
+    def test_token_without_characters_rejected(self):
+        model, *_ = tiny_model(seed=54)
+        ids, mask, char_ids, char_mask = self._batch(model).sentences()
+        char_mask[0, 1] = False  # "dogs" in the first premise keeps its word id only
+        with pytest.raises(DataError):
+            model.encoder.embed_tokens(ids, mask, char_ids, char_mask)

@@ -88,6 +88,15 @@ class TestLstmStep:
         np.testing.assert_array_equal(cell.bias.data[:4], np.zeros(4, dtype=np.float32))
 
 
+def np_char_unroll(cell, emb, ids):
+    """Final hidden state of the char-LSTM over one word, by ``np_lstm_step``."""
+    h = np.zeros(cell.hidden)
+    c = np.zeros(cell.hidden)
+    for i in ids:
+        h, c = np_lstm_step(cell.w_ih.data, cell.w_hh.data, cell.bias.data, emb.data[i], h, c)
+    return h
+
+
 class TestCharEncode:
     def _char_model(self, rng):
         emb = Parameter(rng.uniform(-0.5, 0.5, (6, 2)), name="char_embeddings")
@@ -97,34 +106,50 @@ class TestCharEncode:
     def test_single_char_equals_one_step(self):
         rng = np.random.default_rng(4)
         emb, cell = self._char_model(rng)
-        out = enc.char_encode([3], emb, cell)
+        out = enc.char_encode([3], [1], emb, cell)
         expected, _ = enc.lstm_step(cell, Tensor(emb.data[3]), ad.zeros(2), ad.zeros(2))
+        assert out.shape == (1, 2)
         np.testing.assert_array_equal(out.data[0], expected.data)
 
     def test_purity(self):
         rng = np.random.default_rng(5)
         emb, cell = self._char_model(rng)
-        a = enc.char_encode([1, 2, 3], emb, cell)
-        b = enc.char_encode([1, 2, 3], emb, cell)
+        ids = np.array([1, 2, 3, 4, 1])
+        a = enc.char_encode(ids, [3, 2], emb, cell)
+        b = enc.char_encode(ids, [3, 2], emb, cell)
         np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(ids, [1, 2, 3, 4, 1])
 
     def test_matches_manual_unroll(self):
         with ad.precision("float64"):
             rng = np.random.default_rng(6)
             emb, cell = self._char_model(rng)
             ids = [2, 0, 4]  # "cat" as char ids
-            out = enc.char_encode(ids, emb, cell)
-            h = np.zeros(2)
-            c = np.zeros(2)
-            for i in ids:
-                h, c = np_lstm_step(cell.w_ih.data, cell.w_hh.data, cell.bias.data, emb.data[i], h, c)
-        np.testing.assert_allclose(out.data[0], h, atol=1e-6)
+            out = enc.char_encode(ids, [3], emb, cell)
+            expected = np_char_unroll(cell, emb, ids)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-6)
+
+    def test_multiple_words_unequal_lengths(self):
+        # one packed call: a 1-char word, a prefix pair, a length tie and
+        # words shorter than their predecessors, each against its own unroll
+        words = [[2, 0, 4], [1], [3, 5, 5, 1], [3, 5], [4, 4, 1], [1]]
+        with ad.precision("float64"):
+            rng = np.random.default_rng(8)
+            emb, cell = self._char_model(rng)
+            out = enc.char_encode(
+                np.concatenate(words), [len(w) for w in words], emb, cell
+            )
+            expected = np.stack([np_char_unroll(cell, emb, w) for w in words])
+        assert out.shape == (len(words), 2)
+        np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
     def test_empty_word_rejected(self):
         rng = np.random.default_rng(7)
         emb, cell = self._char_model(rng)
         with pytest.raises(DataError):
-            enc.char_encode([], emb, cell)
+            enc.char_encode([], [0], emb, cell)
+        with pytest.raises(DataError):  # an empty word among others
+            enc.char_encode([1, 2, 3], [2, 0, 1], emb, cell)
 
 
 class TestEmbedTokens:
@@ -163,6 +188,12 @@ class TestEmbedTokens:
         model = tiny_encoder()
         with pytest.raises(InvalidInputError):
             model.embed_tokens(np.array([99]))
+        model = tiny_encoder(use_chars=True)
+        for bad in (-1, -2, 7):  # character ids outside the 7-char vocabulary
+            char_ids = np.array([[1, bad], [3, 0]])
+            char_mask = np.array([[True, True], [True, False]])
+            with pytest.raises(InvalidInputError):
+                model.embed_tokens(np.array([3, 4]), None, char_ids, char_mask)
 
 
 class TestBilstm:
@@ -240,6 +271,23 @@ def unrolled_bilstm(model, x: Tensor, lengths):
         finals.append(ends)
         start += n
     return ad.stack(H), finals
+
+
+def unrolled_embed_tokens(model, word_ids, mask, char_ids, char_mask):
+    """Input rows [L x d] of the live tokens with the char half run token by
+    token: every token's characters through its own ``lstm_step`` unroll,
+    repeated words included."""
+    mask = np.asarray(mask, dtype=bool)
+    words = Tensor(model.word_embeddings.data[np.asarray(word_ids)[mask]])
+    cell = model.char_cell
+    rows = []
+    for ids, present in zip(np.asarray(char_ids)[mask], np.asarray(char_mask)[mask]):
+        h, c = ad.zeros(cell.hidden), ad.zeros(cell.hidden)
+        for i in ids[present]:
+            x = ad.reshape(ad.take_rows(model.char_embeddings.value, [i]), (cell.input_dim,))
+            h, c = enc.lstm_step(cell, x, h, c)
+        rows.append(ad.reshape(h, (1, cell.hidden)))
+    return ad.concat([words, ad.concat(rows)], axis=1)
 
 
 class TestFusedBilstm:
