@@ -6,7 +6,6 @@ Run:  python demos/04_pooling_sweep.py   (a few minutes; lower runs_per_cell to 
 """
 
 from nliattn import synth
-from nliattn.data import Vocabulary
 from nliattn.encoder import EncoderConfig
 from nliattn.evaluation import pooling_sweep, summarize_runs, write_sweep_records
 from nliattn.model import ModelConfig

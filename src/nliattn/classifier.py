@@ -51,8 +51,8 @@ class MLPParams:
         self,
         input_dim: int,
         rng: np.random.Generator,
-        widths: tuple[int, ...] = (2000, 2000, 2000),
-        dropout: float = 0.25,
+        widths: tuple[int, ...],
+        dropout: float,
     ):
         self.input_dim = input_dim
         self.widths = tuple(widths)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,85 +45,42 @@ from .training import TrainConfig, load_checkpoint, train
 
 CONFIG_ENV_VAR = "NLIATTN_CONFIG"
 
-_PATH_KEYS = (
-    "train_file",
-    "dev_file",
-    "snli_file",
-    "embeddings_file",
-    "out_dir",
-)
-_VALUE_KEYS = (
-    "snli_fraction",
-    "use_chars",
-    "word_dim",
-    "char_dim",
-    "char_hidden",
-    "hidden_per_dir",
-    "pooling",
-    "mlp_widths",
-    "dropout",
-    "learning_rate",
-    "batch_size",
-    "max_epochs",
-    "seed",
-    "max_premise_len",
-    "embedding_scale",
-)
-KNOWN_KEYS = set(_PATH_KEYS) | set(_VALUE_KEYS)
-
 
 @dataclass
 class RunConfig:
-    """Merged view of the config file and command-line overrides."""
+    """One run's settings: the model and training configs, plus the keys
+    only the command line reads (data and output paths, SNLI mixing and
+    the scale of random word vectors)."""
 
+    model: ModelConfig
+    train: TrainConfig
     train_file: str | None = None
     dev_file: str | None = None
     snli_file: str | None = None
     embeddings_file: str | None = None
     out_dir: str = "runs"
     snli_fraction: float = 0.15
-    use_chars: bool = False
-    word_dim: int = 300
-    char_dim: int = 20
-    char_hidden: int = 50
-    hidden_per_dir: int | None = None
-    pooling: str = "mean"
-    mlp_widths: tuple[int, ...] = (2000, 2000, 2000)
-    dropout: float = 0.25
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    max_epochs: int = 10
-    seed: int = 0
-    max_premise_len: int = 200
     embedding_scale: float = 0.05
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            encoder=EncoderConfig(
-                use_chars=self.use_chars,
-                word_dim=self.word_dim,
-                char_dim=self.char_dim,
-                char_hidden=self.char_hidden,
-                hidden_per_dir=self.hidden_per_dir,
-            ),
-            pooling=self.pooling,
-            mlp_widths=self.mlp_widths,
-            dropout=self.dropout,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            seed=self.seed,
-            max_premise_len=self.max_premise_len,
-        )
+    def __post_init__(self):
+        if not 0.0 <= self.snli_fraction <= 1.0:
+            raise ConfigError(f"snli_fraction must be in [0, 1], got {self.snli_fraction}")
+        if not 0.0 <= self.embedding_scale < math.inf:
+            raise ConfigError(
+                f"embedding_scale must be non-negative and finite, got {self.embedding_scale}"
+            )
 
     def effective_text(self) -> str:
+        """One sorted key=value line per key that has a value."""
+        owners = {
+            RunConfig: self,
+            ModelConfig: self.model,
+            EncoderConfig: self.model.encoder,
+            TrainConfig: self.train,
+        }
         lines = []
-        for key in sorted(KNOWN_KEYS):
-            value = getattr(self, key)
+        for key in sorted(_KEYS):
+            value = getattr(owners[_KEYS[key][0]], key)
             if value is None:
                 continue
             if isinstance(value, bool):
@@ -133,13 +91,54 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
+
+
+# A key's parser follows the annotation of its field.
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "str | None": str,
+    "tuple[int, ...]": lambda raw: tuple(int(w) for w in raw.split(",")),
+}
+
+# Config key -> (owning dataclass, annotation, parser): every field of
+# these dataclasses except the ones that hold another config.
+_KEYS = {
+    f.name: (owner, f.type, _PARSERS[f.type])
+    for owner in (RunConfig, EncoderConfig, ModelConfig, TrainConfig)
+    for f in fields(owner)
+    if f.name not in ("model", "train", "encoder")
+}
+KNOWN_KEYS = frozenset(_KEYS)
+
+# command-line flag -> the config key it overrides
+_FLAG_KEYS = {
+    "pooling": "pooling",
+    "seed": "seed",
+    "batch_size": "batch_size",
+    "epochs": "max_epochs",
+    "lr": "learning_rate",
+    "out_dir": "out_dir",
+    "chars": "use_chars",
+}
+
+
+def _parse_value(key: str, raw: str):
+    _, annotation, parse = _KEYS[key]
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key!r}: expected {annotation}, got {raw!r}") from exc
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -160,54 +159,25 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def build_run_config(args) -> RunConfig:
-    config = RunConfig()
+    """Merge the config file and the flags (flags win), then build the
+    configs, which check every value before anything is written."""
+    values = {}
     config_path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
     if config_path:
         if not os.path.exists(config_path):
             raise ConfigError(f"config file not found: {config_path}")
         for key, raw in parse_config_file(config_path).items():
-            _apply(config, key, raw)
-    _apply_flags(config, args)
-    return config
-
-
-def _apply(config: RunConfig, key: str, raw: str) -> None:
-    if key in _PATH_KEYS:
-        setattr(config, key, raw)
-    elif key == "use_chars":
-        config.use_chars = _parse_bool(raw, key)
-    elif key == "mlp_widths":
-        try:
-            config.mlp_widths = tuple(int(w) for w in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"config key mlp_widths: {raw!r}") from exc
-    elif key in ("snli_fraction", "dropout", "learning_rate", "embedding_scale"):
-        setattr(config, key, float(raw))
-    elif key == "pooling":
-        config.pooling = raw
-    else:  # integer knobs
-        try:
-            setattr(config, key, int(raw))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from exc
-
-
-def _apply_flags(config: RunConfig, args) -> None:
-    mapping = {
-        "pooling": "pooling",
-        "seed": "seed",
-        "batch_size": "batch_size",
-        "epochs": "max_epochs",
-        "lr": "learning_rate",
-        "out_dir": "out_dir",
-    }
-    for flag, key in mapping.items():
+            values[key] = _parse_value(key, raw)
+    for flag, key in _FLAG_KEYS.items():
         value = getattr(args, flag, None)
         if value is not None:
-            setattr(config, key, value)
-    chars = getattr(args, "chars", None)
-    if chars is not None:
-        config.use_chars = chars
+            values[key] = value
+
+    def owned_by(owner) -> dict:
+        return {key: value for key, value in values.items() if _KEYS[key][0] is owner}
+
+    model = ModelConfig(EncoderConfig(**owned_by(EncoderConfig)), **owned_by(ModelConfig))
+    return RunConfig(model, TrainConfig(**owned_by(TrainConfig)), **owned_by(RunConfig))
 
 
 def make_run_dir(config: RunConfig) -> Path:
@@ -247,7 +217,7 @@ def cmd_train(args) -> int:
     _require_files(config.train_file, config.dev_file, config.snli_file, config.embeddings_file)
     run_dir = make_run_dir(config)
     print(f"run directory: {run_dir}")
-    print(f"effective seed: {config.seed}")
+    print(f"effective seed: {config.train.seed}")
     try:
         train_load = load_dataset(config.train_file, "train")
         dev_load = load_dataset(config.dev_file, "dev")
@@ -262,16 +232,17 @@ def cmd_train(args) -> int:
                 train_examples,
                 snli_load.examples,
                 config.snli_fraction,
-                np.random.default_rng([config.seed, 15]),
+                np.random.default_rng([config.train.seed, 15]),
             )
             print(f"mixed in {len(train_examples) - train_load.kept} extra pairs")
 
-        vocab = Vocabulary.from_examples(train_examples, dim=config.word_dim)
-        char_vocab = CharVocabulary.from_examples(train_examples, dim=config.char_dim)
+        encoder = config.model.encoder
+        vocab = Vocabulary.from_examples(train_examples, dim=encoder.word_dim)
+        char_vocab = CharVocabulary.from_examples(train_examples, dim=encoder.char_dim)
         vocab.save(run_dir / "vocab.txt")
         char_vocab.save(run_dir / "char_vocab.txt")
 
-        emb_rng = np.random.default_rng([config.seed, 14])
+        emb_rng = np.random.default_rng([config.train.seed, 14])
         if config.embeddings_file:
             emb_load = load_embeddings(config.embeddings_file, vocab, emb_rng)
             embeddings = emb_load.parameter
@@ -281,17 +252,17 @@ def cmd_train(args) -> int:
             print(f"embeddings: random, scale {config.embedding_scale}")
 
         model = NLIModel(
-            config.model_config(),
+            config.model,
             vocab,
             char_vocab,
             embeddings,
-            np.random.default_rng([config.seed, 13]),
+            np.random.default_rng([config.train.seed, 13]),
         )
         result = train(
             model,
             train_examples,
             dev_load.examples,
-            config.train_config(),
+            config.train,
             checkpoint_path=run_dir / "best.ckpt",
             log_path=run_dir / "train.log",
         )
@@ -381,16 +352,16 @@ def cmd_sweep(args) -> int:
     _require_files(config.train_file, config.dev_file)
     run_dir = make_run_dir(config)
     print(f"run directory: {run_dir}")
-    print(f"effective seed: {config.seed}")
+    print(f"effective seed: {config.train.seed}")
     try:
         train_examples = load_dataset(config.train_file, "train").examples
         dev_examples = load_dataset(config.dev_file, "dev").examples
-        seeds = [config.seed + i for i in range(args.runs_per_cell)]
+        seeds = [config.train.seed + i for i in range(args.runs_per_cell)]
         runs, summary = evaluation.pooling_sweep(
             train_examples,
             dev_examples,
-            config.model_config(),
-            config.train_config(),
+            config.model,
+            config.train,
             runs_per_cell=args.runs_per_cell,
             seeds=seeds,
             embedding_scale=config.embedding_scale,

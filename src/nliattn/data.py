@@ -151,16 +151,30 @@ def mix_snli(
 
 
 class Vocabulary:
-    """Normalized token -> index map with reserved PAD/UNK/NUM entries."""
+    """Token -> index map; the reserved tokens take the first indices, in order.
 
-    def __init__(self, dim: int = 300):
+    Index order is insertion order, so a saved file's line n (after the
+    header) holds index n.  The word vocabulary holds normalized tokens.
+    """
+
+    reserved: tuple[str, ...] = (PAD_TOKEN, UNK_TOKEN, NUM_TOKEN)
+
+    def __init__(self, dim: int, tokens: Sequence[str] | None = None):
+        """A vocabulary holding ``tokens`` in index order, by default the
+        reserved tokens alone; a duplicate or misplaced reserved token is
+        rejected."""
+        tokens = list(self.reserved if tokens is None else tokens)
         self.dim = dim
-        self._index: dict[str, int] = {}
-        for reserved in (PAD_TOKEN, UNK_TOKEN, NUM_TOKEN):
-            self._index[reserved] = len(self._index)
+        self._index: dict[str, int] = {token: i for i, token in enumerate(tokens)}
+        if len(self._index) != len(tokens):
+            duplicate = next(t for i, t in enumerate(tokens) if self._index[t] != i)
+            raise DataError(f"duplicate vocabulary entry {duplicate!r}")
+        for i, token in enumerate(self.reserved):
+            if self._index.get(token) != i:
+                raise DataError(f"reserved token {token!r} misplaced")
+        self.pad = self._index[PAD_TOKEN]
+        self.unk = self._index[UNK_TOKEN]
 
-    pad = property(lambda self: self._index[PAD_TOKEN])
-    unk = property(lambda self: self._index[UNK_TOKEN])
     num = property(lambda self: self._index[NUM_TOKEN])
 
     def __len__(self):
@@ -170,7 +184,6 @@ class Vocabulary:
         return token in self._index
 
     def add(self, token: str) -> int:
-        token = normalize_token(token)
         if token not in self._index:
             self._index[token] = len(self._index)
         return self._index[token]
@@ -181,19 +194,29 @@ class Vocabulary:
     def tokens(self) -> list[str]:
         return list(self._index)  # insertion order == index order
 
+    @staticmethod
+    def _entries(token: str) -> Iterable[str]:
+        """What one corpus token adds to the vocabulary."""
+        return (normalize_token(token),)
+
     @classmethod
-    def from_examples(cls, examples: Iterable[NLIExample], dim: int = 300) -> "Vocabulary":
-        vocab = cls(dim=dim)
+    def from_examples(cls, examples: Iterable[NLIExample], dim: int) -> "Vocabulary":
+        vocab = cls(dim)
         for ex in examples:
-            for token in ex.premise_tokens:
-                vocab.add(token)
-            for token in ex.hypothesis_tokens:
-                vocab.add(token)
+            for token in (*ex.premise_tokens, *ex.hypothesis_tokens):
+                for entry in cls._entries(token):
+                    vocab.add(entry)
         return vocab
+
+    @classmethod
+    def _header_prefix(cls) -> str:
+        """The saved header up to its dim value: ``#reserved pad=0 unk=1 ... dim=``."""
+        reserved = " ".join(f"{token.strip('<>')}={i}" for i, token in enumerate(cls.reserved))
+        return f"#reserved {reserved} dim="
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#reserved pad={self.pad} unk={self.unk} num={self.num} dim={self.dim}\n")
+            fh.write(f"{self._header_prefix()}{self.dim}\n")
             for token in self.tokens():
                 fh.write(token + "\n")
 
@@ -201,83 +224,29 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
-            if not header.startswith("#reserved "):
-                raise DataError(f"{path}: missing vocabulary header")
-            fields = dict(kv.split("=") for kv in header[len("#reserved "):].split())
-            vocab = cls(dim=int(fields["dim"]))
-            vocab._index.clear()
-            for lineno, line in enumerate(fh):
-                vocab._index[line.rstrip("\n")] = lineno
-        for name, attr in (("pad", PAD_TOKEN), ("unk", UNK_TOKEN), ("num", NUM_TOKEN)):
-            if vocab._index.get(attr) != int(fields[name]):
-                raise DataError(f"{path}: reserved token {attr!r} misplaced")
-        return vocab
+            tokens = [line.rstrip("\n") for line in fh]
+        prefix = cls._header_prefix()
+        dim = header[len(prefix):]
+        if not header.startswith(prefix) or not dim.isdecimal():
+            raise DataError(f"{path}: header does not read '{prefix}<int>'")
+        try:
+            return cls(int(dim), tokens)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def content_hash(self) -> str:
         payload = f"dim={self.dim}\n" + "\n".join(self.tokens())
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class CharVocabulary:
+class CharVocabulary(Vocabulary):
     """Character -> index map built from training tokens, first-seen order."""
 
-    def __init__(self, dim: int = 20):
-        self.dim = dim
-        self._index: dict[str, int] = {PAD_TOKEN: 0, UNK_TOKEN: 1}
+    reserved = (PAD_TOKEN, UNK_TOKEN)
 
-    pad = property(lambda self: self._index[PAD_TOKEN])
-    unk = property(lambda self: self._index[UNK_TOKEN])
-
-    def __len__(self):
-        return len(self._index)
-
-    def add(self, ch: str) -> int:
-        if ch not in self._index:
-            self._index[ch] = len(self._index)
-        return self._index[ch]
-
-    def lookup(self, ch: str) -> int:
-        return self._index.get(ch, self.unk)
-
-    def chars(self) -> list[str]:
-        return list(self._index)
-
-    @classmethod
-    def from_examples(cls, examples: Iterable[NLIExample], dim: int = 20) -> "CharVocabulary":
-        vocab = cls(dim=dim)
-        for ex in examples:
-            for token in ex.premise_tokens:
-                for ch in token:
-                    vocab.add(ch)
-            for token in ex.hypothesis_tokens:
-                for ch in token:
-                    vocab.add(ch)
-        return vocab
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#reserved pad={self.pad} unk={self.unk} dim={self.dim}\n")
-            for ch in self.chars():
-                fh.write(ch + "\n")
-
-    @classmethod
-    def load(cls, path) -> "CharVocabulary":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            if not header.startswith("#reserved "):
-                raise DataError(f"{path}: missing char-vocabulary header")
-            fields = dict(kv.split("=") for kv in header[len("#reserved "):].split())
-            vocab = cls(dim=int(fields["dim"]))
-            vocab._index.clear()
-            for lineno, line in enumerate(fh):
-                vocab._index[line.rstrip("\n")] = lineno
-        if vocab._index.get(PAD_TOKEN) != int(fields["pad"]):
-            raise DataError(f"{path}: reserved PAD character misplaced")
-        return vocab
-
-    def content_hash(self) -> str:
-        payload = f"dim={self.dim}\n" + "\n".join(self.chars())
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    @staticmethod
+    def _entries(token: str) -> Iterable[str]:
+        return token  # its characters
 
 
 # ---------------------------------------------------------------------------
@@ -455,19 +424,23 @@ def make_batches(
     role: str,
     vocab: Vocabulary,
     char_vocab: CharVocabulary,
-    max_premise_len: int = 200,
+    max_premise_len: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> list[Batch]:
     """Assemble padded batches with masks.
 
-    Training drops pairs whose premise exceeds ``max_premise_len`` tokens
-    and draws a fresh seeded shuffle (pass the per-epoch generator); dev and
-    test keep every pair in file order.
+    Training drops pairs whose premise exceeds ``max_premise_len`` tokens,
+    when given, and draws a fresh seeded shuffle (pass the per-epoch
+    generator); dev and test keep every pair in file order.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if role == "train":
-        kept = [ex for ex in examples if len(ex.premise_tokens) <= max_premise_len]
+        kept = [
+            ex
+            for ex in examples
+            if max_premise_len is None or len(ex.premise_tokens) <= max_premise_len
+        ]
         order = np.arange(len(kept))
         if rng is not None:
             rng.shuffle(order)

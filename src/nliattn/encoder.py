@@ -37,9 +37,10 @@ POOLING_METHODS = ("mean", "sum", "last", "max")
 class EncoderConfig:
     """Structural hyperparameters of the encoder.
 
-    ``hidden_per_dir`` defaults to 300 (chars off) or 350 (chars on), so the
-    context vectors are 600- or 700-dimensional and the attention matrix is
-    square with twice that size on each side.
+    ``hidden_per_dir`` left unset (None) resolves from ``use_chars`` each
+    time it is read, as ``context_hidden``: 300 with chars off, 350 with
+    chars on, so the context vectors are 600- or 700-dimensional and the
+    attention matrix is square with twice that size on each side.
     """
 
     use_chars: bool = False
@@ -49,11 +50,17 @@ class EncoderConfig:
     hidden_per_dir: int | None = None
 
     def __post_init__(self):
-        if self.hidden_per_dir is None:
-            self.hidden_per_dir = 350 if self.use_chars else 300
         for name in ("word_dim", "char_dim", "char_hidden", "hidden_per_dir"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
+
+    @property
+    def context_hidden(self) -> int:
+        """Units per context BiLSTM direction."""
+        if self.hidden_per_dir is not None:
+            return self.hidden_per_dir
+        return 350 if self.use_chars else 300
 
     @property
     def input_dim(self) -> int:
@@ -62,7 +69,7 @@ class EncoderConfig:
     @property
     def rep_dim(self) -> int:
         """Width of a context vector h_i and of the sentence representations."""
-        return 2 * self.hidden_per_dir
+        return 2 * self.context_hidden
 
     @property
     def attention_dim(self) -> int:
@@ -250,10 +257,10 @@ class Encoder:
             self.char_embeddings = None
             self.char_cell = None
         self.forward_cell = LSTMCellParams(
-            "context_forward", config.input_dim, config.hidden_per_dir, rng
+            "context_forward", config.input_dim, config.context_hidden, rng
         )
         self.backward_cell = LSTMCellParams(
-            "context_backward", config.input_dim, config.hidden_per_dir, rng
+            "context_backward", config.input_dim, config.context_hidden, rng
         )
         a = config.attention_dim
         self.attention_w = Parameter(rng.uniform(-0.005, 0.005, (a, a)), name="attention.w")

@@ -9,14 +9,14 @@ summarizes them as mean +/- a 95% Student-t interval plus a per-cell best.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
 from .classifier import PredictionDistribution
-from .data import LABELS, NLIExample, make_batches
+from .data import LABELS, CharVocabulary, NLIExample, Vocabulary, make_batches, random_embeddings
 from .errors import ConfigError, InvalidInputError
 from .model import NLIModel
 
@@ -321,30 +321,20 @@ def _sweep_one(args) -> SweepRun:
         seed,
         train_examples,
         dev_examples,
-        base_config_dict,
+        base_config,
         train_config,
         embedding_scale,
-        word_dim,
     ) = args
-    from .data import CharVocabulary, Vocabulary, random_embeddings
-    from .model import ModelConfig, NLIModel
-    from .training import TrainConfig, train
+    from .training import train
 
-    vocab = Vocabulary.from_examples(train_examples, dim=word_dim)
-    chars = CharVocabulary.from_examples(train_examples, dim=base_config_dict["char_dim"])
+    # an unset hidden_per_dir stays unset, so each cell resolves its own width
+    encoder = replace(base_config.encoder, use_chars=use_chars)
+    config = replace(base_config, encoder=encoder, pooling=method)
+    vocab = Vocabulary.from_examples(train_examples, dim=encoder.word_dim)
+    chars = CharVocabulary.from_examples(train_examples, dim=encoder.char_dim)
     rng = np.random.default_rng(seed)
-    config = ModelConfig.from_dict(
-        {**base_config_dict, "use_chars": use_chars, "pooling": method}
-    )
     model = NLIModel(config, vocab, chars, random_embeddings(vocab, rng, embedding_scale), rng)
-    run_config = TrainConfig(
-        learning_rate=train_config.learning_rate,
-        batch_size=train_config.batch_size,
-        max_epochs=train_config.max_epochs,
-        seed=seed,
-        max_premise_len=train_config.max_premise_len,
-    )
-    result = train(model, train_examples, dev_examples, run_config)
+    result = train(model, train_examples, dev_examples, replace(train_config, seed=seed))
     return SweepRun(
         method=method, use_chars=use_chars, seed=seed, best_dev_accuracy=result.best_dev_accuracy
     )
@@ -370,7 +360,6 @@ def pooling_sweep(
     if len(seeds) != runs_per_cell:
         raise ConfigError(f"expected {runs_per_cell} seeds, got {len(seeds)}")
 
-    base_dict = base_config.to_dict()
     grid = [(m, flag) for m in methods for flag in (False, True)]
     tasks = [
         (
@@ -379,10 +368,9 @@ def pooling_sweep(
             int(seeds[run]) + 10_000 * cell_index,
             list(train_examples),
             list(dev_examples),
-            base_dict,
+            base_config,
             train_config,
             embedding_scale,
-            base_dict["word_dim"],
         )
         for cell_index, (method, use_chars) in enumerate(grid)
         for run in range(runs_per_cell)

@@ -7,7 +7,7 @@ mismatched artifacts are caught instead of silently mis-predicting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,34 +34,20 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         self.mlp_widths = tuple(int(w) for w in self.mlp_widths)
+        if any(w < 1 for w in self.mlp_widths):
+            raise ConfigError(f"mlp_widths must be positive, got {self.mlp_widths}")
 
     def to_dict(self) -> dict:
-        e = self.encoder
-        return {
-            "use_chars": e.use_chars,
-            "word_dim": e.word_dim,
-            "char_dim": e.char_dim,
-            "char_hidden": e.char_hidden,
-            "hidden_per_dir": e.hidden_per_dir,
-            "pooling": self.pooling,
-            "mlp_widths": list(self.mlp_widths),
-            "dropout": self.dropout,
-        }
+        """Every field, the encoder's inlined, with ``hidden_per_dir`` resolved."""
+        flat = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "encoder"}
+        flat.update((f.name, getattr(self.encoder, f.name)) for f in fields(self.encoder))
+        flat["hidden_per_dir"] = self.encoder.context_hidden
+        return flat
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            encoder=EncoderConfig(
-                use_chars=bool(d["use_chars"]),
-                word_dim=int(d["word_dim"]),
-                char_dim=int(d["char_dim"]),
-                char_hidden=int(d["char_hidden"]),
-                hidden_per_dir=int(d["hidden_per_dir"]),
-            ),
-            pooling=d["pooling"],
-            mlp_widths=tuple(d["mlp_widths"]),
-            dropout=float(d["dropout"]),
-        )
+        encoder = EncoderConfig(**{f.name: d[f.name] for f in fields(EncoderConfig)})
+        return cls(encoder, **{f.name: d[f.name] for f in fields(cls) if f.name != "encoder"})
 
 
 class NLIModel:

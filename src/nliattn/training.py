@@ -14,6 +14,7 @@ little-endian float32 parameter blob in manifest order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
@@ -39,12 +40,15 @@ class TrainConfig:
     max_epochs: int = 10
     seed: int = 0
     max_premise_len: int = 200
-    rho: float = 0.9
-    eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("learning_rate, batch_size and max_epochs must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite: {self.learning_rate}")
+        for name in ("batch_size", "max_epochs", "max_premise_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class RMSProp:
@@ -58,7 +62,7 @@ class RMSProp:
     def __init__(
         self,
         params: dict[str, Parameter],
-        learning_rate: float = 0.001,
+        learning_rate: float,
         rho: float = 0.9,
         eps: float = 1e-8,
     ):
@@ -153,9 +157,7 @@ def train(
     """
     if not len(dev_examples):
         raise InvalidInputError("train: empty dev set")
-    optimizer = RMSProp(
-        model.parameters(), learning_rate=config.learning_rate, rho=config.rho, eps=config.eps
-    )
+    optimizer = RMSProp(model.parameters(), learning_rate=config.learning_rate)
     result = TrainResult(best_epoch=0, best_dev_accuracy=-1.0)
     best_snapshot: dict[str, np.ndarray] | None = None
 
@@ -238,7 +240,7 @@ def _manifest_for(model: NLIModel, epoch, dev_accuracy, seed) -> dict:
         "version": 1,
         "config": model.config.to_dict(),
         "vocab": {"dim": model.vocab.dim, "tokens": model.vocab.tokens()},
-        "char_vocab": {"dim": model.char_vocab.dim, "chars": model.char_vocab.chars()},
+        "char_vocab": {"dim": model.char_vocab.dim, "chars": model.char_vocab.tokens()},
         "vocab_hash": model.vocab_hash,
         "char_vocab_hash": model.char_vocab_hash,
         "epoch": epoch,
@@ -289,18 +291,6 @@ class LoadedCheckpoint:
     manifest: dict
 
 
-def _rebuild_vocab(payload: dict) -> Vocabulary:
-    vocab = Vocabulary(dim=int(payload["dim"]))
-    vocab._index = {token: i for i, token in enumerate(payload["tokens"])}
-    return vocab
-
-
-def _rebuild_char_vocab(payload: dict) -> CharVocabulary:
-    vocab = CharVocabulary(dim=int(payload["dim"]))
-    vocab._index = {ch: i for i, ch in enumerate(payload["chars"])}
-    return vocab
-
-
 def load_checkpoint(
     path,
     vocab: Vocabulary | None = None,
@@ -339,8 +329,10 @@ def load_checkpoint(
             f"{path}: parameter blob holds {len(blob)} bytes, manifest declares {expected * 4}"
         )
 
-    saved_vocab = _rebuild_vocab(manifest["vocab"])
-    saved_chars = _rebuild_char_vocab(manifest["char_vocab"])
+    saved_vocab = Vocabulary(int(manifest["vocab"]["dim"]), manifest["vocab"]["tokens"])
+    saved_chars = CharVocabulary(
+        int(manifest["char_vocab"]["dim"]), manifest["char_vocab"]["chars"]
+    )
     if saved_vocab.content_hash() != manifest["vocab_hash"]:
         raise IntegrityError(f"{path}: vocabulary does not match its recorded hash")
     if saved_chars.content_hash() != manifest["char_vocab_hash"]:

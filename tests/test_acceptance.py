@@ -288,9 +288,9 @@ class TestProtocolFidelity:
         examples = synth.synthetic_examples(4, seed=1)
         long_ex = examples[0].__class__("long", "g", ["w"] * 201, ["x"], "neutral")
         vocab = Vocabulary.from_examples(examples, dim=6)
-        chars = CharVocabulary.from_examples(examples)
+        chars = CharVocabulary.from_examples(examples, dim=20)
         total = lambda role: sum(
-            len(b) for b in make_batches(examples + [long_ex], 8, role, vocab, chars)
+            len(b) for b in make_batches(examples + [long_ex], 8, role, vocab, chars, 200)
         )
         assert total("train") == 4 and total("dev") == 5
 

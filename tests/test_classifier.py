@@ -53,7 +53,7 @@ class TestAggregate:
 
 class TestClassify:
     def _params(self, input_dim=6, widths=(4, 4, 4), seed=1):
-        return clf.MLPParams(input_dim, np.random.default_rng(seed), widths=widths)
+        return clf.MLPParams(input_dim, np.random.default_rng(seed), widths=widths, dropout=0.25)
 
     def test_zero_network_gives_uniform_and_class_zero(self):
         params = self._params()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nliattn import autodiff as ad
-from nliattn import gradcheck
+from nliattn import cli, gradcheck, training
 from nliattn.cli import CONFIG_ENV_VAR, main
 from conftest import FIXTURES, find_run_dir, write_tiny_config
 
@@ -41,6 +41,43 @@ class TestConfigHandling:
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["definitely-not-a-command"]) == 1
+
+    def test_known_keys_pinned(self):
+        # a new key must be added here on purpose
+        assert cli.KNOWN_KEYS == {
+            "train_file", "dev_file", "snli_file", "embeddings_file", "out_dir",
+            "snli_fraction", "embedding_scale",
+            "use_chars", "word_dim", "char_dim", "char_hidden", "hidden_per_dir",
+            "pooling", "mlp_widths", "dropout",
+            "learning_rate", "batch_size", "max_epochs", "seed", "max_premise_len",
+        }
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("learning_rate", "abc"),
+            ("learning_rate", "nan"),
+            ("use_chars", "maybe"),
+            ("pooling", "median"),
+            ("dropout", "1.5"),
+            ("hidden_per_dir", "0"),
+            ("mlp_widths", "8,x"),
+            ("seed", "-1"),
+            ("snli_fraction", "2"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_malformed_value_exits_1_before_run_dir(self, tmp_path, capsys, key, value, command):
+        config = write_tiny_config(tmp_path, **{key: value})
+        assert main([command, "--config", str(config)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_malformed_flag_exits_1_before_run_dir(self, tmp_path, capsys):
+        config = write_tiny_config(tmp_path)
+        assert main(["train", "--config", str(config), "--lr", "-1"]) == 1
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestTrain:
@@ -267,6 +304,32 @@ class TestSweepAndExport:
         assert (run_dir / "sweep_best.txt").exists()
         for method in ("mean", "sum", "last", "max"):
             assert method in (run_dir / "sweep_mean.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "keep_hidden,flags,widths",
+        [
+            (False, [], {False: 600, True: 700}),
+            (False, ["--chars"], {False: 600, True: 700}),
+            (True, ["--chars"], {False: 8, True: 8}),
+        ],
+    )
+    def test_sweep_cell_width(self, tmp_path, capsys, monkeypatch, keep_hidden, flags, widths):
+        # unset hidden_per_dir: each cell resolves it from its own use_chars,
+        # whatever the base use_chars; an explicit value holds in every cell
+        seen = {}
+
+        def fake_train(model, *args, **kwargs):
+            seen.setdefault(model.config.encoder.use_chars, set()).add(model.rep_dim)
+            return training.TrainResult(best_epoch=1, best_dev_accuracy=0.5)
+
+        monkeypatch.setattr(training, "train", fake_train)
+        config = write_tiny_config(tmp_path, max_epochs=1)
+        lines = config.read_text().splitlines()
+        if not keep_hidden:
+            lines = [line for line in lines if not line.startswith("hidden_per_dir=")]
+        config.write_text("\n".join(lines) + "\n")
+        assert main(["sweep", "--config", str(config), "--runs-per-cell", "2"] + flags) == 0
+        assert seen == {flag: {width} for flag, width in widths.items()}
 
     @pytest.mark.parametrize("key", ["snli_file", "embeddings_file"])
     def test_sweep_rejects_unsupported_key(self, tmp_path, capsys, key):

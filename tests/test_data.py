@@ -135,7 +135,7 @@ class TestMixSnli:
 
 class TestVocabulary:
     def test_reserved_indices_distinct(self):
-        vocab = data.Vocabulary()
+        vocab = data.Vocabulary(dim=300)
         assert len({vocab.pad, vocab.unk, vocab.num}) == 3
 
     def test_build_and_lookup(self):
@@ -158,14 +158,39 @@ class TestVocabulary:
 
     def test_char_vocab_round_trip(self, tmp_path):
         exs = [data.NLIExample("1", "g", ["abc"], ["dé"], "neutral")]
-        chars = data.CharVocabulary.from_examples(exs)
+        chars = data.CharVocabulary.from_examples(exs, dim=20)
         path = tmp_path / "chars.txt"
         chars.save(path)
         loaded = data.CharVocabulary.load(path)
-        assert loaded.chars() == chars.chars()
+        assert loaded.tokens() == chars.tokens()
         assert loaded.content_hash() == chars.content_hash()
         assert loaded.lookup("é") == chars.lookup("é")
         assert loaded.lookup("°") == loaded.unk
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("#reserved pad=0 unk=1 num=2 dim=4\n<pad>\n<unk>\n<num>\ncat\ncat\ndog\n")
+        with pytest.raises(DataError, match="'cat'"):
+            data.Vocabulary.load(path)
+        with pytest.raises(DataError, match="'a'"):
+            data.CharVocabulary(3, ["<pad>", "<unk>", "a", "b", "a"])
+
+    def test_char_vocab_unk_must_be_in_place(self, tmp_path):
+        path = tmp_path / "chars.txt"
+        path.write_text("#reserved pad=0 unk=1 dim=3\n<pad>\na\n<unk>\n")
+        with pytest.raises(DataError, match="<unk>"):
+            data.CharVocabulary.load(path)
+        with pytest.raises(DataError, match="<unk>"):
+            data.CharVocabulary(3, ["<pad>", "a"])
+
+    def test_header_must_list_the_files_reserved_tokens(self, tmp_path):
+        words = data.Vocabulary.from_examples(
+            [data.NLIExample("1", "g", ["cat"], ["dog"], "neutral")], dim=4
+        )
+        path = tmp_path / "vocab.txt"
+        words.save(path)
+        with pytest.raises(DataError, match="header"):
+            data.CharVocabulary.load(path)
 
 
 class TestEmbeddings:
@@ -231,13 +256,13 @@ class TestMakeBatches:
             for i in range(5)
         ]
         vocab = data.Vocabulary.from_examples(exs, dim=4)
-        chars = data.CharVocabulary.from_examples(exs)
+        chars = data.CharVocabulary.from_examples(exs, dim=20)
         return exs, vocab, chars
 
     def test_long_premise_dropped_in_train_only(self):
         exs, vocab, chars = self._fixtures()
         long_ex = data.NLIExample("long", "g", ["w"] * 201, ["x"], "neutral")
-        batches = data.make_batches(exs + [long_ex], 16, "train", vocab, chars)
+        batches = data.make_batches(exs + [long_ex], 16, "train", vocab, chars, 200)
         assert sum(len(b) for b in batches) == 5
         batches = data.make_batches(exs + [long_ex], 16, "dev", vocab, chars)
         assert sum(len(b) for b in batches) == 6

@@ -32,7 +32,7 @@ class OracleStub:
 
     def __init__(self, examples):
         self.vocab = Vocabulary.from_examples(examples, dim=4)
-        self.char_vocab = CharVocabulary.from_examples(examples)
+        self.char_vocab = CharVocabulary.from_examples(examples, dim=20)
         self.vocab_hash = self.vocab.content_hash()
         self.char_vocab_hash = self.char_vocab.content_hash()
 

@@ -49,7 +49,7 @@ def build_model(
 class TestRMSProp:
     def test_zero_gradient_is_fixed_point(self):
         p = Parameter(np.array([1.0, -2.0]), name="theta")
-        opt = RMSProp({"theta": p})
+        opt = RMSProp({"theta": p}, learning_rate=0.001)
         before = p.data.copy()
         opt.step()
         np.testing.assert_array_equal(p.data, before)
@@ -69,7 +69,7 @@ class TestRMSProp:
     def test_frozen_parameter_untouched_over_many_steps(self):
         frozen = Parameter(np.full((3, 2), 0.25), name="emb", trainable=False)
         live = Parameter(np.ones(2), name="w")
-        opt = RMSProp({"emb": frozen, "w": live})
+        opt = RMSProp({"emb": frozen, "w": live}, learning_rate=0.001)
         before = frozen.data.copy()
         for _ in range(100):
             live.value.grad = np.ones(2, dtype=np.float32)
@@ -83,7 +83,7 @@ class TestRMSProp:
         # the finite parameter comes first: it must not move either
         q = Parameter(np.ones(2), name="bias")
         p = Parameter(np.ones(2), name="w_ih")
-        opt = RMSProp({"bias": q, "w_ih": p})
+        opt = RMSProp({"bias": q, "w_ih": p}, learning_rate=0.001)
         q.value.grad = np.array([1.0, -1.0], dtype=np.float32)
         for bad in (np.nan, np.inf, -np.inf):
             p.value.grad = np.array([bad, 0.0], dtype=np.float32)
