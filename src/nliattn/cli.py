@@ -349,6 +349,10 @@ def cmd_sweep(args) -> int:
     for key in ("snli_file", "embeddings_file"):
         if getattr(config, key) is not None:
             raise ConfigError(f"sweep does not support {key}; remove it from the config")
+    if args.runs_per_cell < 2:
+        raise ConfigError(
+            f"runs_per_cell must be at least 2 for interval estimates, got {args.runs_per_cell}"
+        )
     _require_files(config.train_file, config.dev_file)
     run_dir = make_run_dir(config)
     print(f"run directory: {run_dir}")

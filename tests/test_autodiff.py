@@ -69,6 +69,22 @@ class TestElementwise:
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 2e-7), (np.float64, 1e-15)])
+    def test_sigmoid_matches_expit(self, dtype, atol):
+        from scipy.special import expit
+
+        x = np.concatenate([np.linspace(-100.0, 100.0, 20001), [-1e4, 1e4]]).astype(dtype)
+        with np.errstate(all="raise"):
+            y = ad._sigmoid(x)
+            into = np.empty_like(x)
+            assert ad._sigmoid(x, out=into) is into
+            scalar = ad._sigmoid(np.array(dtype(0.75)))
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y, expit(x.astype(np.float64)), rtol=0, atol=atol)
+        np.testing.assert_array_equal(into, y)
+        assert isinstance(scalar, np.ndarray) and scalar.shape == ()
+        assert abs(float(scalar) - expit(0.75)) <= atol
+
 
 class TestMaskedSoftmax:
     """Softmax over the live positions of each packed sentence (``segment_softmax``)."""

@@ -79,6 +79,12 @@ class TestConfigHandling:
         assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    def test_sweep_runs_per_cell_below_two_exits_1_before_run_dir(self, tmp_path, capsys):
+        config = write_tiny_config(tmp_path)
+        assert main(["sweep", "--config", str(config), "--runs-per-cell", "1"]) == 1
+        assert "runs_per_cell" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestTrain:
     def test_fixture_corpus_trains_and_writes_artifacts(self, trained_run):

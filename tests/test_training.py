@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from nliattn import synth, training
-from nliattn.autodiff import Parameter
+from nliattn.autodiff import Parameter, precision
 from nliattn.data import CharVocabulary, Vocabulary, make_batches, random_embeddings
 from nliattn.encoder import EncoderConfig
 from nliattn.errors import ConfigError, IntegrityError, InvalidInputError, NumericError
 from nliattn.model import ModelConfig, NLIModel
 from nliattn.training import (
+    CHUNK,
     RMSProp,
     TrainConfig,
     load_checkpoint,
@@ -46,7 +47,69 @@ def build_model(
     return model
 
 
+def whole_array_rmsprop(thetas, grads, square_avgs, learning_rate, rho=0.9, eps=1e-8):
+    """The reference update: the in-place ufunc sequence of RMSProp.step,
+    run over each whole array at once."""
+    for theta, g, s in zip(thetas, grads, square_avgs):
+        term, denom = np.empty_like(g), np.empty_like(g)
+        s *= rho
+        np.multiply(g, 1.0 - rho, out=term)
+        term *= g
+        s += term
+        np.multiply(g, learning_rate, out=term)
+        np.sqrt(s, out=denom)
+        denom += eps
+        term /= denom
+        theta -= term
+
+
 class TestRMSProp:
+    def _check_against_whole_array(self, make_grad, steps):
+        rng = np.random.default_rng(5)
+        shapes = {"one": (1,), "chunk": (256, CHUNK // 256), "chunk_plus_one": (CHUNK + 1,),
+                  "three_chunks_plus_7": (3 * CHUNK + 7,)}
+        params = {name: Parameter(rng.normal(size=shape), name=name)
+                  for name, shape in shapes.items()}
+        params["frozen"] = Parameter(rng.normal(size=(3, 4)), name="frozen", trainable=False)
+        frozen_before = params["frozen"].data.copy()
+        live = [p for p in params.values() if p.trainable]
+        ref_thetas = [p.data.copy() for p in live]
+        ref_avgs = [np.zeros_like(p.data) for p in live]
+        opt = RMSProp(params, learning_rate=0.003)
+        for _ in range(steps):
+            opt.zero_grads()
+            grads = [make_grad(rng, p.shape, p.data.dtype) for p in live]
+            for p, g in zip(live, grads):
+                p.value.grad = g
+            params["frozen"].value.grad = np.ones_like(frozen_before)
+            opt.step()
+            whole_array_rmsprop(ref_thetas, grads, ref_avgs, learning_rate=0.003)
+        for p, theta, s in zip(live, ref_thetas, ref_avgs):
+            assert p.data.dtype == theta.dtype
+            assert np.array_equal(p.data, theta), p.name
+            assert np.array_equal(opt.square_avg[p.name], s), p.name
+        np.testing.assert_array_equal(params["frozen"].data, frozen_before)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocked_update_bit_identical_to_whole_array(self, dtype):
+        def spread(rng, shape, dt):
+            # magnitudes from 1e-4 to 1e2, either sign
+            mag = 10.0 ** rng.uniform(-4.0, 2.0, size=shape)
+            return (mag * rng.choice([-1.0, 1.0], size=shape)).astype(dt)
+
+        with precision(dtype):
+            self._check_against_whole_array(spread, steps=20)
+
+    def test_finite_gradient_whose_square_overflows_is_accepted(self):
+        def huge(rng, shape, dt):
+            g = rng.normal(size=shape).astype(dt)
+            g.flat[0] = 1e20  # finite in float32; its square is not
+            return g
+
+        # the square average overflows to inf in both updates, and the step is 0
+        with np.errstate(over="ignore"):
+            self._check_against_whole_array(huge, steps=2)
+
     def test_zero_gradient_is_fixed_point(self):
         p = Parameter(np.array([1.0, -2.0]), name="theta")
         opt = RMSProp({"theta": p}, learning_rate=0.001)
@@ -185,6 +248,17 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for name, p in model.parameters().items():
             np.testing.assert_array_equal(loaded.model.parameters()[name].data, p.data)
+
+    def test_float64_model_saves_the_bytes_of_its_float32_cast(self, tmp_path):
+        examples = synth.synthetic_examples(9, seed=21)
+        with precision("float64"):
+            model = build_model(examples, seed=22)
+        assert all(p.data.dtype == np.float64 for p in model.parameters().values())
+        save_checkpoint(model, tmp_path / "wide.ckpt", epoch=1)
+        for p in model.parameters().values():
+            p.value.data = p.data.astype(np.float32)
+        save_checkpoint(model, tmp_path / "narrow.ckpt", epoch=1)
+        assert (tmp_path / "wide.ckpt").read_bytes() == (tmp_path / "narrow.ckpt").read_bytes()
 
     def test_save_load_save_byte_identical(self, tmp_path):
         model, path, _ = self._trained(tmp_path)
