@@ -23,6 +23,8 @@ import numpy as np
 
 from . import evaluation, gradcheck
 from .data import (
+    EMBEDDING_SCALE,
+    SNLI_FRACTION,
     CharVocabulary,
     Vocabulary,
     load_dataset,
@@ -59,8 +61,8 @@ class RunConfig:
     snli_file: str | None = None
     embeddings_file: str | None = None
     out_dir: str = "runs"
-    snli_fraction: float = 0.15
-    embedding_scale: float = 0.05
+    snli_fraction: float = SNLI_FRACTION
+    embedding_scale: float = EMBEDDING_SCALE
 
     def __post_init__(self):
         if not 0.0 <= self.snli_fraction <= 1.0:

@@ -27,6 +27,12 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 NUM_TOKEN = "<num>"
 
+# defaults of the snli_fraction and embedding_scale config keys and of the
+# functions that take them: the share of the SNLI corpus mixed into
+# training, and the bound of uniform random word vectors
+SNLI_FRACTION = 0.15
+EMBEDDING_SCALE = 0.05
+
 # optional sign, digit groups optionally separated by commas, optional
 # single decimal part: "3", "1,200", "3.5", "-7", "+12,345.67"
 _NUMERIC_RE = re.compile(r"^[+-]?\d+(?:,\d+)*(?:\.\d+)?$")
@@ -130,7 +136,7 @@ def load_dataset(path, split_role: str = "train") -> DatasetLoad:
 def mix_snli(
     multinli_train: Sequence[NLIExample],
     snli_train: Sequence[NLIExample],
-    fraction: float = 0.15,
+    fraction: float = SNLI_FRACTION,
     rng: np.random.Generator | None = None,
 ) -> list[NLIExample]:
     """Append a seeded uniform sample (without replacement) of the second
@@ -254,14 +260,16 @@ class CharVocabulary(Vocabulary):
 
 
 def _init_embedding_matrix(
-    vocab: Vocabulary, rng: np.random.Generator, scale: float = 0.05
+    vocab: Vocabulary, rng: np.random.Generator, scale: float = EMBEDDING_SCALE
 ) -> np.ndarray:
     matrix = rng.uniform(-scale, scale, size=(len(vocab), vocab.dim)).astype(np.float32)
     matrix[vocab.pad] = 0.0
     return matrix
 
 
-def random_embeddings(vocab: Vocabulary, rng: np.random.Generator, scale: float = 0.05):
+def random_embeddings(
+    vocab: Vocabulary, rng: np.random.Generator, scale: float = EMBEDDING_SCALE
+):
     """Frozen embedding matrix with every non-PAD row drawn uniform(-scale, scale).
 
     Stand-in for pretrained vectors when none are available; the default
@@ -285,9 +293,10 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
     """Load pretrained vectors for the vocabulary.
 
     File rows are copied verbatim; vocabulary tokens absent from the file
-    (UNK and NUM included) keep their uniform(-0.05, 0.05) initialization;
-    the PAD row stays zero.  Malformed lines are skipped and counted; a file
-    whose vector width disagrees with the vocabulary dimension is rejected.
+    (UNK and NUM included) keep their uniform(-EMBEDDING_SCALE,
+    EMBEDDING_SCALE) initialization; the PAD row stays zero.  Malformed
+    lines are skipped and counted; a file whose vector width disagrees
+    with the vocabulary dimension is rejected.
     The resulting parameter is frozen: these vectors are never fine-tuned.
     """
     from .autodiff import Parameter

@@ -16,7 +16,15 @@ import numpy as np
 from scipy import stats
 
 from .classifier import PredictionDistribution
-from .data import LABELS, CharVocabulary, NLIExample, Vocabulary, make_batches, random_embeddings
+from .data import (
+    EMBEDDING_SCALE,
+    LABELS,
+    CharVocabulary,
+    NLIExample,
+    Vocabulary,
+    make_batches,
+    random_embeddings,
+)
 from .errors import ConfigError, InvalidInputError
 from .model import NLIModel
 
@@ -348,7 +356,7 @@ def pooling_sweep(
     runs_per_cell: int,
     seeds: Sequence[int] | None = None,
     methods: Sequence[str] = ("mean", "sum", "last", "max"),
-    embedding_scale: float = 0.05,
+    embedding_scale: float = EMBEDDING_SCALE,
     jobs: int = 1,
 ) -> tuple[list[SweepRun], SweepSummary]:
     """Train every (method x chars) cell ``runs_per_cell`` times with distinct

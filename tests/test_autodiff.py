@@ -290,6 +290,74 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
+    @staticmethod
+    def _separate_leaf_grads(op):
+        x = ad.Tensor(np.array([1.0, -2.0]))
+        y = ad.Tensor(np.array([0.5, 4.0]))
+        with ad.Tape() as tape:
+            loss = ad.sum_all(op(x, y))
+        tape.backward(loss)
+        expected = y.grad.copy()
+        x.grad += 100.0
+        np.testing.assert_array_equal(y.grad, expected)
+        return x, y
+
+    def test_add_of_two_leaves_gives_each_its_own_grad(self):
+        # add hands its upstream gradient straight through, to both leaves
+        x, y = self._separate_leaf_grads(ad.add)
+        assert not np.shares_memory(x.grad, y.grad)
+
+    def test_concat_slices_give_each_leaf_its_own_grad(self):
+        # concat hands each leaf a view of one gradient array
+        x, y = self._separate_leaf_grads(lambda a, b: ad.concat([a, b]))
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        assert x.grad.base is None and y.grad.base is None
+
+    def test_one_fresh_array_for_two_leaves_is_copied_once(self):
+        shared = []
+
+        def doubled(a, b):
+            out = ad.Tensor(a.data + b.data)
+
+            def back(g):
+                shared.append(2.0 * g)
+                return shared[0], shared[0]
+
+            return ad._emit(out, (a, b), back)
+
+        x, y = self._separate_leaf_grads(doubled)
+        assert (x.grad is shared[0]) != (y.grad is shared[0])
+
+    def test_fresh_leaf_gradient_kept_without_a_copy(self):
+        x = ad.Tensor(np.array([1.0, -2.0]))
+        made = []
+
+        def back(g):
+            made.append(3.0 * g)
+            return (made[0],)
+
+        with ad.Tape() as tape:
+            loss = ad.sum_all(ad._emit(ad.Tensor(3.0 * x.data), (x,), back))
+        tape.backward(loss)
+        assert x.grad is made[0]
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+class TestAffine:
+    @pytest.mark.parametrize("rows", [1, 8, 32])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_float64_reference(self, rows, dtype):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 300))
+        w = rng.uniform(-0.06, 0.06, size=(200, 300))
+        b = rng.normal(size=200)
+        expected = x @ w.T + b
+        with ad.precision(dtype):
+            out = ad.affine(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        tolerance = 1e-5 if dtype == "float32" else 1e-12
+        np.testing.assert_allclose(out.data, expected, rtol=tolerance, atol=tolerance)
+
 
 class TestOperationSuite:
     def test_every_operation_within_tolerance(self):

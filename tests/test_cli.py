@@ -1,5 +1,8 @@
+import inspect
 import io
 import json
+import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -51,6 +54,22 @@ class TestConfigHandling:
             "pooling", "mlp_widths", "dropout",
             "learning_rate", "batch_size", "max_epochs", "seed", "max_premise_len",
         }
+
+    def test_cli_only_defaults_follow_the_data_constants(self):
+        # the command line and the functions that take these values share
+        # one default each, so changing it in data.py moves them all
+        from nliattn import data, evaluation
+
+        defaults = {f.name: f.default for f in fields(cli.RunConfig)}
+        assert defaults["snli_fraction"] == data.SNLI_FRACTION == 0.15
+        assert defaults["embedding_scale"] == data.EMBEDDING_SCALE == 0.05
+        for function, name, constant in [
+            (data.mix_snli, "fraction", data.SNLI_FRACTION),
+            (data.random_embeddings, "scale", data.EMBEDDING_SCALE),
+            (data._init_embedding_matrix, "scale", data.EMBEDDING_SCALE),
+            (evaluation.pooling_sweep, "embedding_scale", data.EMBEDDING_SCALE),
+        ]:
+            assert inspect.signature(function).parameters[name].default == constant
 
     @pytest.mark.parametrize(
         "key,value",
@@ -205,6 +224,20 @@ class TestEval:
             ["eval", "--checkpoint", str(broken), "--data", str(trained_run["dev"])]
         )
         assert code == 2
+
+    def test_malformed_manifest_exits_2(self, trained_run, tmp_path, capsys):
+        raw = trained_run["checkpoint"].read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[:8])
+        manifest = json.loads(raw[8 : 8 + header_len])
+        del manifest["parameters"]
+        header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(struct.pack("<Q", len(header)) + header + raw[8 + header_len :])
+        code = main(
+            ["eval", "--checkpoint", str(broken), "--data", str(trained_run["dev"])]
+        )
+        assert code == 2
+        assert "'parameters'" in capsys.readouterr().err
 
 
 class TestEnsemble:

@@ -319,6 +319,115 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("change", [-1, -64, 1], ids=["1-short", "64-short", "1-long"])
+    def test_blob_of_wrong_size_rejected(self, tmp_path, change):
+        _, path, _ = self._trained(tmp_path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:change] if change < 0 else blob + b"\x00" * change)
+        with pytest.raises(IntegrityError, match="blob holds"):
+            load_checkpoint(path)
+
+    def test_short_read_names_the_parameter(self, tmp_path, monkeypatch):
+        _, path, _ = self._trained(tmp_path)
+        victim = json.loads(self._manifest_bytes(path))["parameters"][2]["name"]
+
+        class ShortThirdRead:
+            """File whose third readinto stops half-way, as if cut under the reader."""
+
+            def __init__(self, fh):
+                self.fh = fh
+                self.reads = 0
+
+            def readinto(self, buffer):
+                self.reads += 1
+                view = memoryview(buffer).cast("B")
+                return self.fh.readinto(view[: len(view) // 2] if self.reads == 3 else view)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(
+            training, "open",
+            lambda *args, **kwargs: ShortThirdRead(builtins.open(*args, **kwargs)),
+            raising=False,
+        )
+        with pytest.raises(IntegrityError, match=f"parameter {victim}$"):
+            load_checkpoint(path)
+
+    def test_float64_load_equals_float32_values(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        with precision("float64"):
+            loaded = load_checkpoint(path)
+        for name, p in loaded.model.parameters().items():
+            assert p.data.dtype == np.float64
+            np.testing.assert_array_equal(p.data, model.parameters()[name].data)
+
+    @staticmethod
+    def _manifest_bytes(path) -> bytes:
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[:8])
+        return raw[8 : 8 + header_len]
+
+    def _rewrite_manifest(self, path, edit) -> None:
+        raw = path.read_bytes()
+        header = self._manifest_bytes(path)
+        manifest = json.loads(header)
+        edit(manifest)
+        new = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        path.write_bytes(struct.pack("<Q", len(new)) + new + raw[8 + len(header) :])
+
+    @pytest.mark.parametrize("key", ["parameters", "vocab"])
+    def test_manifest_without_key_rejected(self, tmp_path, key):
+        _, path, _ = self._trained(tmp_path)
+        self._rewrite_manifest(path, lambda manifest: manifest.pop(key))
+        with pytest.raises(IntegrityError, match=f"no '{key}' entry"):
+            load_checkpoint(path)
+
+    def test_unknown_manifest_version_rejected(self, tmp_path):
+        _, path, _ = self._trained(tmp_path)
+        self._rewrite_manifest(path, lambda manifest: manifest.update(version=2))
+        with pytest.raises(IntegrityError, match="unknown checkpoint version 2"):
+            load_checkpoint(path)
+
+    def test_repeated_saves_leave_one_file_and_no_descriptor(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+        training._join_background_closes()
+        before = len(os.listdir(fd_dir))
+        for epoch in range(20):
+            save_checkpoint(model, path, epoch=epoch)
+        training._join_background_closes()
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+        assert len(os.listdir(fd_dir)) == before
+        assert load_checkpoint(path).manifest["epoch"] == 19
+
+    def test_failed_rename_keeps_previous_checkpoint_and_closes(self, tmp_path, monkeypatch):
+        model, path, _ = self._trained(tmp_path)
+        fd_dir = "/proc/self/fd"
+        training._join_background_closes()
+        before = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+
+        def no_rename(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training.os, "replace", no_rename)
+            with pytest.raises(OSError):
+                save_checkpoint(model, path, epoch=4)
+        training._join_background_closes()
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+        assert load_checkpoint(path).manifest["epoch"] == 3
+        if before is not None:
+            assert len(os.listdir(fd_dir)) == before
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"\x02\x00\x00\x00\x00\x00\x00\x00{}")
