@@ -1,8 +1,9 @@
 """Encode a batch of sentences step by step: embedding, BiLSTM context
 vectors, the four pooling strategies, and attention-based refinement.
 
-Every step runs on all sentences at once.  Only the live (non-PAD) tokens
-enter the encoder, packed into one [L x d] block, sentence after sentence.
+Every step runs on all sentences at once.  A batch holds no padding: its
+tokens are packed into one [L x d] block, sentence after sentence, and
+``lengths`` says how many belong to each sentence.
 
 Run:  python demos/02_encode_a_sentence.py
 """
@@ -25,18 +26,20 @@ pair = examples[0]
 print("premise:   ", " ".join(pair.premise_tokens))
 print("hypothesis:", " ".join(pair.hypothesis_tokens))
 
-# the model's one input format is a padded Batch of pairs; its premises and
-# hypotheses form one set of 2B sentences
+# the model's one input format is a packed Batch of pairs; its premises and
+# hypotheses form one set of 2B sentences, and its distinct words form a
+# table that the char-LSTM reads once
 batch = pairs_to_batch([pair.premise_tokens], [pair.hypothesis_tokens], vocab, chars)
-ids, mask, char_ids, char_mask = batch.sentences()
-lengths = mask.sum(axis=1)
-print(f"\n{ids.shape[0]} sentences of {ids.shape[1]} slots; live lengths {lengths.tolist()}")
+lengths = batch.lengths
+words = batch.word_index, batch.char_ids, batch.char_lengths
+print(f"\n{len(lengths)} sentences of lengths {lengths.tolist()}: {len(batch.word_ids)} tokens, "
+      f"W = {len(batch.char_lengths)} distinct words")
 
-x = encoder.embed_tokens(ids, mask, char_ids, char_mask)
+x = encoder.embed_tokens(batch.word_ids, *words)
 print(f"embedded input: {x.shape}  (word {config.word_dim} + char {config.char_hidden} per token)")
 
-seq = bilstm(x, mask, encoder.forward_cell, encoder.backward_cell)
-print(f"context vectors: {seq.H.shape}  (2 x {config.hidden_per_dir} per live token)")
+seq = bilstm(x, lengths, encoder.forward_cell, encoder.backward_cell)
+print(f"context vectors: {seq.H.shape}  (2 x {config.hidden_per_dir} per token)")
 
 starts = np.cumsum(lengths) - lengths
 for method in POOLING_METHODS:
@@ -48,6 +51,6 @@ for method in POOLING_METHODS:
     )
     print(f"{method:>5s} pooling -> refined {refined.shape}, attention [{weights}]")
 
-rep = encoder.encode(ids, "mean", mask, char_ids, char_mask)
+rep = encoder.encode(batch.word_ids, lengths, "mean", *words)
 print(f"\nfull encode: refined representations {rep.refined.shape}")
 print("attention sums per sentence:", np.add.reduceat(rep.attention_weights.data, starts))

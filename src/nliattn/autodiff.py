@@ -93,19 +93,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    # operator sugar; the module-level functions do the real work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=_DTYPE))
@@ -304,13 +291,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
     adata, bdata = a.data, b.data
     return _emit(out, (a, b), lambda g: (g * bdata, g * adata))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a plain (non-differentiated) scalar constant."""
-    c = float(c)
-    out = Tensor(x.data * c)
-    return _emit(out, (x,), lambda g: (g * c,))
 
 
 def tanh(x: Tensor) -> Tensor:

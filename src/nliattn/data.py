@@ -340,60 +340,30 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
 
 @dataclass
 class Batch:
-    premise_ids: np.ndarray  # [b x Lp] int64
-    premise_mask: np.ndarray  # [b x Lp] bool, True exactly at non-PAD
-    hypothesis_ids: np.ndarray
-    hypothesis_mask: np.ndarray
-    premise_char_ids: np.ndarray  # [b x Lp x Cp] int64
-    premise_char_mask: np.ndarray
-    hypothesis_char_ids: np.ndarray
-    hypothesis_char_mask: np.ndarray
-    labels: np.ndarray  # [b] int64, -1 for a pair without a gold label
+    """B sentence pairs as 2B sentences, premises first, packed token after
+    token with no padding.
+
+    Token t of the batch has word id ``word_ids[t]`` and is the distinct
+    word ``word_index[t]``; distinct words are keyed on the token string,
+    in first-seen order, and their characters are packed word after word
+    in ``char_ids`` with ``char_lengths`` per word.
+    """
+
+    word_ids: np.ndarray  # [L] int64, never PAD
+    lengths: np.ndarray  # [2B] int64, tokens per sentence
+    word_index: np.ndarray  # [L] int64, into the distinct words
+    char_ids: np.ndarray  # [C] int64
+    char_lengths: np.ndarray  # [W] int64
+    labels: np.ndarray  # [B] int64, -1 for a pair without a gold label
     pair_ids: list[str] = field(default_factory=list)
 
     def __len__(self):
-        return self.premise_ids.shape[0]
+        return len(self.labels)
 
-    def sentences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Word ids, mask, char ids and char mask of all 2B sentences,
-        premises first, each side padded to the longer one."""
-        return (
-            _stack_padded(self.premise_ids, self.hypothesis_ids),
-            _stack_padded(self.premise_mask, self.hypothesis_mask),
-            _stack_padded(self.premise_char_ids, self.hypothesis_char_ids),
-            _stack_padded(self.premise_char_mask, self.hypothesis_char_mask),
-        )
-
-
-def _stack_padded(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` then rows of ``b``, zero-padded to a common shape."""
-    shape = (a.shape[0] + b.shape[0], *np.maximum(a.shape[1:], b.shape[1:]))
-    out = np.zeros(shape, dtype=a.dtype)
-    out[tuple(slice(0, n) for n in a.shape)] = a
-    out[(slice(a.shape[0], None), *(slice(0, n) for n in b.shape[1:]))] = b
-    return out
-
-
-def _encode_side(token_lists, vocab, char_vocab):
-    b = len(token_lists)
-    if not all(token_lists):
-        raise DataError("every sentence needs at least one token")
-    max_len = max(len(t) for t in token_lists)
-    max_chars = max(len(tok) for toks in token_lists for tok in toks)
-    ids = np.zeros((b, max_len), dtype=np.int64)  # 0 == PAD id
-    mask = np.zeros((b, max_len), dtype=bool)
-    char_ids = np.zeros((b, max_len, max_chars), dtype=np.int64)
-    char_mask = np.zeros((b, max_len, max_chars), dtype=bool)
-    for i, tokens in enumerate(token_lists):
-        for j, token in enumerate(tokens):
-            idx = vocab.lookup(token)
-            # a literal "<pad>" in running text must not alias the padding id
-            ids[i, j] = vocab.unk if idx == vocab.pad else idx
-            mask[i, j] = True
-            for c, ch in enumerate(token):
-                char_ids[i, j, c] = char_vocab.lookup(ch)
-                char_mask[i, j, c] = True
-    return ids, mask, char_ids, char_mask
+    # all-True over the packed rows; read only by perfbench's tracer
+    # (data.pad_fraction), and goes once it reads spans from the library
+    premise_mask = property(lambda self: np.ones(self.lengths[: len(self)].sum(), dtype=bool))
+    hypothesis_mask = property(lambda self: np.ones(self.lengths[len(self) :].sum(), dtype=bool))
 
 
 def pairs_to_batch(
@@ -404,24 +374,39 @@ def pairs_to_batch(
     labels: Sequence[int] | None = None,
     pair_ids: Sequence[str] = (),
 ) -> Batch:
-    """The one mapping from token lists to model input: a padded Batch.
+    """The one mapping from token lists to model input: a packed Batch.
 
-    Unknown tokens and characters fall back to UNK; an empty token list is
-    rejected.  Pairs without a gold label carry label -1.
+    Unknown tokens and characters fall back to UNK, and so does a literal
+    "<pad>", which must not alias the padding id.  An empty token list, an
+    empty token, and label or pair-id lists whose count is not the pair
+    count are rejected.  Pairs without a gold label carry label -1.
     """
-    p_ids, p_mask, p_cids, p_cmask = _encode_side(premises, vocab, char_vocab)
-    h_ids, h_mask, h_cids, h_cmask = _encode_side(hypotheses, vocab, char_vocab)
+    n = len(premises)
+    if len(hypotheses) != n:
+        raise DataError(f"{n} premises but {len(hypotheses)} hypotheses")
     if labels is None:
-        labels = [-1] * len(premises)
+        labels = [-1] * n
+    if len(labels) != n:
+        raise DataError(f"{len(labels)} labels for {n} pairs")
+    if pair_ids and len(pair_ids) != n:
+        raise DataError(f"{len(pair_ids)} pair ids for {n} pairs")
+    sentences = [*premises, *hypotheses]
+    if not all(sentences):
+        raise DataError("every sentence needs at least one token")
+    words: dict[str, int] = {}
+    word_index = np.array(
+        [words.setdefault(token, len(words)) for s in sentences for token in s], dtype=np.int64
+    )
+    if "" in words:
+        raise DataError("a token needs at least one character")
+    word_ids = np.array([vocab.lookup(word) for word in words], dtype=np.int64)
+    word_ids[word_ids == vocab.pad] = vocab.unk
     return Batch(
-        premise_ids=p_ids,
-        premise_mask=p_mask,
-        hypothesis_ids=h_ids,
-        hypothesis_mask=h_mask,
-        premise_char_ids=p_cids,
-        premise_char_mask=p_cmask,
-        hypothesis_char_ids=h_cids,
-        hypothesis_char_mask=h_cmask,
+        word_ids=word_ids[word_index],
+        lengths=np.array([len(s) for s in sentences], dtype=np.int64),
+        word_index=word_index,
+        char_ids=np.array([char_vocab.lookup(c) for word in words for c in word], dtype=np.int64),
+        char_lengths=np.array([len(word) for word in words], dtype=np.int64),
         labels=np.array(labels, dtype=np.int64),
         pair_ids=list(pair_ids),
     )
@@ -436,7 +421,7 @@ def make_batches(
     max_premise_len: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> list[Batch]:
-    """Assemble padded batches with masks.
+    """Assemble packed batches of ``batch_size`` pairs.
 
     Training drops pairs whose premise exceeds ``max_premise_len`` tokens,
     when given, and draws a fresh seeded shuffle (pass the per-epoch

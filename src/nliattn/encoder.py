@@ -4,19 +4,18 @@ and attention-based refinement.
 One encoder instance serves both sentences of a pair: premise and
 hypothesis are encoded independently but with the same weights.  Every
 operation runs on all sentences of a batch at once.  A batch of S
-sentences comes as word ids [S x T] with a boolean mask marking the real
-(non-PAD) tokens; only the live tokens enter the encoder, packed into
-[L x d] rows in mask order (sentence by sentence, each in token order).
-Masked positions, interior holes included, take no part in the recurrence,
-pooling or attention.  One sentence is a batch of one.
+sentences comes packed, as in ``data.Batch``: the word ids [L] of every
+token, sentence after sentence, and ``lengths`` [S] saying how many tokens
+each sentence holds.  There is no padding, so every row is a real token;
+one sentence is a batch of one.
 
 Each LSTM direction runs as one fused ``autodiff.lstm_sequence`` op over
 the packed rows, stepping every sentence that is still running with one
-GEMM per time step.  The char-LSTM runs the same way over the distinct
-words of a batch: each distinct character sequence is encoded once, all
-of them in one packed call, and the results are gathered back to the
-tokens.  ``lstm_step`` builds the same cell from elementary taped ops; it
-is kept as the reference the fused path is tested against.
+GEMM per time step.  The char-LSTM runs the same way over the batch's
+table of distinct words: each word's characters are encoded once, all
+words in one packed call, and ``word_index`` gathers the results back to
+the tokens.  ``lstm_step`` builds the same cell from elementary taped ops;
+it is kept as the reference the fused path is tested against.
 """
 
 from __future__ import annotations
@@ -150,18 +149,18 @@ def char_encode(char_ids, lengths, char_embeddings: Parameter, cell: LSTMCellPar
 
 @dataclass
 class ContextualSequence:
-    """Context vectors of the live tokens of S sentences, packed [L x d] in
-    mask order, plus the mask [S x T] and the final per-direction states
-    [S x h] (used by 'last' pooling)."""
+    """Context vectors H [L x d] of S packed sentences, their ``lengths``
+    [S], and the final per-direction states [S x h] (used by 'last'
+    pooling)."""
 
     H: Tensor
-    mask: np.ndarray
-    final_forward: Tensor  # forward state after each sentence's last real token
-    final_backward: Tensor  # backward state after each sentence's first real token
+    lengths: np.ndarray
+    final_forward: Tensor  # forward state after each sentence's last token
+    final_backward: Tensor  # backward state after each sentence's first token
 
-    @property
-    def lengths(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
+    # all-True over the packed rows; read only by perfbench's tracer
+    # (encoder.bilstm.steps), and goes once it reads spans from the library
+    mask = property(lambda self: np.ones(self.H.shape[0], dtype=bool))
 
 
 @dataclass
@@ -173,27 +172,24 @@ class SentenceRepresentation:
 
 def bilstm(
     x: Tensor,
-    mask: np.ndarray | None,
+    lengths,
     forward_cell: LSTMCellParams,
     backward_cell: LSTMCellParams,
 ) -> ContextualSequence:
     """Run both LSTM directions from zero states over every sentence.
 
-    ``x`` holds the live tokens' input rows packed in mask order; ``mask``
-    is [S x T], or [T] for one sentence, or None for one sentence over all
-    rows of ``x``.  Row i of the result is [forward_i ; backward_i].  The
-    backward direction starts at each sentence's last real token.
+    ``x`` holds the input rows of S sentences packed sentence after
+    sentence, and ``lengths`` [S] their token counts.  Row i of the result
+    is [forward_i ; backward_i].  The backward direction starts at each
+    sentence's last token.
     """
-    if mask is None:
-        mask = np.ones((1, x.shape[0]), dtype=bool)
-    mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-    lengths = mask.sum(axis=1)
+    lengths = np.asarray(lengths, dtype=np.int64)
     forward = run_lstm(x, lengths, forward_cell)
     backward = run_lstm(x, lengths, backward_cell, reverse=True)
     starts = np.cumsum(lengths) - lengths
     return ContextualSequence(
         H=ad.concat([forward, backward], axis=1),
-        mask=mask,
+        lengths=lengths,
         final_forward=ad.take_rows(forward, starts + lengths - 1),
         final_backward=ad.take_rows(backward, starts),
     )
@@ -280,64 +276,48 @@ class Encoder:
         return params
 
     def embed_tokens(
-        self,
-        word_ids,
-        mask: np.ndarray | None = None,
-        char_ids=None,
-        char_mask=None,
+        self, word_ids, word_index=None, char_ids=None, char_lengths=None
     ) -> Tensor:
-        """Input rows [L x d] of the live tokens, packed in mask order: the
-        frozen word vector, plus the char-LSTM summary when character
-        features are on.
+        """Input rows [L x d] of the packed tokens: the frozen word vector,
+        plus the char-LSTM summary when character features are on.
 
-        ``word_ids`` is [S x T] (or [T] for one sentence) with ``mask`` of
-        the same shape, None meaning every token is live; ``char_ids`` and
-        ``char_mask`` add a trailing character axis.
+        ``word_ids`` [L] are the tokens' word ids.  With chars on, token t
+        is distinct word ``word_index[t]`` of a table whose characters
+        ``char_ids`` are packed word after word, ``char_lengths`` [W] per
+        word; ``char_encode`` runs once over the table.
         """
         word_ids = np.asarray(word_ids, dtype=np.int64)
-        if mask is None:
-            mask = np.ones(word_ids.shape, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != word_ids.shape:
-            raise DimensionError(f"embed_tokens: mask {mask.shape} != ids {word_ids.shape}")
-        live = word_ids[mask]
-        if live.min(initial=0) < 0 or live.max(initial=0) >= self.word_embeddings.shape[0]:
+        if word_ids.ndim != 1:
+            raise DimensionError(f"embed_tokens: word ids must be [L], got {word_ids.shape}")
+        if word_ids.min(initial=0) < 0 or word_ids.max(initial=0) >= self.word_embeddings.shape[0]:
             raise InvalidInputError("embed_tokens: token id outside the vocabulary")
         # frozen lookup: a constant leaf, nothing to backpropagate into
-        words = Tensor(self.word_embeddings.data[live])
+        words = Tensor(self.word_embeddings.data[word_ids])
         if not self.config.use_chars:
             return words
-
-        if char_ids is None or char_mask is None:
-            raise ConfigError("embed_tokens: character ids required when use_chars is on")
-        char_ids = np.asarray(char_ids, dtype=np.int64)
-        char_mask = np.asarray(char_mask, dtype=bool)
-        if char_ids[char_mask].min(initial=0) < 0:
-            raise InvalidInputError("embed_tokens: negative character id")
-        # encode each distinct character sequence once; -1 marks an absent char
-        live_chars = np.where(char_mask, char_ids, -1)[mask]
-        distinct, inverse = np.unique(live_chars, axis=0, return_inverse=True)
-        present = distinct >= 0
-        char_vecs = char_encode(
-            distinct[present], present.sum(axis=1), self.char_embeddings, self.char_cell
-        )
-        char_vecs = ad.take_rows(char_vecs, inverse.reshape(-1))
-        return ad.concat([words, char_vecs], axis=1)
+        if word_index is None or char_ids is None or char_lengths is None:
+            raise ConfigError("embed_tokens: chars are on but the distinct-word table is missing")
+        if np.shape(word_index) != word_ids.shape:
+            raise DimensionError(
+                f"embed_tokens: word_index {np.shape(word_index)} != word ids {word_ids.shape}"
+            )
+        char_vecs = char_encode(char_ids, char_lengths, self.char_embeddings, self.char_cell)
+        return ad.concat([words, ad.take_rows(char_vecs, word_index)], axis=1)
 
     def encode(
         self,
         word_ids,
+        lengths,
         method: str,
-        mask: np.ndarray | None = None,
+        word_index=None,
         char_ids=None,
-        char_mask=None,
+        char_lengths=None,
     ) -> SentenceRepresentation:
-        """Embed, contextualize, pool and refine every sentence of a batch
-        (inputs as for ``embed_tokens``)."""
-        if mask is None:
-            mask = np.ones(np.shape(word_ids), dtype=bool)
-        x = self.embed_tokens(word_ids, mask, char_ids, char_mask)
-        seq = bilstm(x, mask, self.forward_cell, self.backward_cell)
+        """Embed, contextualize, pool and refine every sentence of a packed
+        batch (token inputs as for ``embed_tokens``, ``lengths`` as for
+        ``bilstm``)."""
+        x = self.embed_tokens(word_ids, word_index, char_ids, char_lengths)
+        seq = bilstm(x, lengths, self.forward_cell, self.backward_cell)
         raw = pool(seq, method)
         refined, alpha = inner_attention(seq, raw, self.attention_w, self.attention_v)
         return SentenceRepresentation(raw=raw, refined=refined, attention_weights=alpha)

@@ -14,7 +14,7 @@ class DimensionError(NliAttnError):
 
 
 class InvalidInputError(NliAttnError):
-    """Input violates an operation's precondition (e.g. fully masked sequence)."""
+    """Input violates an operation's precondition (e.g. a sequence with no rows)."""
 
 
 class UsageError(NliAttnError):

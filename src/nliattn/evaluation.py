@@ -196,7 +196,7 @@ def confidence_interval(accuracies: Sequence[float]) -> tuple[float, float]:
 def export_representations(model: NLIModel, examples: Sequence[NLIExample], path) -> int:
     """Write one TSV record per sentence role per pair: pair id, role, vector.
 
-    Pairs are encoded in padded batches of ``EXPORT_BATCH_SIZE`` and written
+    Pairs are encoded in packed batches of ``EXPORT_BATCH_SIZE`` and written
     in input order, premise then hypothesis.  Returns the record count.  The
     file appears atomically: on any failure the partial output is removed.
     """

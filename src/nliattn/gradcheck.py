@@ -145,7 +145,6 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
     run("mul", lambda: weighted_sum(ad.mul(x, y), wxy), [x, y])
     bias = rand(4)
     run("add_bias_row", lambda: weighted_sum(ad.add(x, bias), wxy), [x, bias])
-    run("scale", lambda: weighted_sum(ad.scale(x, 0.37), wxy), [x])
 
     run("tanh", lambda: weighted_sum(ad.tanh(x), wxy), [x])
     run("sigmoid", lambda: weighted_sum(ad.sigmoid(x), wxy), [x])

@@ -98,8 +98,10 @@ class NLIModel:
     def represent(self, batch: Batch) -> tuple[Tensor, Tensor]:
         """Refined premise and hypothesis representations, [B x d] each;
         all 2B sentences of the batch go through the encoder together."""
-        ids, mask, char_ids, char_mask = batch.sentences()
-        refined = self.encoder.encode(ids, self.config.pooling, mask, char_ids, char_mask).refined
+        refined = self.encoder.encode(
+            batch.word_ids, batch.lengths, self.config.pooling,
+            batch.word_index, batch.char_ids, batch.char_lengths,
+        ).refined
         b = len(batch)
         return ad.narrow(refined, 0, 0, b), ad.narrow(refined, 0, b, b)
 

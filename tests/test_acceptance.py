@@ -90,18 +90,15 @@ class TestAttentionInvariants:
         for trial in range(1000):
             case = np.random.default_rng(trial)
             n = int(case.integers(1, 31))
-            pad = int(case.integers(0, 4))
             ids = case.integers(3, len(vocab), size=n)
-            padded = np.concatenate([ids, np.zeros(pad, dtype=np.int64)])
-            mask = np.concatenate([np.ones(n, dtype=bool), np.zeros(pad, dtype=bool)])
 
-            x = model.embed_tokens(padded, mask)
-            seq = enc.bilstm(x, mask, model.forward_cell, model.backward_cell)
+            x = model.embed_tokens(ids)
+            seq = enc.bilstm(x, [n], model.forward_cell, model.backward_cell)
             raw = enc.pool(seq, "mean")
             refined, alpha = enc.inner_attention(
                 seq, raw, model.attention_w, model.attention_v
             )
-            # one weight per live token: the PAD positions have no slot
+            # one weight per token
             assert alpha.shape == (n,)
             assert abs(float(alpha.data.sum()) - 1.0) <= 1e-6
             assert np.all(alpha.data >= 0.0)
@@ -110,8 +107,8 @@ class TestAttentionInvariants:
             assert np.all(refined.data <= live.max(axis=0) + 1e-6)
 
             if trial % 20 == 0:  # v = 0 collapses to mean pooling
-                x0 = zero_v.embed_tokens(padded, mask)
-                seq0 = enc.bilstm(x0, mask, zero_v.forward_cell, zero_v.backward_cell)
+                x0 = zero_v.embed_tokens(ids)
+                seq0 = enc.bilstm(x0, [n], zero_v.forward_cell, zero_v.backward_cell)
                 raw0 = enc.pool(seq0, "mean")
                 refined0, _ = enc.inner_attention(
                     seq0, raw0, zero_v.attention_w, zero_v.attention_v
@@ -121,9 +118,10 @@ class TestAttentionInvariants:
 
 
 class TestPoolingDegeneracy:
-    def _seq(self, model, ids, mask=None):
-        x = model.embed_tokens(ids, mask)
-        return enc.bilstm(x, mask, model.forward_cell, model.backward_cell)
+    def _seq(self, model, ids, lengths=None):
+        x = model.embed_tokens(ids)
+        lengths = [len(ids)] if lengths is None else lengths
+        return enc.bilstm(x, lengths, model.forward_cell, model.backward_cell)
 
     def _encoder(self):
         examples = synth.synthetic_examples(30, seed=3)
@@ -157,18 +155,19 @@ class TestPoolingDegeneracy:
     def test_padding_neutrality_all_methods(self):
         model, vocab = self._encoder()
         rng = np.random.default_rng(6)
+        # no padding in the packed layout: a sentence packed before a longer
+        # batch-mate pools as it does alone
         for _ in range(50):
             n = int(rng.integers(1, 16))
-            pad = int(rng.integers(1, 6))
+            longer = n + int(rng.integers(1, 6))
             ids = rng.integers(3, len(vocab), size=n)
-            padded = np.concatenate([ids, np.zeros(pad, dtype=np.int64)])
-            mask = np.concatenate([np.ones(n, dtype=bool), np.zeros(pad, dtype=bool)])
+            mate = rng.integers(3, len(vocab), size=longer)
             plain_seq = self._seq(model, ids)
-            padded_seq = self._seq(model, padded, mask)
+            packed_seq = self._seq(model, np.concatenate([ids, mate]), [n, longer])
             for method in enc.POOLING_METHODS:
                 np.testing.assert_allclose(
                     enc.pool(plain_seq, method).data,
-                    enc.pool(padded_seq, method).data,
+                    enc.pool(packed_seq, method).data[:1],
                     atol=1e-6,
                 )
         _pass("pooling degeneracy: padding neutrality within 1e-6 for all methods")
@@ -189,19 +188,18 @@ class TestDimensionConformance:
         assert with_chars.attention_w.shape == (1400, 1400)
         assert with_chars.attention_v.shape == (1400,)
         ids = np.array([3, 4, 5])
-        char_ids = np.array([[1, 2], [2, 1], [1, 1]])
-        char_mask = np.ones((3, 2), dtype=bool)
-        x = with_chars.embed_tokens(ids, None, char_ids, char_mask)
-        seq = enc.bilstm(x, None, with_chars.forward_cell, with_chars.backward_cell)
+        words = [0, 1, 2], [1, 2, 2, 1, 1, 1], [2, 2, 2]
+        x = with_chars.embed_tokens(ids, *words)
+        seq = enc.bilstm(x, [3], with_chars.forward_cell, with_chars.backward_cell)
         assert seq.H.shape == (3, 700)  # h_i has 700 components
-        rep = with_chars.encode(ids, "mean", char_ids=char_ids, char_mask=char_mask)
+        rep = with_chars.encode(ids, [3], "mean", *words)
         assert rep.refined.shape == (1, 700)
         r = aggregate(rep.refined, rep.refined)
         assert r.shape == (1, 4 * 700)
 
         plain_cfg = EncoderConfig(use_chars=False)  # 300 per direction
         without = enc.Encoder(plain_cfg, embeddings, n_chars=10, rng=rng)
-        rep = without.encode(ids, "mean")
+        rep = without.encode(ids, [3], "mean")
         assert rep.refined.shape == (1, 600)
         assert aggregate(rep.refined, rep.refined).shape == (1, 4 * 600)
         _pass("dimension conformance: 700/1400x1400/1400 with chars, 600 without, r = 4x")

@@ -210,23 +210,20 @@ def unrolled_represent(model, batch):
     encoded on its own: a per-token char unroll, an ``lstm_step`` unroll of
     both directions, then pooling and attention over that one sentence."""
     encoder = model.encoder
-    sides = []
-    for ids, mask, char_ids, char_mask in (
-        (batch.premise_ids, batch.premise_mask, batch.premise_char_ids, batch.premise_char_mask),
-        (batch.hypothesis_ids, batch.hypothesis_mask,
-         batch.hypothesis_char_ids, batch.hypothesis_char_mask),
-    ):
-        rows = []
-        for i in range(len(batch)):
-            live = mask[i]
-            x = unrolled_embed_tokens(encoder, ids[i], live, char_ids[i], char_mask[i])
-            H, [(last_forward, last_backward)] = unrolled_bilstm(encoder, x, [int(live.sum())])
-            whole = np.ones((1, int(live.sum())), dtype=bool)
-            seq = enc.ContextualSequence(H, whole, last_forward, last_backward)
-            raw = enc.pool(seq, model.config.pooling)
-            rows.append(enc.inner_attention(seq, raw, encoder.attention_w, encoder.attention_v)[0])
-        sides.append(ad.concat(rows))
-    return sides
+    rows = []
+    ends = np.cumsum(batch.lengths)
+    for start, end in zip(ends - batch.lengths, ends):
+        tokens = slice(start, end)
+        x = unrolled_embed_tokens(
+            encoder, batch.word_ids[tokens], batch.word_index[tokens],
+            batch.char_ids, batch.char_lengths,
+        )
+        H, [(last_forward, last_backward)] = unrolled_bilstm(encoder, x, [end - start])
+        seq = enc.ContextualSequence(H, np.array([end - start]), last_forward, last_backward)
+        raw = enc.pool(seq, model.config.pooling)
+        rows.append(enc.inner_attention(seq, raw, encoder.attention_w, encoder.attention_v)[0])
+    b = len(batch)
+    return ad.concat(rows[:b]), ad.concat(rows[b:])
 
 
 class TestBatchPaths:
@@ -368,8 +365,9 @@ class TestCharHalf:
             model, *_ = tiny_model(seed=50)
             _large_weights(model, seed=51)
             batch = self._batch(model)
-            fast = model.encoder.embed_tokens(*batch.sentences()).data
-            slow = unrolled_embed_tokens(model.encoder, *batch.sentences()).data
+            inputs = batch.word_ids, batch.word_index, batch.char_ids, batch.char_lengths
+            fast = model.encoder.embed_tokens(*inputs).data
+            slow = unrolled_embed_tokens(model.encoder, *inputs).data
 
             def char_grads():
                 model.zero_grads()
@@ -401,8 +399,10 @@ class TestCharHalf:
             _large_weights(model, seed=53)
 
             def char_half(premises, hypotheses):
-                inputs = self._batch(model, premises, hypotheses).sentences()
-                return model.encoder.embed_tokens(*inputs).data[:, 4:]
+                batch = self._batch(model, premises, hypotheses)
+                return model.encoder.embed_tokens(
+                    batch.word_ids, batch.word_index, batch.char_ids, batch.char_lengths
+                ).data[:, 4:]
 
             full = char_half(self.PREMISES, self.HYPOTHESES)
             tokens = [t for sentence in self.PREMISES + self.HYPOTHESES for t in sentence]
@@ -410,9 +410,33 @@ class TestCharHalf:
         for row, word in zip(full, tokens):
             np.testing.assert_allclose(row, alone[word], rtol=0, atol=1e-12, err_msg=word)
 
+    def test_distinct_word_table(self, monkeypatch):
+        # "dog" repeats inside a premise and across premise and hypothesis;
+        # "dogz" and "dogq" differ only in characters the model does not know
+        model, _, _, chars = tiny_model(seed=55)
+        premises = [["dog", "dogz", "dog"], ["a"]]
+        hypotheses = [["dogq", "dog"], ["a", "cat"]]
+        batch = self._batch(model, premises, hypotheses)
+        tokens = [t for sentence in premises + hypotheses for t in sentence]
+        words = list(dict.fromkeys(tokens))
+        assert len(batch.char_lengths) == len(words) == 5
+        assert [words[w] for w in batch.word_index] == tokens
+        np.testing.assert_array_equal(batch.char_lengths, [len(w) for w in words])
+        ends = np.cumsum(batch.char_lengths)
+        spelled = [batch.char_ids[e - n : e].tolist() for e, n in zip(ends, batch.char_lengths)]
+        assert spelled == [[chars.lookup(c) for c in w] for w in words]
+        assert spelled[words.index("dogz")] == spelled[words.index("dogq")]
+
+        calls = []
+        char_encode = enc.char_encode
+        monkeypatch.setattr(enc, "char_encode", lambda *a: calls.append(a) or char_encode(*a))
+        model.batch_loss(batch)
+        assert len(calls) == 1
+
     def test_token_without_characters_rejected(self):
         model, *_ = tiny_model(seed=54)
-        ids, mask, char_ids, char_mask = self._batch(model).sentences()
-        char_mask[0, 1] = False  # "dogs" in the first premise keeps its word id only
+        batch = self._batch(model)
+        lengths = batch.char_lengths.copy()
+        lengths[1] = 0  # "dogs" keeps its word id only
         with pytest.raises(DataError):
-            model.encoder.embed_tokens(ids, mask, char_ids, char_mask)
+            model.encoder.embed_tokens(batch.word_ids, batch.word_index, batch.char_ids, lengths)

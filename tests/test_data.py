@@ -272,13 +272,15 @@ class TestMakeBatches:
         batches = data.make_batches(exs, 2, "dev", vocab, chars)
         assert [len(b) for b in batches] == [2, 2, 1]
 
-    def test_mask_equals_non_pad(self):
+    def test_lengths_equal_token_counts(self):
         exs, vocab, chars = self._fixtures()
-        for batch in data.make_batches(exs, 3, "dev", vocab, chars):
-            np.testing.assert_array_equal(batch.premise_mask, batch.premise_ids != vocab.pad)
-            np.testing.assert_array_equal(
-                batch.hypothesis_mask, batch.hypothesis_ids != vocab.pad
-            )
+        batches = data.make_batches(exs, 3, "dev", vocab, chars)
+        for batch, chunk in zip(batches, (exs[:3], exs[3:])):
+            counts = [len(ex.premise_tokens) for ex in chunk]
+            counts += [len(ex.hypothesis_tokens) for ex in chunk]
+            np.testing.assert_array_equal(batch.lengths, counts)
+            assert len(batch.word_ids) == sum(counts)
+            assert vocab.pad not in batch.word_ids
 
     def test_shuffle_is_permutation(self):
         exs, vocab, chars = self._fixtures()
@@ -297,15 +299,43 @@ class TestMakeBatches:
         # a literal "<pad>" in running text is unknown too, never the PAD id
         novel = data.NLIExample("n", "g", ["zebra", "<pad>"], ["x"], "neutral")
         batch = data.make_batches([novel], 1, "dev", vocab, chars)[0]
-        assert batch.premise_ids[0].tolist() == [vocab.unk, vocab.unk]
+        assert batch.word_ids[:2].tolist() == [vocab.unk, vocab.unk]
 
-    def test_char_masks_cover_exact_lengths(self):
+    def test_char_lengths_equal_token_lengths(self):
         exs, vocab, chars = self._fixtures()
         batch = data.make_batches(exs[:2], 2, "dev", vocab, chars)[0]
-        assert batch.premise_char_mask[0, 0].sum() == len("tok")
-        assert batch.premise_char_ids.shape[:2] == batch.premise_ids.shape
+        # the distinct words "tok", "x" and "y", each spelled once
+        np.testing.assert_array_equal(batch.char_lengths, [3, 1, 1])
+        np.testing.assert_array_equal(
+            batch.char_ids, [chars.lookup(c) for c in "tokxy"]
+        )
+        assert len(batch.word_index) == len(batch.word_ids)
 
     def test_bad_batch_size(self):
         exs, vocab, chars = self._fixtures()
         with pytest.raises(ConfigError):
             data.make_batches(exs, 0, "dev", vocab, chars)
+
+
+class TestPairsToBatch:
+    def _vocabs(self):
+        ex = data.NLIExample("0", "g", ["a", "cat"], ["dogs"], "neutral")
+        return data.Vocabulary.from_examples([ex], 4), data.CharVocabulary.from_examples([ex], 2)
+
+    def test_premise_and_hypothesis_counts_differ(self):
+        with pytest.raises(DataError, match="2 premises but 1 hypotheses"):
+            data.pairs_to_batch([["a"], ["cat"]], [["dogs"]], *self._vocabs())
+
+    def test_label_count_differs(self):
+        with pytest.raises(DataError, match="2 labels for 1 pairs"):
+            data.pairs_to_batch([["a"]], [["cat"]], *self._vocabs(), labels=[0, 1])
+
+    def test_pair_id_count_differs(self):
+        with pytest.raises(DataError, match="1 pair ids for 2 pairs"):
+            data.pairs_to_batch(
+                [["a"], ["a"]], [["cat"], ["dogs"]], *self._vocabs(), pair_ids=["x"]
+            )
+
+    def test_empty_token_rejected(self):
+        with pytest.raises(DataError):
+            data.pairs_to_batch([["a", ""]], [["cat"]], *self._vocabs())

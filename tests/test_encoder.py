@@ -5,7 +5,7 @@ from nliattn import autodiff as ad
 from nliattn import encoder as enc
 from nliattn import gradcheck as gc
 from nliattn.autodiff import Parameter, Tensor
-from nliattn.errors import ConfigError, DataError, InvalidInputError
+from nliattn.errors import ConfigError, DataError, DimensionError, InvalidInputError
 
 
 # -- independent oracle: the gate formulas evaluated directly in float64 ----
@@ -162,27 +162,21 @@ class TestEmbedTokens:
     def test_word_half_matches_lookup_with_chars(self):
         model = tiny_encoder(use_chars=True)
         ids = np.array([3, 4])
-        char_ids = np.array([[1, 2, 0], [3, 0, 0]])
-        char_mask = np.array([[True, True, False], [True, False, False]])
-        out = model.embed_tokens(ids, None, char_ids, char_mask)
+        out = model.embed_tokens(ids, [0, 1], [1, 2, 3], [2, 1])
         np.testing.assert_array_equal(out.data[:, :5], model.word_embeddings.data[ids])
         assert out.shape == (2, 5 + 2)
 
-    def test_pad_row_is_zero_both_halves(self):
-        # a PAD position gets no row at all: only live tokens are packed
+    def test_rows_follow_word_index(self):
+        # token t gets the char row of its distinct word, whatever the
+        # other words of the table
         model = tiny_encoder(use_chars=True)
-        ids = np.array([[3, 0], [4, 5]])
-        mask = np.array([[True, False], [True, True]])
-        char_ids = np.zeros((2, 2, 2), dtype=np.int64)
-        char_ids[0, 0] = [1, 2]
-        char_ids[1] = [[3, 0], [2, 1]]
-        char_mask = char_ids > 0
-        out = model.embed_tokens(ids, mask, char_ids, char_mask)
-        alone = [
-            model.embed_tokens(ids[s][mask[s]], None, char_ids[s][mask[s]], char_mask[s][mask[s]])
-            for s in range(2)
-        ]
-        np.testing.assert_array_equal(out.data, np.vstack([a.data for a in alone]))
+        words = [[1, 2], [3], [2, 1]]
+        word_index = np.array([0, 2, 0, 1])
+        out = model.embed_tokens([3, 5, 3, 4], word_index, np.concatenate(words), [2, 1, 2])
+        alone = [model.embed_tokens([3], [0], words[w], [len(words[w])]).data[0, 5:]
+                 for w in word_index]
+        np.testing.assert_array_equal(out.data[0], out.data[2])
+        np.testing.assert_allclose(out.data[:, 5:], np.vstack(alone), atol=1e-6)
 
     def test_out_of_range_id_rejected(self):
         model = tiny_encoder()
@@ -190,17 +184,24 @@ class TestEmbedTokens:
             model.embed_tokens(np.array([99]))
         model = tiny_encoder(use_chars=True)
         for bad in (-1, -2, 7):  # character ids outside the 7-char vocabulary
-            char_ids = np.array([[1, bad], [3, 0]])
-            char_mask = np.array([[True, True], [True, False]])
             with pytest.raises(InvalidInputError):
-                model.embed_tokens(np.array([3, 4]), None, char_ids, char_mask)
+                model.embed_tokens(np.array([3, 4]), [0, 1], [1, bad, 3], [2, 1])
+        with pytest.raises(InvalidInputError):  # a word index outside the table
+            model.embed_tokens(np.array([3, 4]), [0, 2], [1, 2, 3], [2, 1])
+
+    def test_word_table_required_with_chars(self):
+        model = tiny_encoder(use_chars=True)
+        with pytest.raises(ConfigError):
+            model.embed_tokens(np.array([3, 4]))
+        with pytest.raises(DimensionError):  # one word index per token
+            model.embed_tokens(np.array([3, 4]), [0], [1, 2, 3], [2, 1])
 
 
 class TestBilstm:
     def test_single_position(self):
         model = tiny_encoder()
         x = Tensor(np.random.default_rng(8).normal(size=(1, 5)))
-        seq = enc.bilstm(x, None, model.forward_cell, model.backward_cell)
+        seq = enc.bilstm(x, [1], model.forward_cell, model.backward_cell)
         x0 = ad.reshape(ad.narrow(x, 0, 0, 1), (5,))
         fh, _ = enc.lstm_step(model.forward_cell, x0, ad.zeros(3), ad.zeros(3))
         bh, _ = enc.lstm_step(model.backward_cell, x0, ad.zeros(3), ad.zeros(3))
@@ -215,8 +216,8 @@ class TestBilstm:
                 model.forward_cell, name
             ).value.data
         x = np.random.default_rng(10).normal(size=(3, 5)).astype(np.float32)
-        seq = enc.bilstm(Tensor(x), None, model.forward_cell, model.backward_cell)
-        seq_rev = enc.bilstm(Tensor(x[::-1]), None, model.forward_cell, model.backward_cell)
+        seq = enc.bilstm(Tensor(x), [3], model.forward_cell, model.backward_cell)
+        seq_rev = enc.bilstm(Tensor(x[::-1]), [3], model.forward_cell, model.backward_cell)
         h = model.forward_cell.hidden
         for i in range(3):
             np.testing.assert_allclose(
@@ -224,24 +225,28 @@ class TestBilstm:
             )
 
     def test_padding_neutrality(self):
+        # no padding in the packed layout: a sentence packed before a longer
+        # batch-mate gets the states it gets alone
         model = tiny_encoder(seed=11)
-        x_real = np.random.default_rng(12).normal(size=(3, 5)).astype(np.float32)
-        mask = np.array([True, True, True, False, False])
-        plain = enc.bilstm(Tensor(x_real), None, model.forward_cell, model.backward_cell)
-        padded = enc.bilstm(Tensor(x_real), mask, model.forward_cell, model.backward_cell)
-        np.testing.assert_array_equal(plain.H.data, padded.H.data)
-        np.testing.assert_array_equal(plain.final_forward.data, padded.final_forward.data)
-        np.testing.assert_array_equal(plain.final_backward.data, padded.final_backward.data)
+        rng = np.random.default_rng(12)
+        x_real = rng.normal(size=(3, 5)).astype(np.float32)
+        x_mate = rng.normal(size=(5, 5)).astype(np.float32)
+        plain = enc.bilstm(Tensor(x_real), [3], model.forward_cell, model.backward_cell)
+        packed = enc.bilstm(
+            Tensor(np.vstack([x_real, x_mate])), [3, 5], model.forward_cell, model.backward_cell
+        )
+        np.testing.assert_allclose(plain.H.data, packed.H.data[:3], atol=1e-6)
+        for final in ("final_forward", "final_backward"):
+            np.testing.assert_allclose(
+                getattr(plain, final).data, getattr(packed, final).data[:1], atol=1e-6
+            )
+        np.testing.assert_array_equal(packed.lengths, [3, 5])
 
     def test_all_masked_rejected(self):
+        # a sentence of no tokens
         model = tiny_encoder()
         with pytest.raises(InvalidInputError):
-            enc.bilstm(
-                Tensor(np.zeros((2, 5))),
-                np.array([[True, True], [False, False]]),
-                model.forward_cell,
-                model.backward_cell,
-            )
+            enc.bilstm(Tensor(np.zeros((2, 5))), [2, 0], model.forward_cell, model.backward_cell)
 
 
 def unrolled_bilstm(model, x: Tensor, lengths):
@@ -273,17 +278,17 @@ def unrolled_bilstm(model, x: Tensor, lengths):
     return ad.stack(H), finals
 
 
-def unrolled_embed_tokens(model, word_ids, mask, char_ids, char_mask):
-    """Input rows [L x d] of the live tokens with the char half run token by
-    token: every token's characters through its own ``lstm_step`` unroll,
-    repeated words included."""
-    mask = np.asarray(mask, dtype=bool)
-    words = Tensor(model.word_embeddings.data[np.asarray(word_ids)[mask]])
+def unrolled_embed_tokens(model, word_ids, word_index, char_ids, char_lengths):
+    """Input rows [L x d] of the packed tokens with the char half run token
+    by token: every token's characters, read from the distinct-word table,
+    through its own ``lstm_step`` unroll, repeated words included."""
+    words = Tensor(model.word_embeddings.data[np.asarray(word_ids)])
+    ends = np.cumsum(char_lengths)
     cell = model.char_cell
     rows = []
-    for ids, present in zip(np.asarray(char_ids)[mask], np.asarray(char_mask)[mask]):
+    for w in word_index:
         h, c = ad.zeros(cell.hidden), ad.zeros(cell.hidden)
-        for i in ids[present]:
+        for i in char_ids[ends[w] - char_lengths[w] : ends[w]]:
             x = ad.reshape(ad.take_rows(model.char_embeddings.value, [i]), (cell.input_dim,))
             h, c = enc.lstm_step(cell, x, h, c)
         rows.append(ad.reshape(h, (1, cell.hidden)))
@@ -293,27 +298,23 @@ def unrolled_embed_tokens(model, word_ids, mask, char_ids, char_mask):
 class TestFusedBilstm:
     """The fused, batched sequence op against the step-by-step ``lstm_step`` oracle."""
 
-    # interior, leading and trailing holes, a 1-token sentence and a length tie
-    MASK = np.array([
-        [True, False, True, True, False, True, False],
-        [False, False, False, True, False, False, False],
-        [False, True, True, False, True, False, True],
-        [True, True, True, True, True, True, True],
-    ])
+    # a 1-token sentence, a length tie, and sentences shorter and longer
+    # than their predecessors
+    LENGTHS = np.array([4, 1, 4, 7])
 
     def _fused(self, model, x):
-        seq = enc.bilstm(x, self.MASK, model.forward_cell, model.backward_cell)
+        seq = enc.bilstm(x, self.LENGTHS, model.forward_cell, model.backward_cell)
         return seq.H, enc.pool(seq, "last")
 
     def _unroll(self, model, x):
-        H, finals = unrolled_bilstm(model, x, self.MASK.sum(axis=1))
+        H, finals = unrolled_bilstm(model, x, self.LENGTHS)
         last = ad.concat([ad.concat([f, b], axis=1) for f, b in finals], axis=0)
         return H, last
 
-    def test_matches_step_unroll_with_holes(self):
+    def test_matches_step_unroll(self):
         with ad.precision("float64"):
             model = tiny_encoder(seed=30)
-            x = Tensor(np.random.default_rng(31).normal(size=(self.MASK.sum(), 5)))
+            x = Tensor(np.random.default_rng(31).normal(size=(self.LENGTHS.sum(), 5)))
             H, last = self._fused(model, x)
             ref_H, ref_last = self._unroll(model, x)
             np.testing.assert_allclose(H.data, ref_H.data, atol=1e-6)
@@ -323,8 +324,8 @@ class TestFusedBilstm:
         with ad.precision("float64"):
             model = tiny_encoder(seed=32)
             rng = np.random.default_rng(33)
-            x = Tensor(rng.normal(size=(self.MASK.sum(), 5)))
-            weights = Tensor(rng.normal(size=(self.MASK.sum(), 6)))
+            x = Tensor(rng.normal(size=(self.LENGTHS.sum(), 5)))
+            weights = Tensor(rng.normal(size=(self.LENGTHS.sum(), 6)))
             params = {
                 **model.forward_cell.parameters(),
                 **model.backward_cell.parameters(),
@@ -348,10 +349,10 @@ class TestFusedBilstm:
 
 
 class TestPool:
-    def _seq(self, n=4, seed=13, mask=None):
+    def _seq(self, n=4, seed=13):
         model = tiny_encoder(seed=seed)
         x = Tensor(np.random.default_rng(seed).normal(size=(n, 5)).astype(np.float32))
-        return enc.bilstm(x, mask, model.forward_cell, model.backward_cell)
+        return enc.bilstm(x, [n], model.forward_cell, model.backward_cell)
 
     def test_length_one_all_methods_agree(self):
         seq = self._seq(n=1)
@@ -373,11 +374,10 @@ class TestPool:
         rng = np.random.default_rng(15)
         x_real = rng.normal(size=(3, 5)).astype(np.float32)
         x_mate = rng.normal(size=(4, 5)).astype(np.float32)
-        mask = np.array([[True, True, True, False], [True, True, True, True]])
         seq_full = enc.bilstm(
-            Tensor(np.vstack([x_real, x_mate])), mask, model.forward_cell, model.backward_cell
+            Tensor(np.vstack([x_real, x_mate])), [3, 4], model.forward_cell, model.backward_cell
         )
-        seq_trunc = enc.bilstm(Tensor(x_real), None, model.forward_cell, model.backward_cell)
+        seq_trunc = enc.bilstm(Tensor(x_real), [3], model.forward_cell, model.backward_cell)
         for method in enc.POOLING_METHODS:
             np.testing.assert_allclose(
                 enc.pool(seq_full, method).data[:1],
@@ -456,15 +456,15 @@ class TestInnerAttention:
         x = Tensor(
             np.random.default_rng(seed + n).normal(size=(n, 5)).astype(np.float32)
         )
-        return enc.bilstm(x, None, model.forward_cell, model.backward_cell)
+        return enc.bilstm(x, [n], model.forward_cell, model.backward_cell)
 
 
 class TestEncodeSentence:
     def test_purity(self):
         model = tiny_encoder(use_chars=False)
         ids = np.array([2, 3, 4])
-        a = model.encode(ids, "mean")
-        b = model.encode(ids, "mean")
+        a = model.encode(ids, [3], "mean")
+        b = model.encode(ids, [3], "mean")
         np.testing.assert_array_equal(a.refined.data, b.refined.data)
         np.testing.assert_array_equal(a.raw.data, b.raw.data)
 
@@ -472,26 +472,26 @@ class TestEncodeSentence:
         model = tiny_encoder()
         p = np.array([2, 3])
         h = np.array([4, 5, 6])
-        first = (model.encode(p, "mean").refined.data,
-                 model.encode(h, "mean").refined.data)
-        swapped = (model.encode(h, "mean").refined.data,
-                   model.encode(p, "mean").refined.data)
+        first = (model.encode(p, [2], "mean").refined.data,
+                 model.encode(h, [3], "mean").refined.data)
+        swapped = (model.encode(h, [3], "mean").refined.data,
+                   model.encode(p, [2], "mean").refined.data)
         np.testing.assert_array_equal(first[0], swapped[1])
         np.testing.assert_array_equal(first[1], swapped[0])
 
     def test_padding_neutrality_end_to_end(self):
+        # no padding in the packed layout: a sentence packed before a longer
+        # batch-mate is encoded as it is alone
         model = tiny_encoder(seed=23)
         ids = np.array([2, 3, 4])
-        plain = model.encode(ids, "mean")
-        padded_ids = np.array([2, 3, 4, 0, 0])
-        mask = np.array([True, True, True, False, False])
-        padded = model.encode(padded_ids, "mean", mask=mask)
-        np.testing.assert_allclose(plain.raw.data, padded.raw.data, atol=1e-6)
-        np.testing.assert_allclose(plain.refined.data, padded.refined.data, atol=1e-6)
-        # the PAD positions carry no attention weight: they have no slot
-        assert padded.attention_weights.shape == (3,)
+        plain = model.encode(ids, [3], "mean")
+        packed = model.encode(np.array([2, 3, 4, 5, 6, 7, 8, 2]), [3, 5], "mean")
+        np.testing.assert_allclose(plain.raw.data, packed.raw.data[:1], atol=1e-6)
+        np.testing.assert_allclose(plain.refined.data, packed.refined.data[:1], atol=1e-6)
+        # one attention weight per token, each sentence's own
+        assert packed.attention_weights.shape == (8,)
         np.testing.assert_allclose(
-            plain.attention_weights.data, padded.attention_weights.data, atol=1e-6
+            plain.attention_weights.data, packed.attention_weights.data[:3], atol=1e-6
         )
 
     def test_full_scale_dimensions(self):
@@ -510,15 +510,11 @@ class TestEncodeSentence:
         model = enc.Encoder(with_chars, emb, n_chars=8, rng=rng)
         assert model.attention_w.shape == (1400, 1400)
         assert model.attention_v.shape == (1400,)
-        char_ids = np.array([[1, 2], [3, 0]])
-        char_mask = np.array([[True, True], [True, False]])
-        rep = model.encode(
-            np.array([2, 3]), "mean", char_ids=char_ids, char_mask=char_mask
-        )
+        rep = model.encode(np.array([2, 3]), [2], "mean", [0, 1], [1, 2, 3], [2, 1])
         assert rep.refined.shape == (1, 700)
 
         model_nc = enc.Encoder(without, emb, n_chars=8, rng=rng)
-        rep = model_nc.encode(np.array([[2, 3], [4, 0]]), "mean", np.array([[1, 1], [1, 0]]))
+        rep = model_nc.encode(np.array([2, 3, 4]), [2, 1], "mean")
         assert rep.refined.shape == (2, 600)
 
 
@@ -532,14 +528,10 @@ class TestEncoderGradients:
                 if p.trainable:
                     p.value.data[:] = rng.uniform(-0.6, 0.6, p.shape)
             ids = np.array([2, 3, 4])
-            char_ids = np.array([[1, 2], [3, 0], [2, 2]])
-            char_mask = np.array([[True, True], [True, False], [True, True]])
             weights = ad.Tensor(rng.normal(size=(1, 4)))
 
             def loss():
-                rep = model.encode(
-                    ids, "mean", char_ids=char_ids, char_mask=char_mask
-                )
+                rep = model.encode(ids, [3], "mean", [0, 1, 2], [1, 2, 3, 2, 2], [2, 1, 2])
                 return ad.sum_all(ad.mul(rep.refined, weights))
 
             errors = gc.parameter_gradient_errors(loss, model.parameters())
