@@ -2,7 +2,7 @@
 is trained over several seeds, then summarized as mean +- 95% CI and as a
 per-cell best, mirroring the two standard result tables.
 
-Run:  python demos/04_pooling_sweep.py   (a few minutes; lower runs_per_cell to speed up)
+Run:  python demos/04_pooling_sweep.py   (a few minutes)
 """
 
 from nliattn import synth
@@ -25,7 +25,7 @@ config = TrainConfig(learning_rate=0.002, batch_size=8, max_epochs=3, seed=0)
 
 runs, summary = pooling_sweep(
     train_examples, dev_examples, base, config,
-    runs_per_cell=2, embedding_scale=0.5, jobs=2,
+    seeds=[0, 1], embedding_scale=0.5, jobs=2,
 )
 
 write_sweep_records(runs, "sweep_runs.log")

@@ -19,7 +19,6 @@ from .encoder import Encoder, EncoderConfig
 from .evaluation import (
     confidence_interval,
     ensemble_evaluate,
-    ensemble_predict,
     evaluate,
     export_representations,
     pooling_sweep,
@@ -41,7 +40,6 @@ __all__ = [
     "Vocabulary",
     "confidence_interval",
     "ensemble_evaluate",
-    "ensemble_predict",
     "evaluate",
     "export_representations",
     "load_checkpoint",

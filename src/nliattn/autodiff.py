@@ -94,10 +94,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=_DTYPE))
-
-
 class Parameter:
     """A named, trainable tensor plus its accumulated gradient.
 
@@ -570,13 +566,6 @@ def cross_entropy_from_logits(logits: Tensor, labels) -> Tensor:
         return (gz,)
 
     return _emit(out, (logits,), back)
-
-
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Plain (non-taped) stable softmax over a 1-D logit vector."""
-    z = np.asarray(logits, dtype=np.float64)
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Sentence-pair aggregation and the MLP that maps the matching vector to
-class probabilities.
+class logits, and the softmax that turns logits into class probabilities.
 
 The matching vector concatenates both refined representations with their
 elementwise product and absolute difference.  The MLP applies three hidden
@@ -79,8 +79,8 @@ def classify(
     params: MLPParams,
     training: bool = False,
     rng: np.random.Generator | None = None,
-):
-    """Map matching vectors [B x d] to logits [B x 3] and B distributions.
+) -> Tensor:
+    """Map matching vectors [B x d] to logits [B x 3].
 
     Every layer is one [B x d_in] GEMM.  Dropout fires only in training
     mode, between consecutive layers of the stack (after each hidden ReLU,
@@ -96,9 +96,11 @@ def classify(
     for w, b in hidden:
         x = ad.relu(ad.affine(x, w.value, b.value))
         x = ad.dropout(x, params.dropout, training, rng)
-    logits = ad.affine(x, w_out.value, b_out.value)
-    dists = []
-    for row in logits.data:
-        probs = ad.softmax_probs(row)
-        dists.append(PredictionDistribution(probs=probs, predicted_class=int(np.argmax(probs))))
-    return logits, dists
+    return ad.affine(x, w_out.value, b_out.value)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax of logits [B x 3], in float64 (not taped)."""
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)

@@ -221,22 +221,21 @@ def cmd_train(args) -> int:
     print(f"run directory: {run_dir}")
     print(f"effective seed: {config.train.seed}")
     try:
-        train_load = load_dataset(config.train_file, "train")
-        dev_load = load_dataset(config.dev_file, "dev")
+        train_load = load_dataset(config.train_file)
+        dev_load = load_dataset(config.dev_file)
         print(
-            f"train: kept {train_load.kept} (dropped {train_load.dropped_no_label} unlabeled); "
-            f"dev: kept {dev_load.kept}"
+            f"train: kept {len(train_load)} (dropped {train_load.dropped_no_label} unlabeled); "
+            f"dev: kept {len(dev_load)}"
         )
         train_examples = train_load.examples
         if config.snli_file:
-            snli_load = load_dataset(config.snli_file, "train")
             train_examples = mix_snli(
                 train_examples,
-                snli_load.examples,
+                load_dataset(config.snli_file).examples,
                 config.snli_fraction,
                 np.random.default_rng([config.train.seed, 15]),
             )
-            print(f"mixed in {len(train_examples) - train_load.kept} extra pairs")
+            print(f"mixed in {len(train_examples) - len(train_load)} extra pairs")
 
         encoder = config.model.encoder
         vocab = Vocabulary.from_examples(train_examples, dim=encoder.word_dim)
@@ -282,14 +281,9 @@ def cmd_train(args) -> int:
         raise
 
 
-def _load_eval_examples(path, split_role="dev"):
-    _require_files(path)
-    return load_dataset(path, split_role).examples
-
-
 def cmd_eval(args) -> int:
-    _require_files(args.checkpoint)
-    examples = _load_eval_examples(args.data)
+    _require_files(args.checkpoint, args.data)
+    examples = load_dataset(args.data).examples
     loaded = load_checkpoint(args.checkpoint)
     report = evaluation.evaluate(loaded.model, examples, split=args.split)
     print(report.format())
@@ -301,14 +295,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    for path in args.checkpoints:
-        _require_files(path)
-    examples = _load_eval_examples(args.data)
+    _require_files(*args.checkpoints, args.data)
+    examples = load_dataset(args.data).examples
     models = [load_checkpoint(path).model for path in args.checkpoints]
-    for path, model in zip(args.checkpoints, models):
-        single = evaluation.evaluate(model, examples, split=args.split)
+    members, report = evaluation.ensemble_reports(models, examples, split=args.split)
+    for path, single in zip(args.checkpoints, members):
         print(f"{path}: {100 * single.overall_accuracy:.1f}")
-    report = evaluation.ensemble_evaluate(models, examples, split=args.split)
     print(f"ensemble of {len(models)}:")
     print(report.format())
     return 0
@@ -360,16 +352,14 @@ def cmd_sweep(args) -> int:
     print(f"run directory: {run_dir}")
     print(f"effective seed: {config.train.seed}")
     try:
-        train_examples = load_dataset(config.train_file, "train").examples
-        dev_examples = load_dataset(config.dev_file, "dev").examples
-        seeds = [config.train.seed + i for i in range(args.runs_per_cell)]
+        train_examples = load_dataset(config.train_file).examples
+        dev_examples = load_dataset(config.dev_file).examples
         runs, summary = evaluation.pooling_sweep(
             train_examples,
             dev_examples,
             config.model,
             config.train,
-            runs_per_cell=args.runs_per_cell,
-            seeds=seeds,
+            seeds=[config.train.seed + i for i in range(args.runs_per_cell)],
             embedding_scale=config.embedding_scale,
             jobs=args.jobs,
         )
@@ -390,8 +380,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    _require_files(args.checkpoint)
-    examples = _load_eval_examples(args.data)
+    _require_files(args.checkpoint, args.data)
+    examples = load_dataset(args.data).examples
     loaded = load_checkpoint(args.checkpoint)
     count = evaluation.export_representations(loaded.model, examples, args.output)
     print(f"wrote {count} records to {args.output}")

@@ -77,7 +77,6 @@ class NLIExample:
 @dataclass
 class DatasetLoad:
     examples: list[NLIExample]
-    kept: int = 0
     dropped_no_label: int = 0
     skipped_empty: int = 0
 
@@ -88,14 +87,12 @@ class DatasetLoad:
         return len(self.examples)
 
 
-def load_dataset(path, split_role: str = "train") -> DatasetLoad:
+def load_dataset(path) -> DatasetLoad:
     """Read a corpus file into NLIExamples.
 
-    Pairs labeled "-" are dropped for every role; records that end up with
-    an empty token list on either side are skipped and counted.
+    Pairs labeled "-" are dropped and counted; records that end up with an
+    empty token list on either side are skipped and counted.
     """
-    if split_role not in ("train", "dev", "test"):
-        raise ConfigError(f"unknown split role {split_role!r}")
     result = DatasetLoad(examples=[])
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -129,7 +126,6 @@ def load_dataset(path, split_role: str = "train") -> DatasetLoad:
                     label=label,
                 )
             )
-            result.kept += 1
     return result
 
 

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from .classifier import PredictionDistribution
 from .data import (
     EMBEDDING_SCALE,
     LABELS,
@@ -25,6 +24,7 @@ from .data import (
     make_batches,
     random_embeddings,
 )
+from .encoder import POOLING_METHODS
 from .errors import ConfigError, InvalidInputError
 from .model import NLIModel
 
@@ -87,14 +87,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _report_from_predictions(predictions, examples, split) -> EvalReport:
+def _report(probs: np.ndarray, examples: Sequence[NLIExample], split: str) -> EvalReport:
+    """The report of class probabilities [N x 3] against the examples' gold
+    labels; a pair's prediction is its argmax, lowest index on ties."""
     confusion = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     per_genre: dict[str, list[int]] = {}
-    for dist, ex in zip(predictions, examples):
+    for predicted, ex in zip(probs.argmax(axis=1), examples):
         gold = ex.label_index
-        confusion[gold, dist.predicted_class] += 1
+        confusion[gold, predicted] += 1
         bucket = per_genre.setdefault(ex.genre, [0, 0])
-        bucket[0] += int(dist.predicted_class == gold)
+        bucket[0] += int(predicted == gold)
         bucket[1] += 1
     return EvalReport(
         split=split,
@@ -105,53 +107,56 @@ def _report_from_predictions(predictions, examples, split) -> EvalReport:
     )
 
 
-def _batched_predictions(model: NLIModel, examples, batch_size: int):
-    ordered = list(examples)
-    predictions = []
-    for batch in make_batches(ordered, batch_size, "dev", model.vocab, model.char_vocab):
-        predictions.extend(model.predict_batch(batch))
-    return ordered, predictions
+def _member_probs(
+    models: Sequence[NLIModel], examples: Sequence[NLIExample], batch_size: int
+) -> np.ndarray:
+    """Every member's inference-mode class probabilities [k x N x 3], in
+    example order; the batches are built once and serve every member."""
+    if not models:
+        raise InvalidInputError("ensemble needs at least one model")
+    vocabularies = {(m.vocab_hash, m.char_vocab_hash) for m in models}
+    if len(vocabularies) > 1:
+        raise ConfigError(
+            f"ensemble models were built against different vocabularies: {vocabularies}"
+        )
+    if not len(examples):
+        raise InvalidInputError("evaluate: empty dataset")
+    batches = make_batches(examples, batch_size, "dev", models[0].vocab, models[0].char_vocab)
+    return np.array([
+        [dist.probs for batch in batches for dist in model.predict_batch(batch)]
+        for model in models
+    ])
+
+
+def _average(probs: np.ndarray) -> np.ndarray:
+    """The members' mean [N x 3] of probabilities [k x N x 3].  Where every
+    member gives a pair the same row, that row is returned as it is, which
+    the mean would not guarantee in floating point."""
+    mean = probs.mean(axis=0)
+    agree = np.all(probs == probs[0], axis=(0, 2))
+    mean[agree] = probs[0, agree]
+    return mean
 
 
 def evaluate(
     model: NLIModel, examples: Sequence[NLIExample], split: str = "matched", batch_size: int = 32
 ) -> EvalReport:
     """Inference-mode accuracy with per-genre breakdown and confusion counts."""
-    if not len(examples):
-        raise InvalidInputError("evaluate: empty dataset")
-    ordered, predictions = _batched_predictions(model, examples, batch_size)
-    return _report_from_predictions(predictions, ordered, split)
+    return _report(_member_probs([model], examples, batch_size)[0], examples, split)
 
 
-# ---------------------------------------------------------------------------
-# Ensembling
-
-
-def _check_compatible(models: Sequence[NLIModel]) -> None:
-    if not models:
-        raise InvalidInputError("ensemble needs at least one model")
-    hashes = {m.vocab_hash for m in models} | {m.char_vocab_hash for m in models}
-    if len({m.vocab_hash for m in models}) > 1 or len({m.char_vocab_hash for m in models}) > 1:
-        raise ConfigError(f"ensemble models were built against different vocabularies: {hashes}")
-
-
-def _average(distributions: Sequence[PredictionDistribution]) -> PredictionDistribution:
-    rows = [d.probs for d in distributions]
-    if all(np.array_equal(rows[0], row) for row in rows[1:]):
-        # identical members must reproduce the single model exactly, which
-        # summing and dividing would not guarantee in floating point
-        probs = rows[0].copy()
-    else:
-        probs = np.mean(rows, axis=0)
-    return PredictionDistribution(probs=probs, predicted_class=int(np.argmax(probs)))
-
-
-def ensemble_predict(models: Sequence[NLIModel], example: NLIExample) -> PredictionDistribution:
-    """Average the per-model class distributions; argmax with lowest-index ties."""
-    _check_compatible(models)
-    return _average(
-        [m.predict_tokens(example.premise_tokens, example.hypothesis_tokens) for m in models]
-    )
+def ensemble_reports(
+    models: Sequence[NLIModel],
+    examples: Sequence[NLIExample],
+    split: str = "matched",
+    batch_size: int = 32,
+) -> tuple[list[EvalReport], EvalReport]:
+    """Each member's report and the report of the members' averaged class
+    probabilities (argmax, lowest index on ties), from one forward pass of
+    each member."""
+    probs = _member_probs(models, examples, batch_size)
+    members = [_report(member, examples, split) for member in probs]
+    return members, _report(_average(probs), examples, split)
 
 
 def ensemble_evaluate(
@@ -160,16 +165,8 @@ def ensemble_evaluate(
     split: str = "matched",
     batch_size: int = 32,
 ) -> EvalReport:
-    _check_compatible(models)
-    if not len(examples):
-        raise InvalidInputError("evaluate: empty dataset")
-    ordered = list(examples)
-    per_model = []
-    for model in models:
-        _, predictions = _batched_predictions(model, ordered, batch_size)
-        per_model.append(predictions)
-    averaged = [_average(column) for column in zip(*per_model)]
-    return _report_from_predictions(averaged, ordered, split)
+    """The report of the members' averaged class probabilities."""
+    return ensemble_reports(models, examples, split, batch_size)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -353,27 +350,22 @@ def pooling_sweep(
     dev_examples: Sequence[NLIExample],
     base_config,
     train_config,
-    runs_per_cell: int,
-    seeds: Sequence[int] | None = None,
-    methods: Sequence[str] = ("mean", "sum", "last", "max"),
+    seeds: Sequence[int],
     embedding_scale: float = EMBEDDING_SCALE,
     jobs: int = 1,
 ) -> tuple[list[SweepRun], SweepSummary]:
-    """Train every (method x chars) cell ``runs_per_cell`` times with distinct
-    seeds; collect each run's best dev accuracy and summarize."""
-    if runs_per_cell < 2:
-        raise ConfigError("pooling_sweep needs runs_per_cell >= 2 for interval estimates")
-    if seeds is None:
-        seeds = list(range(runs_per_cell))
-    if len(seeds) != runs_per_cell:
-        raise ConfigError(f"expected {runs_per_cell} seeds, got {len(seeds)}")
+    """Train every (pooling method x chars) cell once per seed (the cell's
+    index shifts each seed); collect each run's best dev accuracy and
+    summarize."""
+    if len(seeds) < 2:
+        raise ConfigError("pooling_sweep needs at least 2 seeds for interval estimates")
 
-    grid = [(m, flag) for m in methods for flag in (False, True)]
+    grid = [(m, flag) for m in POOLING_METHODS for flag in (False, True)]
     tasks = [
         (
             method,
             use_chars,
-            int(seeds[run]) + 10_000 * cell_index,
+            int(seed) + 10_000 * cell_index,
             list(train_examples),
             list(dev_examples),
             base_config,
@@ -381,7 +373,7 @@ def pooling_sweep(
             embedding_scale,
         )
         for cell_index, (method, use_chars) in enumerate(grid)
-        for run in range(runs_per_cell)
+        for seed in seeds
     ]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

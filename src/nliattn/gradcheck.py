@@ -274,10 +274,9 @@ def model_suite(seed: int = 7, eps: float = 1e-5) -> dict[str, float]:
                 p.value.data[:] = rng.uniform(-0.6, 0.6, p.shape)
         batch = make_batches(examples, 2, "dev", vocab, chars)[0]
 
-        def loss():
-            return model.batch_loss(batch, training=False)[0]
-
-        return parameter_gradient_errors(loss, model.parameters(), eps=eps)
+        return parameter_gradient_errors(
+            lambda: model.batch_loss(batch), model.parameters(), eps=eps
+        )
 
 
 OPERATION_TOLERANCE = 1e-4

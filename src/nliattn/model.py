@@ -110,9 +110,9 @@ class NLIModel:
         batch: Batch,
         training: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, list[clf.PredictionDistribution]]:
-        """Logits [B x 3] and distributions for every pair of a batch; the
-        MLP runs once on the B stacked matching vectors."""
+    ) -> Tensor:
+        """Logits [B x 3] for every pair of a batch; the MLP runs once on
+        the B stacked matching vectors."""
         r = clf.aggregate(*self.represent(batch))
         return clf.classify(r, self.mlp, training=training, rng=rng)
 
@@ -121,23 +121,24 @@ class NLIModel:
         batch: Batch,
         training: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, int]:
-        """Mean cross entropy over a batch, plus the number of correct argmaxes."""
-        logits, dists = self.batch_logits(batch, training=training, rng=rng)
-        correct = sum(
-            int(dist.predicted_class == label) for dist, label in zip(dists, batch.labels)
-        )
-        return ad.cross_entropy_from_logits(logits, batch.labels), correct
+    ) -> Tensor:
+        """Mean cross entropy over a batch."""
+        logits = self.batch_logits(batch, training=training, rng=rng)
+        return ad.cross_entropy_from_logits(logits, batch.labels)
 
     def predict_batch(self, batch: Batch) -> list[clf.PredictionDistribution]:
         """Inference-mode distributions for every pair in a batch."""
-        return self.batch_logits(batch)[1]
+        probs = clf.softmax(self.batch_logits(batch).data)
+        return [
+            clf.PredictionDistribution(probs=row, predicted_class=int(predicted))
+            for row, predicted in zip(probs, probs.argmax(axis=1))
+        ]
 
     def predict_tokens(
         self, premise_tokens: list[str], hypothesis_tokens: list[str]
     ) -> clf.PredictionDistribution:
         """Distribution for one raw token-list pair (unknown tokens -> UNK)."""
-        return self.batch_logits(self.tokens_to_inputs(premise_tokens, hypothesis_tokens))[1][0]
+        return self.predict_batch(self.tokens_to_inputs(premise_tokens, hypothesis_tokens))[0]
 
     def tokens_to_inputs(self, premise_tokens: list[str], hypothesis_tokens: list[str]) -> Batch:
         """The one-pair Batch for a raw token-list pair."""

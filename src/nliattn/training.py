@@ -29,7 +29,7 @@ import numpy as np
 from .autodiff import Parameter, Tape, default_dtype
 from .data import CharVocabulary, Vocabulary, make_batches
 from .errors import ConfigError, IntegrityError, InvalidInputError, NumericError
-from .evaluation import _batched_predictions
+from .evaluation import evaluate
 from .model import ModelConfig, NLIModel
 
 CHECKPOINT_MAGIC = "nliattn-checkpoint"
@@ -165,11 +165,7 @@ class TrainResult:
 
 
 def _dev_accuracy(model: NLIModel, dev_examples, batch_size: int) -> float:
-    examples, predictions = _batched_predictions(model, dev_examples, batch_size)
-    correct = sum(
-        int(dist.predicted_class == ex.label_index) for dist, ex in zip(predictions, examples)
-    )
-    return correct / len(examples)
+    return evaluate(model, dev_examples, batch_size=batch_size).overall_accuracy
 
 
 def train(
@@ -212,7 +208,7 @@ def train(
             for batch in batches:
                 optimizer.zero_grads()
                 with Tape() as tape:
-                    loss, _ = model.batch_loss(batch, training=True, rng=dropout_rng)
+                    loss = model.batch_loss(batch, training=True, rng=dropout_rng)
                 loss_value = loss.item()
                 if not np.isfinite(loss_value):
                     raise NumericError(f"non-finite training loss in epoch {epoch}")
@@ -350,22 +346,17 @@ class LoadedCheckpoint:
     manifest: dict
 
 
-def load_checkpoint(
-    path,
-    vocab: Vocabulary | None = None,
-    char_vocab: CharVocabulary | None = None,
-) -> LoadedCheckpoint:
+def load_checkpoint(path) -> LoadedCheckpoint:
     """Reconstruct a model from a checkpoint file.
 
-    The manifest carries the vocabularies, so the file is self-contained;
-    passing vocabularies in addition verifies their hashes against the
-    manifest and rejects mismatches.  The blob's size is checked against
-    the manifest before the model is built; each parameter's values are
-    then read straight into its array, with no copy of the whole blob.
+    The manifest carries the vocabularies and their hashes, so the file is
+    self-contained.  The blob's size is checked against the manifest before
+    the model is built; each parameter's values are then read straight into
+    its array, with no copy of the whole blob.
     """
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh, path)
-        model = _model_for(manifest, path, vocab, char_vocab)
+        model = _model_for(manifest, path)
         params = model.parameters()
         declared = [entry["name"] for entry in manifest["parameters"]]
         if declared != list(params):
@@ -381,7 +372,7 @@ def load_checkpoint(
     return LoadedCheckpoint(model=model, manifest=manifest)
 
 
-def _model_for(manifest: dict, path, vocab, char_vocab) -> NLIModel:
+def _model_for(manifest: dict, path) -> NLIModel:
     """The model a checked manifest describes, its parameters not yet filled."""
     saved_vocab = Vocabulary(int(manifest["vocab"]["dim"]), manifest["vocab"]["tokens"])
     saved_chars = CharVocabulary(
@@ -391,10 +382,6 @@ def _model_for(manifest: dict, path, vocab, char_vocab) -> NLIModel:
         raise IntegrityError(f"{path}: vocabulary does not match its recorded hash")
     if saved_chars.content_hash() != manifest["char_vocab_hash"]:
         raise IntegrityError(f"{path}: char vocabulary does not match its recorded hash")
-    if vocab is not None and vocab.content_hash() != manifest["vocab_hash"]:
-        raise ConfigError(f"{path}: checkpoint was built against a different vocabulary")
-    if char_vocab is not None and char_vocab.content_hash() != manifest["char_vocab_hash"]:
-        raise ConfigError(f"{path}: checkpoint was built against a different char vocabulary")
 
     config = ModelConfig.from_dict(manifest["config"])
     embeddings = Parameter(

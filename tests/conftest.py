@@ -76,3 +76,20 @@ def four_seed_checkpoints(tmp_path_factory):
         run_dir = find_run_dir(base / f"s{seed}" / "runs")
         checkpoints.append(run_dir / "best.ckpt")
     return checkpoints
+
+
+@pytest.fixture
+def reported_probs(monkeypatch):
+    """The class probabilities [N x 3] behind every report that
+    ``evaluation`` builds while the test runs, in call order."""
+    from nliattn import evaluation
+
+    seen = []
+    report = evaluation._report
+
+    def spy(probs, examples, split):
+        seen.append(probs)
+        return report(probs, examples, split)
+
+    monkeypatch.setattr(evaluation, "_report", spy)
+    return seen

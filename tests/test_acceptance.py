@@ -234,8 +234,8 @@ class TestSmokeRun:
         dev_path = tmp_path / "dev.jsonl"
         synth.write_jsonl(synth.synthetic_records(10_000, np.random.default_rng(100)), train_path)
         synth.write_jsonl(synth.synthetic_records(2_000, np.random.default_rng(200)), dev_path)
-        train_examples = load_dataset(train_path, "train").examples
-        dev_examples = load_dataset(dev_path, "dev").examples
+        train_examples = load_dataset(train_path).examples
+        dev_examples = load_dataset(dev_path).examples
         assert len(train_examples) == 10_000 and len(dev_examples) == 2_000
 
         vocab = Vocabulary.from_examples(train_examples, dim=50)
@@ -279,8 +279,8 @@ class TestProtocolFidelity:
         records = synth.synthetic_records(4, np.random.default_rng(0))
         records.append({**records[0], "gold_label": "-", "pairID": "drop-me"})
         synth.write_jsonl(records, corpus)
-        load = load_dataset(corpus, "train")
-        assert load.kept == 4 and load.dropped_no_label == 1
+        load = load_dataset(corpus)
+        assert len(load) == 4 and load.dropped_no_label == 1
 
         # premises beyond 200 tokens vanish from training batches only
         examples = synth.synthetic_examples(4, seed=1)
@@ -309,16 +309,18 @@ class TestProtocolFidelity:
 
 
 class TestEnsembleContract:
-    def test_identical_members_and_four_seed_ensemble(self):
+    def test_identical_members_and_four_seed_ensemble(self, reported_probs):
         examples = synth.synthetic_examples(24, seed=20)
         dev = synth.synthetic_examples(12, seed=21)
 
         single = small_model(examples, seed=22)
-        lone = single.predict_tokens(dev[0].premise_tokens, dev[0].hypothesis_tokens)
+        lone = ev.evaluate(single, dev)
+        lone_probs = reported_probs[-1]
         for k in (2, 3, 5):
-            combined = ev.ensemble_predict([single] * k, dev[0])
-            np.testing.assert_array_equal(combined.probs, lone.probs)
-            assert combined.predicted_class == lone.predicted_class
+            combined = ev.ensemble_evaluate([single] * k, dev)
+            # the average is the last report; each member's comes before it
+            np.testing.assert_array_equal(reported_probs[-1], lone_probs)
+            assert combined.to_dict() == lone.to_dict()
 
         members = []
         for seed in (31, 32, 33, 34):
@@ -348,7 +350,7 @@ class TestSweepProtocol:
             dev_examples,
             base,
             TrainConfig(learning_rate=0.002, batch_size=8, max_epochs=1, seed=0),
-            runs_per_cell=2,
+            seeds=[0, 1],
             embedding_scale=0.5,
         )
         assert len(summary.cells) == 8 and len(runs) == 16

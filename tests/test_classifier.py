@@ -59,16 +59,17 @@ class TestClassify:
         params = self._params()
         for p in params.parameters().values():
             p.value.data[:] = 0.0
-        logits, dists = clf.classify(Tensor(np.ones((1, 6))), params)
+        logits = clf.classify(Tensor(np.ones((1, 6))), params)
         np.testing.assert_array_equal(logits.data, np.zeros((1, 3), dtype=np.float32))
-        np.testing.assert_allclose(dists[0].probs, [1 / 3] * 3, atol=1e-9)
-        assert dists[0].predicted_class == 0
+        probs = clf.softmax(logits.data)
+        np.testing.assert_allclose(probs[0], [1 / 3] * 3, atol=1e-9)
+        assert probs[0].argmax() == 0
 
     def test_inference_deterministic(self):
         params = self._params(seed=2)
         r = Tensor(np.random.default_rng(3).normal(size=(1, 6)))
-        a, _ = clf.classify(r, params, training=False)
-        b, _ = clf.classify(r, params, training=False)
+        a = clf.classify(r, params, training=False)
+        b = clf.classify(r, params, training=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_matches_hand_composed_chain(self):
@@ -76,7 +77,7 @@ class TestClassify:
         with ad.precision("float64"):
             params = self._params(seed=4)
             r = np.random.default_rng(5).normal(size=(1, 6))
-            logits, _ = clf.classify(Tensor(r), params, training=False)
+            logits = clf.classify(Tensor(r), params, training=False)
             x = r[0]
             for w, b in params.layers[:-1]:
                 x = np.maximum(w.data @ x + b.data, 0.0)
@@ -88,34 +89,51 @@ class TestClassify:
         params = self._params(seed=6)
         rng = np.random.default_rng(7)
         for _ in range(20):
-            dist = clf.classify(Tensor(rng.normal(size=(1, 6))), params)[1][0]
-            assert abs(dist.probs.sum() - 1.0) < 1e-6
-            assert np.all(dist.probs >= 0) and np.all(dist.probs <= 1)
+            probs = clf.softmax(clf.classify(Tensor(rng.normal(size=(4, 6))), params).data)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+            assert np.all(probs >= 0) and np.all(probs <= 1)
 
     def test_shift_invariance(self):
-        logits = np.random.default_rng(20).normal(size=3)
-        base = ad.softmax_probs(logits)
+        # every row moves by its own shift, so the row-wise max must be used
+        logits = np.random.default_rng(20).normal(size=(3, 3))
+        base = clf.softmax(logits)
         for shift in (-250.0, 1.0, 1e4):
-            np.testing.assert_allclose(ad.softmax_probs(logits + shift), base, atol=1e-6)
+            shifts = np.array([[shift], [0.0], [-shift]])
+            np.testing.assert_allclose(clf.softmax(logits + shifts), base, atol=1e-6)
+
+    def test_softmax_equals_per_row_form_bitwise(self):
+        # oracle: the stable softmax of one row at a time, as float64
+        def per_row(z):
+            z = np.asarray(z, dtype=np.float64)
+            e = np.exp(z - z.max())
+            return e / e.sum()
+
+        rng = np.random.default_rng(21)
+        for scale in (0.01, 0.1, 1.0, 10.0, 100.0):
+            for b in (1, 2, 7, 32, 64):
+                logits = (scale * rng.normal(size=(b, 3))).astype(np.float32)
+                probs = clf.softmax(logits)
+                assert probs.dtype == np.float64
+                np.testing.assert_array_equal(probs, [per_row(row) for row in logits])
 
     def test_shift_invariance_through_classifier(self):
         with ad.precision("float64"):
             params = self._params(seed=8)
             r = Tensor(np.random.default_rng(9).normal(size=(1, 6)))
-            before = clf.classify(r, params)[1][0]
+            before = clf.softmax(clf.classify(r, params).data)
             w_out, b_out = params.layers[-1]
             b_out.value.data[:] += 100.0  # shifts every logit equally
-            after = clf.classify(r, params)[1][0]
-        np.testing.assert_allclose(before.probs, after.probs, atol=1e-6)
-        assert before.predicted_class == after.predicted_class
+            after = clf.softmax(clf.classify(r, params).data)
+        np.testing.assert_allclose(before, after, atol=1e-6)
+        assert before.argmax() == after.argmax()
 
     def test_dropout_only_in_training(self):
         params = self._params(seed=10)
         r = Tensor(np.random.default_rng(11).normal(size=(1, 6)))
-        base, _ = clf.classify(r, params, training=False)
+        base = clf.classify(r, params, training=False)
         rng = np.random.default_rng(12)
         seen_different = any(
-            not np.array_equal(clf.classify(r, params, training=True, rng=rng)[0].data, base.data)
+            not np.array_equal(clf.classify(r, params, training=True, rng=rng).data, base.data)
             for _ in range(8)
         )
         assert seen_different
@@ -162,13 +180,13 @@ class TestModel:
     def test_batch_loss_and_prediction(self):
         model, examples, vocab, chars = tiny_model()
         batch = make_batches(examples, 2, "dev", vocab, chars)[0]
-        loss, correct = model.batch_loss(batch)
+        loss = model.batch_loss(batch)
         assert np.isfinite(loss.item())
-        assert 0 <= correct <= 2
         dists = model.predict_batch(batch)
         assert len(dists) == 2
         for d in dists:
             assert abs(d.probs.sum() - 1.0) < 1e-6
+            assert d.predicted_class == int(np.argmax(d.probs))
 
     def test_predict_tokens_handles_unknowns(self):
         model, *_ = tiny_model()
@@ -184,10 +202,9 @@ class TestModel:
                     p.value.data[:] = rng.uniform(-0.5, 0.5, p.shape)
             batch = make_batches(examples, 2, "dev", vocab, chars)[0]
 
-            def loss():
-                return model.batch_loss(batch, training=False)[0]
-
-            errors = gc.parameter_gradient_errors(loss, model.parameters())
+            errors = gc.parameter_gradient_errors(
+                lambda: model.batch_loss(batch), model.parameters()
+            )
         assert len(errors) > 10
         for name, err in errors.items():
             assert err <= 1e-3, f"{name}: relative error {err:.3e}"
@@ -252,7 +269,7 @@ class TestBatchPaths:
             batch = make_batches(examples, len(examples), "dev", model.vocab, model.char_vocab)[0]
 
             def unrolled_logits():
-                return clf.classify(clf.aggregate(*unrolled_represent(model, batch)), model.mlp)[0]
+                return clf.classify(clf.aggregate(*unrolled_represent(model, batch)), model.mlp)
 
             def grads(loss_of):
                 model.zero_grads()
@@ -264,9 +281,9 @@ class TestBatchPaths:
 
             rows = [r.data for r in model.represent(batch)]
             ref_rows = [r.data for r in unrolled_represent(model, batch)]
-            logits = model.batch_logits(batch)[0].data
+            logits = model.batch_logits(batch).data
             ref_logits = unrolled_logits().data
-            batched = grads(lambda: model.batch_loss(batch)[0])
+            batched = grads(lambda: model.batch_loss(batch))
             unrolled = grads(lambda: ad.cross_entropy_from_logits(unrolled_logits(), batch.labels))
         for row, ref in zip(rows, ref_rows):
             np.testing.assert_allclose(row, ref, atol=1e-6)
@@ -291,19 +308,11 @@ class TestBatchPaths:
                         _probs_of(model, examples, "t"), alone, atol=1e-6
                     )
 
-    def test_literal_pad_token_agrees_across_paths(self, monkeypatch, tmp_path):
+    def test_literal_pad_token_agrees_across_paths(self, reported_probs, tmp_path):
         # predict, eval, ensemble and export all see the pair through a Batch;
         # LONG is longer on both sides, so the pair's rows are padded there
         pair = NLIExample("p", "g", ["a", "<pad>", "cat"], ["<pad>", "runs"], "neutral")
         padded = [pair, self.LONG]
-        reported = []
-        report = ev._report_from_predictions
-
-        def spy(predictions, examples, split):
-            reported.append(predictions[0].probs)
-            return report(predictions, examples, split)
-
-        monkeypatch.setattr(ev, "_report_from_predictions", spy)
         with ad.precision("float64"):
             model, *_ = tiny_model(seed=41)
             assert model.config.encoder.use_chars
@@ -315,11 +324,12 @@ class TestBatchPaths:
             batched = _probs_of(model, padded, "p")
             ev.evaluate(model, padded)
             ev.ensemble_evaluate([model], padded)
-            ensembled = ev.ensemble_predict([model], pair).probs
+            ev.ensemble_evaluate([model, model], [pair])
             ev.export_representations(model, padded, tmp_path / "reps.tsv")
             premise, hypothesis = model.represent(one)
-        assert len(reported) == 2
-        for probs in (batched, *reported, ensembled):
+        # evaluate's report, then each ensemble's member reports and average
+        assert len(reported_probs) == 1 + (1 + 1) + (2 + 1)
+        for probs in (batched, *(probs[0] for probs in reported_probs)):
             np.testing.assert_allclose(probs, single, atol=1e-6)
         rows = [line.split("\t") for line in (tmp_path / "reps.tsv").read_text().splitlines()]
         assert [row[:2] for row in rows[:2]] == [["p", "premise"], ["p", "hypothesis"]]
@@ -372,7 +382,7 @@ class TestCharHalf:
             def char_grads():
                 model.zero_grads()
                 with ad.Tape() as tape:
-                    loss = model.batch_loss(batch)[0]
+                    loss = model.batch_loss(batch)
                 tape.backward(loss)
                 return {name: p.grad.copy() for name, p in model.parameters().items()
                         if name.startswith("char_")}

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from nliattn import autodiff as ad
-from nliattn import cli, gradcheck, training
+from nliattn import cli, evaluation, gradcheck, training
 from nliattn.cli import CONFIG_ENV_VAR, main
+from nliattn.data import load_dataset
+from nliattn.model import NLIModel
 from conftest import FIXTURES, find_run_dir, write_tiny_config
 
 
@@ -251,6 +253,42 @@ class TestEnsemble:
         eval_overall = [l for l in eval_out.splitlines() if "MultiNLI Overall" in l][0]
         ens_overall = [l for l in ens_out.splitlines() if "MultiNLI Overall" in l][0]
         assert eval_overall == ens_overall
+
+    def test_two_checkpoints_run_each_member_once(
+        self, four_seed_checkpoints, tmp_path, capsys, monkeypatch
+    ):
+        # 36 pairs: two batches of at most 32
+        dev = tmp_path / "dev.jsonl"
+        dev.write_text((FIXTURES / "dev.jsonl").read_text(encoding="utf-8") * 3, encoding="utf-8")
+        paths = [str(p) for p in four_seed_checkpoints[:2]]
+        examples = load_dataset(dev).examples
+        models = [training.load_checkpoint(p).model for p in paths]
+        # the lines the command printed before it shared one pass: each
+        # member's evaluate, then the ensemble's report
+        expected = [
+            f"{p}: {100 * evaluation.evaluate(m, examples).overall_accuracy:.1f}"
+            for p, m in zip(paths, models)
+        ]
+        expected.append("ensemble of 2:")
+        expected += evaluation.ensemble_evaluate(models, examples).format().splitlines()
+
+        calls = []
+        predict_batch = NLIModel.predict_batch
+        monkeypatch.setattr(
+            NLIModel, "predict_batch",
+            lambda model, batch: calls.append((model, len(batch))) or predict_batch(model, batch),
+        )
+        built = []
+        make_batches = evaluation.make_batches
+        monkeypatch.setattr(
+            evaluation, "make_batches", lambda *a, **k: built.append(a) or make_batches(*a, **k)
+        )
+        assert main(["ensemble", "--checkpoints", *paths, "--data", str(dev)]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        assert len(built) == 1
+        assert [size for _, size in calls] == [32, 4, 32, 4]
+        assert calls[0][0] is calls[1][0] and calls[2][0] is calls[3][0]
+        assert calls[0][0] is not calls[2][0]
 
     def test_four_seed_ensemble(self, four_seed_checkpoints, trained_run, capsys):
         argv = ["ensemble", "--checkpoints"] + [str(p) for p in four_seed_checkpoints]

@@ -65,7 +65,7 @@ class TestLoadDataset:
     def test_placeholder_label_dropped(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [record(label="-"), record(label="entailment")])
-        load = data.load_dataset(path, "dev")
+        load = data.load_dataset(path)
         assert len(load) == 1
         assert load.dropped_no_label == 1
         assert load.examples[0].label == "entailment"
@@ -73,13 +73,13 @@ class TestLoadDataset:
     def test_three_lines_one_placeholder(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [record(), record(label="-"), record(label="contradiction")])
-        load = data.load_dataset(path, "train")
+        load = data.load_dataset(path)
         assert len(load) == 2
 
     def test_fields_carried_through(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [record(genre="fiction", pairID="42-e")])
-        ex = data.load_dataset(path, "train").examples[0]
+        ex = data.load_dataset(path).examples[0]
         assert ex.genre == "fiction"
         assert ex.pair_id == "42-e"
         assert ex.label_index == 0
@@ -88,22 +88,22 @@ class TestLoadDataset:
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [record(), {"gold_label": "neutral", "sentence1": "Hi"}])
         with pytest.raises(DataError, match=":2"):
-            data.load_dataset(path, "train")
+            data.load_dataset(path)
 
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [record(label="maybe")])
         with pytest.raises(DataError, match="maybe"):
-            data.load_dataset(path, "train")
+            data.load_dataset(path)
 
     def test_unreadable_file_raises_io_error(self, tmp_path):
         with pytest.raises(OSError):
-            data.load_dataset(tmp_path / "nope.jsonl", "train")
+            data.load_dataset(tmp_path / "nope.jsonl")
 
     def test_empty_sentence_skipped_and_counted(self, tmp_path):
         path = tmp_path / "d.jsonl"
         write_jsonl(path, [record(s2="   "), record()])
-        load = data.load_dataset(path, "train")
+        load = data.load_dataset(path)
         assert len(load) == 1
         assert load.skipped_empty == 1
 

@@ -51,7 +51,9 @@ class TestLstmStep:
         cell = make_cell("z", 4, 3, rng)
         for p in cell.parameters().values():
             p.value.data[:] = 0.0
-        h, c = enc.lstm_step(cell, Tensor(rng.normal(size=4)), ad.zeros(3), ad.zeros(3))
+        h, c = enc.lstm_step(
+            cell, Tensor(rng.normal(size=4)), Tensor(np.zeros(3)), Tensor(np.zeros(3))
+        )
         np.testing.assert_array_equal(h.data, np.zeros(3, dtype=np.float32))
         np.testing.assert_array_equal(c.data, np.zeros(3, dtype=np.float32))
 
@@ -64,7 +66,7 @@ class TestLstmStep:
         bias[3:6] = 50.0  # forget slots
         cell.bias.value.data[:] = bias
         c_prev = Tensor(np.array([0.3, -0.7, 1.1]))
-        h, c = enc.lstm_step(cell, Tensor(np.ones(2)), ad.zeros(3), c_prev)
+        h, c = enc.lstm_step(cell, Tensor(np.ones(2)), Tensor(np.zeros(3)), c_prev)
         np.testing.assert_allclose(c.data, c_prev.data, atol=1e-6)
         np.testing.assert_allclose(h.data, np.zeros(3), atol=1e-6)
 
@@ -107,7 +109,9 @@ class TestCharEncode:
         rng = np.random.default_rng(4)
         emb, cell = self._char_model(rng)
         out = enc.char_encode([3], [1], emb, cell)
-        expected, _ = enc.lstm_step(cell, Tensor(emb.data[3]), ad.zeros(2), ad.zeros(2))
+        expected, _ = enc.lstm_step(
+            cell, Tensor(emb.data[3]), Tensor(np.zeros(2)), Tensor(np.zeros(2))
+        )
         assert out.shape == (1, 2)
         np.testing.assert_array_equal(out.data[0], expected.data)
 
@@ -203,8 +207,8 @@ class TestBilstm:
         x = Tensor(np.random.default_rng(8).normal(size=(1, 5)))
         seq = enc.bilstm(x, [1], model.forward_cell, model.backward_cell)
         x0 = ad.reshape(ad.narrow(x, 0, 0, 1), (5,))
-        fh, _ = enc.lstm_step(model.forward_cell, x0, ad.zeros(3), ad.zeros(3))
-        bh, _ = enc.lstm_step(model.backward_cell, x0, ad.zeros(3), ad.zeros(3))
+        fh, _ = enc.lstm_step(model.forward_cell, x0, Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        bh, _ = enc.lstm_step(model.backward_cell, x0, Tensor(np.zeros(3)), Tensor(np.zeros(3)))
         np.testing.assert_array_equal(seq.H.data[0], np.concatenate([fh.data, bh.data]))
 
     def test_reversal_symmetry_with_tied_weights(self):
@@ -264,7 +268,7 @@ def unrolled_bilstm(model, x: Tensor, lengths):
             (model.forward_cell, range(start, start + n)),
             (model.backward_cell, range(start + n - 1, start - 1, -1)),
         ):
-            h, c = ad.zeros(hidden), ad.zeros(hidden)
+            h, c = Tensor(np.zeros(hidden)), Tensor(np.zeros(hidden))
             for i in order:
                 h, c = enc.lstm_step(cell, rows[i], h, c)
                 states[(i, cell)] = h
@@ -287,7 +291,7 @@ def unrolled_embed_tokens(model, word_ids, word_index, char_ids, char_lengths):
     cell = model.char_cell
     rows = []
     for w in word_index:
-        h, c = ad.zeros(cell.hidden), ad.zeros(cell.hidden)
+        h, c = Tensor(np.zeros(cell.hidden)), Tensor(np.zeros(cell.hidden))
         for i in char_ids[ends[w] - char_lengths[w] : ends[w]]:
             x = ad.reshape(ad.take_rows(model.char_embeddings.value, [i]), (cell.input_dim,))
             h, c = enc.lstm_step(cell, x, h, c)

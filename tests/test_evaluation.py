@@ -112,48 +112,67 @@ class TestConfidenceInterval:
 
 
 class FixedModel:
-    """Stub returning one fixed distribution for every pair."""
+    """Stub giving every pair one fixed distribution, or the one
+    ``per_pair`` holds for the pair's id."""
 
-    def __init__(self, probs, vocab_hash="h", char_vocab_hash="c"):
+    vocab = Vocabulary(dim=2)
+    char_vocab = CharVocabulary(dim=2)
+
+    def __init__(self, probs, vocab_hash="h", char_vocab_hash="c", per_pair=None):
         self.probs = np.asarray(probs, dtype=np.float64)
+        self.per_pair = per_pair or {}
         self.vocab_hash = vocab_hash
         self.char_vocab_hash = char_vocab_hash
 
-    def predict_tokens(self, premise, hypothesis):
-        return PredictionDistribution(
-            probs=self.probs.copy(), predicted_class=int(np.argmax(self.probs))
-        )
+    def predict_batch(self, batch):
+        out = []
+        for pair_id in batch.pair_ids:
+            probs = np.array(self.per_pair.get(pair_id, self.probs), dtype=np.float64)
+            out.append(PredictionDistribution(probs=probs, predicted_class=int(np.argmax(probs))))
+        return out
 
 
 class TestEnsemble:
-    def _example(self):
-        return synth.synthetic_examples(1, seed=8)[0]
+    def _examples(self, n=1):
+        return synth.synthetic_examples(n, seed=8)
 
-    def test_identical_members_reproduce_single_model_exactly(self):
+    def test_identical_members_reproduce_single_model_exactly(self, reported_probs):
         member = FixedModel([0.61, 0.29, 0.1])
-        single = member.predict_tokens([], [])
-        combined = ev.ensemble_predict([member, member, member], self._example())
-        np.testing.assert_array_equal(combined.probs, single.probs)
-        assert combined.predicted_class == single.predicted_class
+        ev.ensemble_evaluate([member, member, member], self._examples(3))
+        np.testing.assert_array_equal(reported_probs[-1], [member.probs] * 3)
 
-    def test_hand_forced_average_with_tie_break(self):
+    def test_hand_forced_average_with_tie_break(self, reported_probs):
         models = [FixedModel([0.6, 0.3, 0.1]), FixedModel([0.2, 0.5, 0.3])]
-        combined = ev.ensemble_predict(models, self._example())
-        np.testing.assert_allclose(combined.probs, [0.4, 0.4, 0.2], atol=1e-12)
-        assert combined.predicted_class == 0  # lowest index wins the tie
+        [example] = self._examples()
+        report = ev.ensemble_evaluate(models, [example])
+        np.testing.assert_allclose(reported_probs[-1], [[0.4, 0.4, 0.2]], atol=1e-12)
+        assert report.confusion[example.label_index, 0] == 1  # lowest index wins the tie
 
-    def test_average_is_distribution(self):
+    def test_average_is_distribution(self, reported_probs):
         rng = np.random.default_rng(9)
         for _ in range(25):
             raw = rng.random((3, 3)) + 1e-3
             models = [FixedModel(row / row.sum()) for row in raw]
-            combined = ev.ensemble_predict(models, self._example())
-            assert combined.probs.sum() == pytest.approx(1.0, abs=1e-6)
+            ev.ensemble_evaluate(models, self._examples())
+            assert reported_probs[-1].sum() == pytest.approx(1.0, abs=1e-6)
+
+    def test_agreeing_pair_keeps_member_row_exactly(self, reported_probs):
+        agreed = np.array([0.1, 0.2, 0.7])
+        # the mean of three copies is not the row itself in floating point
+        assert not np.array_equal(np.mean([agreed] * 3, axis=0), agreed)
+        examples = self._examples(2)
+        other = examples[1].pair_id
+        rows = [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]
+        models = [FixedModel(agreed, per_pair={other: row}) for row in rows]
+        ev.ensemble_evaluate(models, examples)
+        combined = reported_probs[-1]  # the members' reports come first
+        np.testing.assert_array_equal(combined[0], agreed)
+        np.testing.assert_array_equal(combined[1], np.mean(rows, axis=0))
 
     def test_vocab_mismatch_rejected(self):
         models = [FixedModel([1, 0, 0]), FixedModel([1, 0, 0], vocab_hash="other")]
         with pytest.raises(ConfigError):
-            ev.ensemble_predict(models, self._example())
+            ev.ensemble_evaluate(models, self._examples())
 
     def test_ensemble_evaluate_single_model_equals_evaluate(self):
         examples = synth.synthetic_examples(9, seed=10)
@@ -216,7 +235,7 @@ class TestSweep:
         )
         config = TrainConfig(learning_rate=0.002, batch_size=6, max_epochs=1, seed=0)
         return ev.pooling_sweep(
-            train_examples, dev_examples, base, config, runs_per_cell=2, jobs=jobs
+            train_examples, dev_examples, base, config, seeds=[0, 1], jobs=jobs
         )
 
     def test_grid_has_eight_cells(self):
@@ -275,5 +294,5 @@ class TestSweep:
         )
         with pytest.raises(ConfigError):
             ev.pooling_sweep(
-                examples, examples, base, TrainConfig(max_epochs=1), runs_per_cell=1
+                examples, examples, base, TrainConfig(max_epochs=1), seeds=[0]
             )

@@ -11,7 +11,7 @@ from nliattn import synth, training
 from nliattn.autodiff import Parameter, precision
 from nliattn.data import CharVocabulary, Vocabulary, make_batches, random_embeddings
 from nliattn.encoder import EncoderConfig
-from nliattn.errors import ConfigError, IntegrityError, InvalidInputError, NumericError
+from nliattn.errors import IntegrityError, InvalidInputError, NumericError
 from nliattn.model import ModelConfig, NLIModel
 from nliattn.training import (
     CHUNK,
@@ -165,11 +165,11 @@ class TestRMSProp:
 
         model.zero_grads()
         with Tape() as tape:
-            loss, _ = model.batch_loss(batch, training=False)
+            loss = model.batch_loss(batch, training=False)
         before = loss.item()
         tape.backward(loss)
         opt.step()
-        after = model.batch_loss(batch, training=False)[0].item()
+        after = model.batch_loss(batch, training=False).item()
         assert after < before
 
 
@@ -445,17 +445,6 @@ class TestCheckpoint:
         path.write_bytes(struct.pack("<Q", len(header)) + header + raw[8 + header_len :])
         with pytest.raises(IntegrityError, match="char vocabulary"):
             load_checkpoint(path)
-
-    def test_vocab_hash_guard(self, tmp_path):
-        model, path, _ = self._trained(tmp_path)
-        other = Vocabulary.from_examples(synth.synthetic_examples(4, seed=99), dim=6)
-        with pytest.raises(ConfigError):
-            load_checkpoint(path, vocab=other)
-
-    def test_matching_vocab_accepted(self, tmp_path):
-        model, path, _ = self._trained(tmp_path)
-        loaded = load_checkpoint(path, vocab=model.vocab, char_vocab=model.char_vocab)
-        assert loaded.model.vocab_hash == model.vocab_hash
 
     def test_load_then_evaluate_equals_presave(self, tmp_path):
         model, path, examples = self._trained(tmp_path)
