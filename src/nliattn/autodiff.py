@@ -12,13 +12,22 @@ which are too noisy at single precision.
 
 A tape and its tensors belong to one thread.  Independent models (own
 tapes, own parameters) may run in parallel; frozen tensors may be shared
-read-only.
+read-only.  The library starts one thread of its own: the direction
+worker, which computes the second direction of a two-direction
+``lstm_sequence`` in its forward and backward passes.  It reads and writes
+numpy arrays only and never touches a tape; the op's one record is made
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Sequence
+import ctypes
+import functools
+import os
+from concurrent import futures
+from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -608,37 +617,86 @@ def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
     return starts[seq] + pos, sizes, offsets
 
 
-def lstm_sequence(
-    x: Tensor, lengths, w_ih: Tensor, w_hh: Tensor, bias: Tensor, reverse: bool = False
-) -> Tensor:
-    """One LSTM direction over every packed sequence of ``x`` [L x d], each
-    from zero state.
+# The direction worker, which runs the second direction of a two-direction
+# ``lstm_sequence``
 
-    Row i of the [L x h] result is the hidden state after the step that
-    reads row i; with ``reverse`` each sequence runs from its last row to
-    its first.  Gate order is input, forget, cell, output.  The input
-    projection x·w_ihᵀ + bias of every row is one GEMM; each time step is
-    then one GEMM against a contiguous copy of w_hhᵀ over the sequences
-    still running, plus the cell update.  The backward pass is BPTT over
-    the stacked gate gradients dG [L x 4h]; the weight and input gradients
-    are GEMMs on dG.
+
+@functools.cache
+def _concurrent_directions() -> bool:
+    """Whether two LSTM directions run side by side: the process may use at
+    least 2 CPUs and BLAS runs each call on one thread.  Two directions
+    that each run a multi-threaded BLAS fight over the same cores and are
+    slower side by side than in turn, so they run in turn then, and when
+    the thread count cannot be read."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and _blas_threads() == 1
+
+
+def _blas_threads() -> int | None:
+    """Threads per call of the OpenBLAS bundled with numpy, or None when
+    numpy bundles no OpenBLAS that says."""
+    root = Path(np.__file__).resolve().parent
+    for path in (*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy has it loaded: the same handle
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return get()
+    return None
+
+
+def _new_worker() -> None:
+    # the executor starts its one thread at the first submit; a forked
+    # child inherits the executor but not the thread, so it makes its own
+    global _worker
+    _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="nliattn-lstm")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _each(calls: Iterable[Callable]) -> list:
+    """Results of one or two zero-argument calls, in order.  When
+    ``_concurrent_directions`` holds, the second runs on the direction
+    worker while the calling thread runs the first; an exception from
+    either reaches the caller once both have finished."""
+    calls = list(calls)
+    if len(calls) == 1 or not _concurrent_directions():
+        return [call() for call in calls]
+    first, second = calls
+    pending = _worker.submit(second)
+    try:
+        result = first()
+    finally:
+        futures.wait([pending])
+    return [result, pending.result()]
+
+
+def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
+    """Forward pass of one LSTM direction over packed rows ``xdata`` [L x d].
+
+    Writes the hidden states into ``dest`` [L x h] in packed row order and
+    returns the direction's backward pass, which maps the gradient of
+    ``dest`` to (dx, dw_ih, dw_hh, dbias).  Reads and writes numpy arrays
+    only, so it may run on the direction worker.
     """
-    if x.ndim != 2:
-        raise DimensionError(f"lstm_sequence needs an [L x d] input, got {x.shape}")
-    lengths, starts = _segments(lengths, x.shape[0], "lstm_sequence")
-    n, d = x.shape
-    h = w_hh.shape[1]
-    if w_hh.shape != (4 * h, h) or w_ih.shape != (4 * h, d) or bias.shape != (4 * h,):
-        raise DimensionError(
-            f"lstm_sequence: weights w_ih {w_ih.shape}, w_hh {w_hh.shape}, bias {bias.shape} "
-            f"do not fit input width {d}"
-        )
-    wi, wh = w_ih.data, w_hh.data
+    n = xdata.shape[0]
+    h = wh.shape[1]
     wh_t = np.ascontiguousarray(wh.T)
     perm, sizes, offsets = _time_major(lengths, starts, reverse)
     bounds = offsets.tolist()
-    xp = x.data[perm]
-    acts = xp @ wi.T + bias.data  # pre-activations, overwritten by the gate values
+    xp = xdata[perm]
+    acts = xp @ wi.T + bias  # pre-activations, overwritten by the gate values
     cells = np.empty((n, h), dtype=acts.dtype)
     hidden = np.empty((n, h), dtype=acts.dtype)
     i, f, g, o = (acts[:, k * h : (k + 1) * h] for k in range(4))
@@ -658,8 +716,7 @@ def lstm_sequence(
             c += f[lo:hi] * cells[prev]
         np.tanh(c, out=hidden[lo:hi])
         hidden[lo:hi] *= o[lo:hi]
-    out = Tensor(np.empty_like(hidden))
-    out.data[perm] = hidden
+    dest[perm] = hidden
 
     def back(gout):
         gout = gout[perm]
@@ -688,11 +745,74 @@ def lstm_sequence(
                 np.matmul(dgates[lo:hi].reshape(k, -1), wh, out=dh_next[:k])
                 np.multiply(dc, f[lo:hi], out=dc_next[:k])
         dg = dgates.reshape(n, 4 * h)
-        dx = np.empty_like(x.data)
+        dx = np.empty_like(xdata)
         dx[perm] = dg @ wi
         return dx, dg.T @ xp, dg[first:].T @ hidden[prev_rows], dg.sum(axis=0)
 
-    return _emit(out, (x, w_ih, w_hh, bias), back)
+    return back
+
+
+def lstm_sequence(
+    x: Tensor,
+    lengths,
+    forward: Sequence[Tensor] | None = None,
+    backward: Sequence[Tensor] | None = None,
+) -> Tensor:
+    """One or two LSTM directions over every packed sequence of ``x``
+    [L x d], each from zero state.
+
+    ``forward`` and ``backward`` are each a (w_ih, w_hh, bias) triple or
+    None, and at least one is given.  The result is [L x Σh]: row i holds
+    each given direction's hidden state after the step that reads row i,
+    the forward direction's columns first.  The backward direction runs
+    each sequence from its last row to its first.  Gate order is input,
+    forget, cell, output.  The input projection x·w_ihᵀ + bias of every row
+    is one GEMM; each time step is then one GEMM against a contiguous copy
+    of w_hhᵀ over the sequences still running, plus the cell update.  The
+    backward pass is BPTT over the stacked gate gradients dG [L x 4h]; the
+    weight and input gradients are GEMMs on dG.
+
+    With both directions, the backward one runs on the direction worker
+    while the calling thread runs the forward one, in the forward and in
+    the backward pass, when ``_concurrent_directions`` says that pays.
+    Either way the op is one tape record with the same bits.
+    """
+    if x.ndim != 2:
+        raise DimensionError(f"lstm_sequence needs an [L x d] input, got {x.shape}")
+    lengths, starts = _segments(lengths, x.shape[0], "lstm_sequence")
+    directions = [(w, rev) for w, rev in ((forward, False), (backward, True)) if w is not None]
+    if not directions:
+        raise UsageError("lstm_sequence needs a forward or a backward direction")
+    n, d = x.shape
+    columns = []
+    width = 0
+    for (w_ih, w_hh, bias), _ in directions:
+        h = w_hh.shape[1]
+        if w_hh.shape != (4 * h, h) or w_ih.shape != (4 * h, d) or bias.shape != (4 * h,):
+            raise DimensionError(
+                f"lstm_sequence: weights w_ih {w_ih.shape}, w_hh {w_hh.shape}, "
+                f"bias {bias.shape} do not fit input width {d}"
+            )
+        columns.append(slice(width, width + h))
+        width += h
+    out = Tensor(np.empty((n, width), dtype=_DTYPE))
+    backs = _each(
+        functools.partial(
+            _lstm_direction, x.data, lengths, starts, *(w.data for w in weights), rev,
+            out.data[:, cols],
+        )
+        for (weights, rev), cols in zip(directions, columns)
+    )
+
+    def back(gout):
+        grads = _each(functools.partial(b, gout[:, cols]) for b, cols in zip(backs, columns))
+        dx = grads[0][0]
+        for other in grads[1:]:
+            dx += other[0]
+        return (dx, *(g for direction in grads for g in direction[1:]))
+
+    inputs = (x, *(w for weights, _ in directions for w in weights))
+    return _emit(out, inputs, back)
 
 
 def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) -> Tensor:

@@ -9,12 +9,13 @@ token, sentence after sentence, and ``lengths`` [S] saying how many tokens
 each sentence holds.  There is no padding, so every row is a real token;
 one sentence is a batch of one.
 
-Each LSTM direction runs as one fused ``autodiff.lstm_sequence`` op over
-the packed rows, stepping every sentence that is still running with one
-GEMM per time step.  The char-LSTM runs the same way over the batch's
-table of distinct words: each word's characters are encoded once, all
-words in one packed call, and ``word_index`` gathers the results back to
-the tokens.  ``lstm_step`` builds the same cell from elementary taped ops;
+The context BiLSTM is one fused ``autodiff.lstm_sequence`` op over the
+packed rows with both directions, stepping every sentence that is still
+running with one GEMM per time step and direction; the op may run the
+two directions on two threads.  The char-LSTM is the same op with one
+direction over the batch's table of distinct words: each word's
+characters are encoded once, all words in one packed call, and
+``word_index`` gathers the results back to the tokens.  ``lstm_step`` builds the same cell from elementary taped ops;
 it is kept as the reference the fused path is tested against.
 """
 
@@ -100,6 +101,10 @@ class LSTMCellParams:
     def parameters(self) -> dict[str, Parameter]:
         return {p.name: p for p in (self.w_ih, self.w_hh, self.bias)}
 
+    def weights(self) -> tuple[Tensor, Tensor, Tensor]:
+        """The (w_ih, w_hh, bias) triple ``ad.lstm_sequence`` takes per direction."""
+        return self.w_ih.value, self.w_hh.value, self.bias.value
+
 
 def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One LSTM cell update from elementary ops; returns (h_t, c_t).
@@ -125,13 +130,6 @@ def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tenso
     return h_t, c_t
 
 
-def run_lstm(x: Tensor, lengths, cell: LSTMCellParams, reverse: bool = False) -> Tensor:
-    """Hidden states [L x h] of one LSTM direction over packed sequences."""
-    return ad.lstm_sequence(
-        x, lengths, cell.w_ih.value, cell.w_hh.value, cell.bias.value, reverse
-    )
-
-
 def char_encode(char_ids, lengths, char_embeddings: Parameter, cell: LSTMCellParams) -> Tensor:
     """Final hidden states [W x h] of a unidirectional LSTM over W words.
 
@@ -143,20 +141,34 @@ def char_encode(char_ids, lengths, char_embeddings: Parameter, cell: LSTMCellPar
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0 or lengths.min() < 1:
         raise DataError("char_encode: empty character sequence")
-    states = run_lstm(ad.take_rows(char_embeddings.value, char_ids), lengths, cell)
+    states = ad.lstm_sequence(
+        ad.take_rows(char_embeddings.value, char_ids), lengths, cell.weights()
+    )
     return ad.take_rows(states, np.cumsum(lengths) - 1)
 
 
 @dataclass
 class ContextualSequence:
-    """Context vectors H [L x d] of S packed sentences, their ``lengths``
-    [S], and the final per-direction states [S x h] (used by 'last'
-    pooling)."""
+    """Context vectors H [L x 2h] of S packed sentences, [forward ; backward]
+    per row, and their ``lengths`` [S]."""
 
     H: Tensor
     lengths: np.ndarray
-    final_forward: Tensor  # forward state after each sentence's last token
-    final_backward: Tensor  # backward state after each sentence's first token
+
+    @property
+    def final_forward(self) -> Tensor:
+        """Forward state after each sentence's last token [S x h], taken
+        from H (used by 'last' pooling)."""
+        h = self.H.shape[1] // 2
+        return ad.narrow(ad.take_rows(self.H, np.cumsum(self.lengths) - 1), 1, 0, h)
+
+    @property
+    def final_backward(self) -> Tensor:
+        """Backward state after each sentence's first token [S x h], taken
+        from H."""
+        h = self.H.shape[1] // 2
+        starts = np.cumsum(self.lengths) - self.lengths
+        return ad.narrow(ad.take_rows(self.H, starts), 1, h, h)
 
     # all-True over the packed rows; read only by perfbench's tracer
     # (encoder.bilstm.steps), and goes once it reads spans from the library
@@ -181,18 +193,12 @@ def bilstm(
     ``x`` holds the input rows of S sentences packed sentence after
     sentence, and ``lengths`` [S] their token counts.  Row i of the result
     is [forward_i ; backward_i].  The backward direction starts at each
-    sentence's last token.
+    sentence's last token.  Both directions are one ``ad.lstm_sequence``
+    op, which may run them on two threads.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    forward = run_lstm(x, lengths, forward_cell)
-    backward = run_lstm(x, lengths, backward_cell, reverse=True)
-    starts = np.cumsum(lengths) - lengths
-    return ContextualSequence(
-        H=ad.concat([forward, backward], axis=1),
-        lengths=lengths,
-        final_forward=ad.take_rows(forward, starts + lengths - 1),
-        final_backward=ad.take_rows(backward, starts),
-    )
+    H = ad.lstm_sequence(x, lengths, forward_cell.weights(), backward_cell.weights())
+    return ContextualSequence(H=H, lengths=lengths)
 
 
 def pool(seq: ContextualSequence, method: str) -> Tensor:

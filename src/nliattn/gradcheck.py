@@ -195,17 +195,23 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
     wa = rand(3, 5)
     run("affine", lambda: weighted_sum(ad.affine(x, w_aff, b_aff), wa), [x, w_aff, b_aff])
 
-    # three sequences of unequal lengths, one of them a single step
+    # three sequences of unequal lengths, one of them a single step; the two
+    # directions have their own weights and widths
     seq_x, seq_lengths = rand(6, 3), [1, 3, 2]
-    w_ih, w_hh, b_lstm = rand(8, 3), rand(8, 2), rand(8)
-    wl = rand(6, 2)
-    for direction, reverse in (("forward", False), ("reverse", True)):
+    fwd = (rand(8, 3), rand(8, 2), rand(8))
+    bwd = (rand(12, 3), rand(12, 3), rand(12))
+    for name, directions, width in (
+        ("forward", {"forward": fwd}, 2),
+        ("reverse", {"backward": fwd}, 2),
+        ("bidirectional", {"forward": fwd, "backward": bwd}, 5),
+    ):
+        wl = rand(6, width)
         run(
-            f"lstm_sequence_{direction}",
-            lambda reverse=reverse: weighted_sum(
-                ad.lstm_sequence(seq_x, seq_lengths, w_ih, w_hh, b_lstm, reverse=reverse), wl
+            f"lstm_sequence_{name}",
+            lambda directions=directions, wl=wl: weighted_sum(
+                ad.lstm_sequence(seq_x, seq_lengths, **directions), wl
             ),
-            [seq_x, w_ih, w_hh, b_lstm],
+            [seq_x, *(w for weights in directions.values() for w in weights)],
         )
 
     att_h, att_q = rand(6, 2), rand(3, 2)

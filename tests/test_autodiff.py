@@ -359,6 +359,81 @@ class TestAffine:
         np.testing.assert_allclose(out.data, expected, rtol=tolerance, atol=tolerance)
 
 
+class TestLstmSequenceDirections:
+    """The two-direction op against two one-direction calls side by side."""
+
+    LENGTHS = np.array([4, 1, 4, 7])
+
+    def _case(self):
+        rng = np.random.default_rng(40)
+        n, d = self.LENGTHS.sum(), 5
+
+        def rand(*shape):
+            return ad.Tensor(rng.normal(size=shape))
+
+        x = rand(n, d)
+        forward = (rand(12, d), rand(12, 3), rand(12))
+        backward = (rand(16, d), rand(16, 4), rand(16))
+        return x, forward, backward, rand(n, 7)
+
+    def _run(self, build, x, forward, backward, weights):
+        leaves = (x, *forward, *backward)
+        for leaf in leaves:
+            leaf.grad = None
+        with ad.Tape() as tape:
+            out = build()
+            loss = ad.sum_all(ad.mul(out, weights))
+        tape.backward(loss)
+        return out.data, [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("concurrent", [True, False])
+    def test_bit_identical_to_one_direction_calls(self, monkeypatch, concurrent):
+        monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+        x, forward, backward, weights = self._case()
+        assert x.data.dtype == np.float32
+        out, grads = self._run(
+            lambda: ad.lstm_sequence(x, self.LENGTHS, forward, backward),
+            x, forward, backward, weights,
+        )
+        ref_out, ref_grads = self._run(
+            lambda: ad.concat(
+                [
+                    ad.lstm_sequence(x, self.LENGTHS, forward),
+                    ad.lstm_sequence(x, self.LENGTHS, backward=backward),
+                ],
+                axis=1,
+            ),
+            x, forward, backward, weights,
+        )
+        assert out.shape == (self.LENGTHS.sum(), 7)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == 7
+        for grad, ref in zip(grads, ref_grads):
+            assert np.array_equal(grad, ref)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+        x, forward, backward, _ = self._case()
+        run_direction = ad._lstm_direction
+
+        def failing(*args):
+            if args[-2]:  # the reverse direction, which runs on the worker
+                raise FloatingPointError("worker failed")
+            return run_direction(*args)
+
+        monkeypatch.setattr(ad, "_lstm_direction", failing)
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            ad.lstm_sequence(x, self.LENGTHS, forward, backward)
+        monkeypatch.setattr(ad, "_lstm_direction", run_direction)
+        out = ad.lstm_sequence(x, self.LENGTHS, forward, backward)
+        ref = ad.lstm_sequence(x, self.LENGTHS, backward=backward)
+        assert np.array_equal(out.data[:, 3:], ref.data)
+
+    def test_needs_a_direction(self):
+        with pytest.raises(UsageError):
+            ad.lstm_sequence(ad.Tensor(np.zeros((2, 3))), [2])
+
+
 class TestOperationSuite:
     def test_every_operation_within_tolerance(self):
         with ad.precision("float64"):

@@ -235,8 +235,8 @@ def unrolled_represent(model, batch):
             encoder, batch.word_ids[tokens], batch.word_index[tokens],
             batch.char_ids, batch.char_lengths,
         )
-        H, [(last_forward, last_backward)] = unrolled_bilstm(encoder, x, [end - start])
-        seq = enc.ContextualSequence(H, np.array([end - start]), last_forward, last_backward)
+        H, _ = unrolled_bilstm(encoder, x, [end - start])
+        seq = enc.ContextualSequence(H, np.array([end - start]))
         raw = enc.pool(seq, model.config.pooling)
         rows.append(enc.inner_attention(seq, raw, encoder.attention_w, encoder.attention_v)[0])
     b = len(batch)

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import signal
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -251,6 +257,27 @@ class TestBilstm:
         model = tiny_encoder()
         with pytest.raises(InvalidInputError):
             enc.bilstm(Tensor(np.zeros((2, 5))), [2, 0], model.forward_cell, model.backward_cell)
+
+
+def _bilstm_after_fork(x):
+    # a hang here ends the process, which the parent sees as a broken pool
+    signal.alarm(60)
+    model = tiny_encoder(seed=13)
+    return enc.bilstm(Tensor(x), [2, 3], model.forward_cell, model.backward_cell).H.data
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_bilstm_runs_in_forked_child(monkeypatch):
+    # the child inherits the parent's direction worker but not its thread
+    monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+    x = np.random.default_rng(14).normal(size=(5, 5)).astype(np.float32)
+    model = tiny_encoder(seed=13)
+    expected = enc.bilstm(Tensor(x), [2, 3], model.forward_cell, model.backward_cell).H.data
+    assert any(t.name.startswith("nliattn-lstm") for t in threading.enumerate())
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        child = pool.submit(_bilstm_after_fork, x).result(timeout=120)
+    np.testing.assert_array_equal(child, expected)
 
 
 def unrolled_bilstm(model, x: Tensor, lengths):
