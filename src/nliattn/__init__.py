@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Parameter, Tape, Tensor, precision, set_default_dtype
+from .autodiff import Parameter, Tape, Tensor, precision
 from .data import (
     CharVocabulary,
     NLIExample,
@@ -52,7 +52,6 @@ __all__ = [
     "precision",
     "random_embeddings",
     "save_checkpoint",
-    "set_default_dtype",
     "tokenize",
     "train",
     "__version__",

@@ -6,6 +6,11 @@ accumulates gradients into the participating tensors.  Without an active
 tape the same functions run forward-only, which is what inference and
 finite-difference evaluation use.
 
+There is one tensor class.  A ``Parameter`` is a ``Tensor`` that a model
+owns: it adds a name, which keys checkpoints and error messages, and a
+``trainable`` flag, which the optimizer reads.  The tape treats it as any
+other leaf.
+
 Computation defaults to float32.  A global float64 mode (``precision``)
 exists so gradients can be checked against central finite differences,
 which are too noisy at single precision.
@@ -42,24 +47,19 @@ from .errors import (
 _DTYPE = np.float32
 
 
-def set_default_dtype(name: str) -> None:
-    """Select the global precision: "float32" (default) or "float64"."""
-    global _DTYPE
-    if name not in ("float32", "float64"):
-        raise ConfigError(f"unsupported dtype {name!r}; use 'float32' or 'float64'")
-    _DTYPE = np.float32 if name == "float32" else np.float64
-
-
 def default_dtype():
     return _DTYPE
 
 
 @contextlib.contextmanager
 def precision(name: str):
-    """Temporarily switch the global dtype, e.g. ``with precision("float64"):``."""
+    """Temporarily switch the global dtype, "float32" (the default) or
+    "float64", e.g. ``with precision("float64"):``."""
     global _DTYPE
+    if name not in ("float32", "float64"):
+        raise ConfigError(f"unsupported dtype {name!r}; use 'float32' or 'float64'")
     saved = _DTYPE
-    set_default_dtype(name)
+    _DTYPE = np.float32 if name == "float32" else np.float64
     try:
         yield
     finally:
@@ -75,8 +75,8 @@ class Tensor:
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, dtype=None):
-        arr = np.asarray(data, dtype=dtype or _DTYPE)
+    def __init__(self, data):
+        arr = np.asarray(data, dtype=_DTYPE)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -103,35 +103,20 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-class Parameter:
-    """A named, trainable tensor plus its accumulated gradient.
+class Parameter(Tensor):
+    """A named tensor that a model owns and the optimizer may update.
 
     Frozen parameters (``trainable=False``, e.g. pretrained word embeddings)
     keep participating in forward passes but are never touched by the
-    optimizer.
+    optimizer.  Owners clear the gradient by setting ``grad`` to None.
     """
 
+    __slots__ = ("name", "trainable")
+
     def __init__(self, data, name: str, trainable: bool = True):
-        self.value = data if isinstance(data, Tensor) else Tensor(data)
+        super().__init__(data)
         self.name = name
         self.trainable = trainable
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self.value.grad is None:
-            self.value.grad = np.zeros_like(self.value.data)
-        return self.value.grad
-
-    @property
-    def shape(self):
-        return self.value.data.shape
-
-    def zero_grad(self) -> None:
-        self.value.grad = None
 
     def __repr__(self):
         kind = "trainable" if self.trainable else "frozen"
@@ -246,40 +231,12 @@ def _emit(out: Tensor, inputs: tuple, backward: Callable) -> Tensor:
 # Arithmetic
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  Supports 2Dx2D, 2Dx1D, 1Dx2D and 1Dx1D operands."""
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise DimensionError(f"matmul supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    inner_a = a.shape[-1]
-    inner_b = b.shape[0]
-    if inner_a != inner_b:
-        raise DimensionError(f"matmul: inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    adata, bdata = a.data, b.data
-
-    def back(g):
-        if a.ndim == 2 and b.ndim == 2:
-            return g @ bdata.T, adata.T @ g
-        if a.ndim == 2 and b.ndim == 1:  # matvec
-            return np.outer(g, bdata), adata.T @ g
-        if a.ndim == 1 and b.ndim == 2:  # vecmat
-            return bdata @ g, np.outer(adata, g)
-        return g * bdata, g * adata  # dot product
-
-    return _emit(out, (a, b), back)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum.  The single allowed broadcast is [n x d] + [d] (bias row)."""
-    bias_row = a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]
-    if not bias_row and a.shape != b.shape:
+    """Elementwise sum; operands must have equal shapes."""
+    if a.shape != b.shape:
         raise DimensionError(f"add: shapes disagree: {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data)
-
-    def back(g):
-        return g, g.sum(axis=0) if bias_row else g
-
-    return _emit(out, (a, b), back)
+    return _emit(out, (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -343,12 +300,6 @@ def absolute(x: Tensor) -> Tensor:
 # Shape plumbing
 
 
-def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
-    old = x.data.shape
-    return _emit(out, (x,), lambda g: (g.reshape(old),))
-
-
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` entries along ``axis``; backward zero-pads."""
     if not 0 <= axis < x.ndim:
@@ -391,20 +342,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(grads)
 
     return _emit(out, tuple(parts), back)
-
-
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length 1-D tensors into an [n x d] matrix."""
-    rows = list(rows)
-    if not rows:
-        raise InvalidInputError("stack needs at least one row")
-    for r in rows:
-        if r.ndim != 1 or r.shape != rows[0].shape:
-            raise DimensionError(
-                f"stack: rows must be equal-length 1-D tensors, got {r.shape} vs {rows[0].shape}"
-            )
-    out = Tensor(np.stack([r.data for r in rows]))
-    return _emit(out, tuple(rows), lambda g: tuple(g[i] for i in range(len(rows))))
 
 
 def take_rows(x: Tensor, indices) -> Tensor:

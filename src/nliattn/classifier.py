@@ -22,15 +22,15 @@ N_CLASSES = 3
 
 
 def aggregate(p: Tensor, h: Tensor) -> Tensor:
-    """Matching vector [p ; h ; p*h ; |p-h|] of two refined representations.
-
-    Works on single vectors [d] and on row-stacked batches [B x d] alike.
-    """
-    if p.shape != h.shape:
-        raise DimensionError(f"aggregate: representation shapes disagree: {p.shape} vs {h.shape}")
+    """Matching vectors [p ; h ; p*h ; |p-h|] [B x 4d] of two batches of
+    refined representations [B x d]."""
+    if p.ndim != 2 or p.shape != h.shape:
+        raise DimensionError(
+            f"aggregate: representations {p.shape} and {h.shape} are not [B x d] each"
+        )
     product = ad.mul(p, h)
     difference = ad.absolute(ad.sub(p, h))
-    return ad.concat([p, h, product, difference], axis=p.ndim - 1)
+    return ad.concat([p, h, product, difference], axis=1)
 
 
 @dataclass
@@ -94,9 +94,9 @@ def classify(
     x = r
     *hidden, (w_out, b_out) = params.layers
     for w, b in hidden:
-        x = ad.relu(ad.affine(x, w.value, b.value))
+        x = ad.relu(ad.affine(x, w, b))
         x = ad.dropout(x, params.dropout, training, rng)
-    return ad.affine(x, w_out.value, b_out.value)
+    return ad.affine(x, w_out, b_out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

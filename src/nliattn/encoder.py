@@ -15,8 +15,10 @@ running with one GEMM per time step and direction; the op may run the
 two directions on two threads.  The char-LSTM is the same op with one
 direction over the batch's table of distinct words: each word's
 characters are encoded once, all words in one packed call, and
-``word_index`` gathers the results back to the tokens.  ``lstm_step`` builds the same cell from elementary taped ops;
-it is kept as the reference the fused path is tested against.
+``word_index`` gathers the results back to the tokens.
+
+``lstm_step`` builds the same cell on rows from elementary taped ops; it
+is kept as the reference the fused path is tested against.
 """
 
 from __future__ import annotations
@@ -103,28 +105,29 @@ class LSTMCellParams:
 
     def weights(self) -> tuple[Tensor, Tensor, Tensor]:
         """The (w_ih, w_hh, bias) triple ``ad.lstm_sequence`` takes per direction."""
-        return self.w_ih.value, self.w_hh.value, self.bias.value
+        return self.w_ih, self.w_hh, self.bias
 
 
 def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One LSTM cell update from elementary ops; returns (h_t, c_t).
+    """One LSTM cell update of k rows from elementary ops: inputs x_t
+    [k x d] and states [k x h]; returns (h_t, c_t), each [k x h].
 
     Reference implementation: the encoder runs ``ad.lstm_sequence``, and
     the tests hold it to this step-by-step unroll.
     """
     h = params.hidden
-    if x_t.shape != (params.input_dim,):
+    if x_t.ndim != 2 or x_t.shape[1] != params.input_dim:
         raise DimensionError(
-            f"lstm_step: input shape {x_t.shape} != ({params.input_dim},)"
+            f"lstm_step: input shape {x_t.shape} is not [k x {params.input_dim}]"
         )
     gates = ad.add(
-        ad.add(ad.matmul(params.w_ih.value, x_t), ad.matmul(params.w_hh.value, h_prev)),
-        params.bias.value,
+        ad.affine(x_t, params.w_ih, params.bias),
+        ad.affine(h_prev, params.w_hh, Tensor(np.zeros(4 * h))),
     )
-    i = ad.sigmoid(ad.narrow(gates, 0, 0, h))
-    f = ad.sigmoid(ad.narrow(gates, 0, h, h))
-    g = ad.tanh(ad.narrow(gates, 0, 2 * h, h))
-    o = ad.sigmoid(ad.narrow(gates, 0, 3 * h, h))
+    i = ad.sigmoid(ad.narrow(gates, 1, 0, h))
+    f = ad.sigmoid(ad.narrow(gates, 1, h, h))
+    g = ad.tanh(ad.narrow(gates, 1, 2 * h, h))
+    o = ad.sigmoid(ad.narrow(gates, 1, 3 * h, h))
     c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
     h_t = ad.mul(o, ad.tanh(c_t))
     return h_t, c_t
@@ -142,7 +145,7 @@ def char_encode(char_ids, lengths, char_embeddings: Parameter, cell: LSTMCellPar
     if lengths.size == 0 or lengths.min() < 1:
         raise DataError("char_encode: empty character sequence")
     states = ad.lstm_sequence(
-        ad.take_rows(char_embeddings.value, char_ids), lengths, cell.weights()
+        ad.take_rows(char_embeddings, char_ids), lengths, cell.weights()
     )
     return ad.take_rows(states, np.cumsum(lengths) - 1)
 
@@ -227,7 +230,7 @@ def inner_attention(
     weighted sum of the sentence's context rows.
     """
     lengths = seq.lengths
-    scores = ad.attention_scores(seq.H, lengths, raw, W.value, v.value)
+    scores = ad.attention_scores(seq.H, lengths, raw, W, v)
     alpha = ad.segment_softmax(scores, lengths)
     return ad.segment_sum(seq.H, lengths, alpha), alpha
 

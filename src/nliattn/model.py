@@ -91,7 +91,7 @@ class NLIModel:
 
     def zero_grads(self) -> None:
         for p in self.parameters().values():
-            p.zero_grad()
+            p.grad = None
 
     # -- forward ------------------------------------------------------------
 

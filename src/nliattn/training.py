@@ -106,20 +106,23 @@ class RMSProp:
     def step(self) -> None:
         """Update every trainable parameter; a non-finite gradient raises
         ``NumericError`` naming its parameter before anything changes."""
-        trainable = [(name, p) for name, p in self.params.items() if p.trainable]
-        for name, p in trainable:
-            g = p.grad.reshape(-1)
+        # a parameter that no gradient reached updates as with a zero one
+        trainable = [
+            (name, p, (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1))
+            for name, p in self.params.items()
+            if p.trainable
+        ]
+        for name, _, g in trainable:
             with np.errstate(over="ignore"):  # an overflowing square is told apart below
                 squared_norm = np.dot(g, g)
             if not np.isfinite(squared_norm) and not (
                 np.isfinite(g.min()) and np.isfinite(g.max())
             ):
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
-        for name, p in trainable:
+        for name, p, g in trainable:
             # flat views: parameter data and square_avg are C-contiguous
-            g = p.grad.reshape(-1)
             s = self.square_avg[name].reshape(-1)
-            theta = p.value.data.reshape(-1)
+            theta = p.data.reshape(-1)
             for lo in range(0, g.size, CHUNK):
                 hi = min(lo + CHUNK, g.size)
                 gc, sc = g[lo:hi], s[lo:hi]
@@ -138,7 +141,7 @@ class RMSProp:
 
     def zero_grads(self) -> None:
         for p in self.params.values():
-            p.zero_grad()
+            p.grad = None
 
 
 @dataclass
@@ -254,7 +257,7 @@ def train(
     # leave the model holding its best parameters when nothing was written to disk
     if checkpoint_path is None and best_snapshot is not None:
         for name, p in model.parameters().items():
-            p.value.data[:] = best_snapshot[name]
+            p.data[:] = best_snapshot[name]
     return result
 
 
@@ -352,23 +355,28 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     The manifest carries the vocabularies and their hashes, so the file is
     self-contained.  The blob's size is checked against the manifest before
     the model is built; each parameter's values are then read straight into
-    its array, with no copy of the whole blob.
+    its array, with no copy of the whole blob.  A manifest entry that is
+    missing or of the wrong kind raises ``IntegrityError`` too.
     """
     with open(path, "rb") as fh:
-        manifest = _read_manifest(fh, path)
-        model = _model_for(manifest, path)
+        try:
+            manifest = _read_manifest(fh, path)
+            model = _model_for(manifest, path)
+            declared = [(entry["name"], entry["shape"]) for entry in manifest["parameters"]]
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise IntegrityError(
+                f"{path}: malformed manifest: {type(exc).__name__}: {exc}"
+            ) from exc
         params = model.parameters()
-        declared = [entry["name"] for entry in manifest["parameters"]]
-        if declared != list(params):
+        if [name for name, _ in declared] != list(params):
             raise IntegrityError(f"{path}: parameter order does not match this build")
-        for entry in manifest["parameters"]:
-            p = params[entry["name"]]
-            if list(p.shape) != entry["shape"]:
+        for name, shape in declared:
+            p = params[name]
+            if list(p.shape) != shape:
                 raise IntegrityError(
-                    f"{path}: parameter {entry['name']} has shape {entry['shape']}, "
-                    f"expected {list(p.shape)}"
+                    f"{path}: parameter {name} has shape {shape}, expected {list(p.shape)}"
                 )
-            _read_parameter(fh, p.value.data, path, entry["name"])
+            _read_parameter(fh, p.data, path, name)
     return LoadedCheckpoint(model=model, manifest=manifest)
 
 

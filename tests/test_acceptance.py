@@ -76,16 +76,16 @@ class TestAttentionInvariants:
                                hidden_per_dir=4)
         embeddings = random_embeddings(vocab, rng, scale=0.5)
         model = enc.Encoder(config, embeddings, n_chars=4, rng=rng)
-        model.attention_v.value.data[:] = rng.uniform(-0.3, 0.3, model.attention_v.shape)
+        model.attention_v.data[:] = rng.uniform(-0.3, 0.3, model.attention_v.shape)
         zero_v = enc.Encoder(config, embeddings, n_chars=4, rng=np.random.default_rng(2))
-        zero_v.attention_w.value.data[:] = model.attention_w.data
-        zero_v.attention_v.value.data[:] = 0.0
-        zero_v.forward_cell.w_ih.value.data[:] = model.forward_cell.w_ih.data
-        zero_v.forward_cell.w_hh.value.data[:] = model.forward_cell.w_hh.data
-        zero_v.forward_cell.bias.value.data[:] = model.forward_cell.bias.data
-        zero_v.backward_cell.w_ih.value.data[:] = model.backward_cell.w_ih.data
-        zero_v.backward_cell.w_hh.value.data[:] = model.backward_cell.w_hh.data
-        zero_v.backward_cell.bias.value.data[:] = model.backward_cell.bias.data
+        zero_v.attention_w.data[:] = model.attention_w.data
+        zero_v.attention_v.data[:] = 0.0
+        zero_v.forward_cell.w_ih.data[:] = model.forward_cell.w_ih.data
+        zero_v.forward_cell.w_hh.data[:] = model.forward_cell.w_hh.data
+        zero_v.forward_cell.bias.data[:] = model.forward_cell.bias.data
+        zero_v.backward_cell.w_ih.data[:] = model.backward_cell.w_ih.data
+        zero_v.backward_cell.w_hh.data[:] = model.backward_cell.w_hh.data
+        zero_v.backward_cell.bias.data[:] = model.backward_cell.bias.data
 
         for trial in range(1000):
             case = np.random.default_rng(trial)
@@ -295,7 +295,7 @@ class TestProtocolFidelity:
         # first RMSProp step matches the closed form
         p = Parameter(np.array([0.5]), name="theta")
         opt = RMSProp({"theta": p}, learning_rate=0.001)
-        p.value.grad = np.array([2.0], dtype=np.float32)
+        p.grad = np.array([2.0], dtype=np.float32)
         opt.step()
         expected = 0.5 - 0.001 * 2.0 / (np.sqrt(0.4) + 1e-8)
         np.testing.assert_allclose(p.data, [expected], rtol=1e-5)

@@ -23,32 +23,34 @@ from test_encoder import unrolled_bilstm, unrolled_embed_tokens
 
 class TestAggregate:
     def test_equal_inputs(self):
-        p = Tensor(np.array([1.0, -2.0, 0.5]))
+        p = Tensor(np.array([[1.0, -2.0, 0.5]]))
         r = clf.aggregate(p, Tensor(p.data.copy()))
-        np.testing.assert_array_equal(r.data[9:], np.zeros(3, dtype=np.float32))  # |p-h|
-        np.testing.assert_allclose(r.data[6:9], p.data * p.data, rtol=1e-6)  # p*h
+        np.testing.assert_array_equal(r.data[:, 9:], np.zeros((1, 3), dtype=np.float32))  # |p-h|
+        np.testing.assert_allclose(r.data[:, 6:9], p.data * p.data, rtol=1e-6)  # p*h
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(0)
-        p = Tensor(rng.normal(size=4))
-        h = Tensor(rng.normal(size=4))
+        p = Tensor(rng.normal(size=(2, 4)))
+        h = Tensor(rng.normal(size=(2, 4)))
         r_ph = clf.aggregate(p, h).data
         r_hp = clf.aggregate(h, p).data
-        np.testing.assert_array_equal(r_ph[:4], r_hp[4:8])
-        np.testing.assert_array_equal(r_ph[4:8], r_hp[:4])
-        np.testing.assert_array_equal(r_ph[8:], r_hp[8:])
+        np.testing.assert_array_equal(r_ph[:, :4], r_hp[:, 4:8])
+        np.testing.assert_array_equal(r_ph[:, 4:8], r_hp[:, :4])
+        np.testing.assert_array_equal(r_ph[:, 8:], r_hp[:, 8:])
 
     def test_hand_forced(self):
-        r = clf.aggregate(Tensor([1.0, -2.0]), Tensor([3.0, 4.0]))
-        np.testing.assert_array_equal(r.data, [1, -2, 3, 4, 3, -8, 2, 6])
+        r = clf.aggregate(Tensor([[1.0, -2.0]]), Tensor([[3.0, 4.0]]))
+        np.testing.assert_array_equal(r.data, [[1, -2, 3, 4, 3, -8, 2, 6]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            clf.aggregate(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            clf.aggregate(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))))
+        with pytest.raises(DimensionError):  # rows only
+            clf.aggregate(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
 
     def test_width_is_four_times_input(self):
-        p = Tensor(np.ones(7))
-        assert clf.aggregate(p, p).shape == (28,)
+        p = Tensor(np.ones((2, 7)))
+        assert clf.aggregate(p, p).shape == (2, 28)
 
 
 class TestClassify:
@@ -58,7 +60,7 @@ class TestClassify:
     def test_zero_network_gives_uniform_and_class_zero(self):
         params = self._params()
         for p in params.parameters().values():
-            p.value.data[:] = 0.0
+            p.data[:] = 0.0
         logits = clf.classify(Tensor(np.ones((1, 6))), params)
         np.testing.assert_array_equal(logits.data, np.zeros((1, 3), dtype=np.float32))
         probs = clf.softmax(logits.data)
@@ -122,7 +124,7 @@ class TestClassify:
             r = Tensor(np.random.default_rng(9).normal(size=(1, 6)))
             before = clf.softmax(clf.classify(r, params).data)
             w_out, b_out = params.layers[-1]
-            b_out.value.data[:] += 100.0  # shifts every logit equally
+            b_out.data[:] += 100.0  # shifts every logit equally
             after = clf.softmax(clf.classify(r, params).data)
         np.testing.assert_allclose(before, after, atol=1e-6)
         assert before.argmax() == after.argmax()
@@ -197,14 +199,12 @@ class TestModel:
         with ad.precision("float64"):
             model, examples, vocab, chars = tiny_model(seed=13)
             rng = np.random.default_rng(14)
-            for p in model.parameters().values():
-                if p.trainable:
-                    p.value.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+            trainable = {name: p for name, p in model.parameters().items() if p.trainable}
+            for p in trainable.values():
+                p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
             batch = make_batches(examples, 2, "dev", vocab, chars)[0]
 
-            errors = gc.parameter_gradient_errors(
-                lambda: model.batch_loss(batch), model.parameters()
-            )
+            errors = gc.gradient_errors(lambda: model.batch_loss(batch), trainable)
         assert len(errors) > 10
         for name, err in errors.items():
             assert err <= 1e-3, f"{name}: relative error {err:.3e}"
@@ -219,7 +219,7 @@ def _large_weights(model, seed):
     rng = np.random.default_rng(seed)
     for p in model.parameters().values():
         if p.trainable:
-            p.value.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+            p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
 
 
 def unrolled_represent(model, batch):

@@ -56,39 +56,41 @@ class TestLstmStep:
         rng = np.random.default_rng(0)
         cell = make_cell("z", 4, 3, rng)
         for p in cell.parameters().values():
-            p.value.data[:] = 0.0
-        h, c = enc.lstm_step(
-            cell, Tensor(rng.normal(size=4)), Tensor(np.zeros(3)), Tensor(np.zeros(3))
-        )
-        np.testing.assert_array_equal(h.data, np.zeros(3, dtype=np.float32))
-        np.testing.assert_array_equal(c.data, np.zeros(3, dtype=np.float32))
+            p.data[:] = 0.0
+        zero = Tensor(np.zeros((1, 3)))
+        h, c = enc.lstm_step(cell, Tensor(rng.normal(size=(1, 4))), zero, zero)
+        np.testing.assert_array_equal(h.data, np.zeros((1, 3), dtype=np.float32))
+        np.testing.assert_array_equal(c.data, np.zeros((1, 3), dtype=np.float32))
 
     def test_gate_saturation_carries_cell_state(self):
         rng = np.random.default_rng(1)
         cell = make_cell("s", 2, 3, rng)
-        cell.w_ih.value.data[:] = 0.0
-        cell.w_hh.value.data[:] = 0.0
+        cell.w_ih.data[:] = 0.0
+        cell.w_hh.data[:] = 0.0
         bias = np.full(12, -50.0, dtype=np.float32)
         bias[3:6] = 50.0  # forget slots
-        cell.bias.value.data[:] = bias
-        c_prev = Tensor(np.array([0.3, -0.7, 1.1]))
-        h, c = enc.lstm_step(cell, Tensor(np.ones(2)), Tensor(np.zeros(3)), c_prev)
+        cell.bias.data[:] = bias
+        c_prev = Tensor(np.array([[0.3, -0.7, 1.1]]))
+        h, c = enc.lstm_step(cell, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3))), c_prev)
         np.testing.assert_allclose(c.data, c_prev.data, atol=1e-6)
-        np.testing.assert_allclose(h.data, np.zeros(3), atol=1e-6)
+        np.testing.assert_allclose(h.data, np.zeros((1, 3)), atol=1e-6)
 
     def test_matches_direct_formula(self):
+        # k = 3 rows, each an independent cell update
         with ad.precision("float64"):
             rng = np.random.default_rng(2)
             cell = make_cell("r", 2, 3, rng)
-            x = rng.normal(size=2)
-            h0 = rng.normal(size=3)
-            c0 = rng.normal(size=3)
+            x = rng.normal(size=(3, 2))
+            h0 = rng.normal(size=(3, 3))
+            c0 = rng.normal(size=(3, 3))
             h, c = enc.lstm_step(cell, Tensor(x), Tensor(h0), Tensor(c0))
+        assert h.shape == c.shape == (3, 3)
+        for row in range(3):
             exp_h, exp_c = np_lstm_step(
-                cell.w_ih.data, cell.w_hh.data, cell.bias.data, x, h0, c0
+                cell.w_ih.data, cell.w_hh.data, cell.bias.data, x[row], h0[row], c0[row]
             )
-        np.testing.assert_allclose(h.data, exp_h, atol=1e-6)
-        np.testing.assert_allclose(c.data, exp_c, atol=1e-6)
+            np.testing.assert_allclose(h.data[row], exp_h, atol=1e-6)
+            np.testing.assert_allclose(c.data[row], exp_c, atol=1e-6)
 
     def test_forget_bias_initialized_to_one(self):
         cell = make_cell("b", 2, 4, np.random.default_rng(3))
@@ -116,10 +118,10 @@ class TestCharEncode:
         emb, cell = self._char_model(rng)
         out = enc.char_encode([3], [1], emb, cell)
         expected, _ = enc.lstm_step(
-            cell, Tensor(emb.data[3]), Tensor(np.zeros(2)), Tensor(np.zeros(2))
+            cell, Tensor(emb.data[3:4]), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
         )
         assert out.shape == (1, 2)
-        np.testing.assert_array_equal(out.data[0], expected.data)
+        np.testing.assert_array_equal(out.data, expected.data)
 
     def test_purity(self):
         rng = np.random.default_rng(5)
@@ -212,19 +214,17 @@ class TestBilstm:
         model = tiny_encoder()
         x = Tensor(np.random.default_rng(8).normal(size=(1, 5)))
         seq = enc.bilstm(x, [1], model.forward_cell, model.backward_cell)
-        x0 = ad.reshape(ad.narrow(x, 0, 0, 1), (5,))
-        fh, _ = enc.lstm_step(model.forward_cell, x0, Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-        bh, _ = enc.lstm_step(model.backward_cell, x0, Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-        np.testing.assert_array_equal(seq.H.data[0], np.concatenate([fh.data, bh.data]))
+        zero = Tensor(np.zeros((1, 3)))
+        fh, _ = enc.lstm_step(model.forward_cell, x, zero, zero)
+        bh, _ = enc.lstm_step(model.backward_cell, x, zero, zero)
+        np.testing.assert_array_equal(seq.H.data, np.hstack([fh.data, bh.data]))
 
     def test_reversal_symmetry_with_tied_weights(self):
         # oracle: with tied cells, the forward pass over a sequence equals the
         # backward pass over its reversal
         model = tiny_encoder(seed=9)
         for name in ("w_ih", "w_hh", "bias"):
-            getattr(model.backward_cell, name).value.data[:] = getattr(
-                model.forward_cell, name
-            ).value.data
+            getattr(model.backward_cell, name).data[:] = getattr(model.forward_cell, name).data
         x = np.random.default_rng(10).normal(size=(3, 5)).astype(np.float32)
         seq = enc.bilstm(Tensor(x), [3], model.forward_cell, model.backward_cell)
         seq_rev = enc.bilstm(Tensor(x[::-1]), [3], model.forward_cell, model.backward_cell)
@@ -281,10 +281,10 @@ def test_bilstm_runs_in_forked_child(monkeypatch):
 
 
 def unrolled_bilstm(model, x: Tensor, lengths):
-    """Per-sentence ``lstm_step`` unroll of both directions over packed rows:
-    H [L x 2h] and, per sentence, the forward state after its last row and
-    the backward state after its first, each [1 x h]."""
-    rows = [ad.reshape(ad.narrow(x, 0, i, 1), (x.shape[1],)) for i in range(x.shape[0])]
+    """Per-sentence ``lstm_step`` unroll of both directions over packed rows,
+    one row at a time: H [L x 2h] and, per sentence, the forward state
+    after its last row and the backward state after its first, each [1 x h]."""
+    rows = [ad.narrow(x, 0, i, 1) for i in range(x.shape[0])]
     hidden = model.forward_cell.hidden
     H, finals = [], []
     start = 0
@@ -295,18 +295,18 @@ def unrolled_bilstm(model, x: Tensor, lengths):
             (model.forward_cell, range(start, start + n)),
             (model.backward_cell, range(start + n - 1, start - 1, -1)),
         ):
-            h, c = Tensor(np.zeros(hidden)), Tensor(np.zeros(hidden))
+            h, c = Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden)))
             for i in order:
                 h, c = enc.lstm_step(cell, rows[i], h, c)
                 states[(i, cell)] = h
-            ends.append(ad.reshape(h, (1, hidden)))
+            ends.append(h)
         H += [
-            ad.concat([states[(i, model.forward_cell)], states[(i, model.backward_cell)]])
+            ad.concat([states[(i, model.forward_cell)], states[(i, model.backward_cell)]], axis=1)
             for i in range(start, start + n)
         ]
         finals.append(ends)
         start += n
-    return ad.stack(H), finals
+    return ad.concat(H), finals
 
 
 def unrolled_embed_tokens(model, word_ids, word_index, char_ids, char_lengths):
@@ -318,11 +318,10 @@ def unrolled_embed_tokens(model, word_ids, word_index, char_ids, char_lengths):
     cell = model.char_cell
     rows = []
     for w in word_index:
-        h, c = Tensor(np.zeros(cell.hidden)), Tensor(np.zeros(cell.hidden))
+        h, c = Tensor(np.zeros((1, cell.hidden))), Tensor(np.zeros((1, cell.hidden)))
         for i in char_ids[ends[w] - char_lengths[w] : ends[w]]:
-            x = ad.reshape(ad.take_rows(model.char_embeddings.value, [i]), (cell.input_dim,))
-            h, c = enc.lstm_step(cell, x, h, c)
-        rows.append(ad.reshape(h, (1, cell.hidden)))
+            h, c = enc.lstm_step(cell, ad.take_rows(model.char_embeddings, [i]), h, c)
+        rows.append(h)
     return ad.concat([words, ad.concat(rows)], axis=1)
 
 
@@ -363,9 +362,8 @@ class TestFusedBilstm:
             }
 
             def grads(build):
-                for p in params.values():
-                    p.zero_grad()
-                x.grad = None
+                for t in (*params.values(), x):
+                    t.grad = None
                 with ad.Tape() as tape:
                     H, last = build()
                     loss = ad.add(ad.sum_all(ad.mul(H, weights)), ad.sum_all(last))
@@ -432,7 +430,7 @@ class TestPool:
 class TestInnerAttention:
     def test_zero_v_collapses_to_mean(self):
         model = tiny_encoder(seed=16)
-        model.attention_v.value.data[:] = 0.0
+        model.attention_v.data[:] = 0.0
         seq = self._random_seq(model, 4)
         raw = enc.pool(seq, "mean")
         refined, alpha = enc.inner_attention(seq, raw, model.attention_w, model.attention_v)
@@ -454,8 +452,8 @@ class TestInnerAttention:
         with ad.precision("float64"):
             model = tiny_encoder(seed=18, hidden=2)
             rng = np.random.default_rng(19)
-            model.attention_w.value.data[:] = rng.normal(size=model.attention_w.shape)
-            model.attention_v.value.data[:] = rng.normal(size=model.attention_v.shape)
+            model.attention_w.data[:] = rng.normal(size=model.attention_w.shape)
+            model.attention_v.data[:] = rng.normal(size=model.attention_v.shape)
             seq = self._random_seq(model, 3)
             raw = enc.pool(seq, "mean")
             refined, alpha = enc.inner_attention(
@@ -472,7 +470,7 @@ class TestInnerAttention:
     def test_refined_inside_convex_hull(self):
         model = tiny_encoder(seed=20)
         rng = np.random.default_rng(21)
-        model.attention_v.value.data[:] = rng.normal(size=model.attention_v.shape)
+        model.attention_v.data[:] = rng.normal(size=model.attention_v.shape)
         for n in (1, 2, 5, 9):
             seq = self._random_seq(model, n)
             raw = enc.pool(seq, "mean")
@@ -555,9 +553,9 @@ class TestEncoderGradients:
             model = tiny_encoder(use_chars=True, word_dim=3, hidden=2, seed=25)
             # healthy magnitudes so the finite differences resolve every weight
             rng = np.random.default_rng(26)
-            for p in model.parameters().values():
-                if p.trainable:
-                    p.value.data[:] = rng.uniform(-0.6, 0.6, p.shape)
+            trainable = {name: p for name, p in model.parameters().items() if p.trainable}
+            for p in trainable.values():
+                p.data[:] = rng.uniform(-0.6, 0.6, p.shape)
             ids = np.array([2, 3, 4])
             weights = ad.Tensor(rng.normal(size=(1, 4)))
 
@@ -565,7 +563,7 @@ class TestEncoderGradients:
                 rep = model.encode(ids, [3], "mean", [0, 1, 2], [1, 2, 3, 2, 2], [2, 1, 2])
                 return ad.sum_all(ad.mul(rep.refined, weights))
 
-            errors = gc.parameter_gradient_errors(loss, model.parameters())
+            errors = gc.gradient_errors(loss, trainable)
         assert errors, "no trainable parameters checked"
         for name, err in errors.items():
             assert err <= 1e-3, f"{name}: relative error {err:.3e}"

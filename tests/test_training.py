@@ -2,12 +2,15 @@ import builtins
 import errno
 import json
 import os
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nliattn import synth, training
+from nliattn.cli import main
 from nliattn.autodiff import Parameter, precision
 from nliattn.data import CharVocabulary, Vocabulary, make_batches, random_embeddings
 from nliattn.encoder import EncoderConfig
@@ -80,8 +83,8 @@ class TestRMSProp:
             opt.zero_grads()
             grads = [make_grad(rng, p.shape, p.data.dtype) for p in live]
             for p, g in zip(live, grads):
-                p.value.grad = g
-            params["frozen"].value.grad = np.ones_like(frozen_before)
+                p.grad = g
+            params["frozen"].grad = np.ones_like(frozen_before)
             opt.step()
             whole_array_rmsprop(ref_thetas, grads, ref_avgs, learning_rate=0.003)
         for p, theta, s in zip(live, ref_thetas, ref_avgs):
@@ -121,7 +124,7 @@ class TestRMSProp:
     def test_first_step_closed_form(self):
         p = Parameter(np.array([0.5]), name="theta")
         opt = RMSProp({"theta": p}, learning_rate=0.001, rho=0.9, eps=1e-8)
-        p.value.grad = np.array([2.0], dtype=np.float32)
+        p.grad = np.array([2.0], dtype=np.float32)
         opt.step()
         expected_s = 0.1 * 4.0  # (1-rho) * g^2
         expected_delta = 0.001 * 2.0 / (np.sqrt(expected_s) + 1e-8)
@@ -135,8 +138,8 @@ class TestRMSProp:
         opt = RMSProp({"emb": frozen, "w": live}, learning_rate=0.001)
         before = frozen.data.copy()
         for _ in range(100):
-            live.value.grad = np.ones(2, dtype=np.float32)
-            frozen.value.grad = np.ones((3, 2), dtype=np.float32)
+            live.grad = np.ones(2, dtype=np.float32)
+            frozen.grad = np.ones((3, 2), dtype=np.float32)
             opt.step()
             opt.zero_grads()
         np.testing.assert_array_equal(frozen.data, before)
@@ -147,9 +150,9 @@ class TestRMSProp:
         q = Parameter(np.ones(2), name="bias")
         p = Parameter(np.ones(2), name="w_ih")
         opt = RMSProp({"bias": q, "w_ih": p}, learning_rate=0.001)
-        q.value.grad = np.array([1.0, -1.0], dtype=np.float32)
+        q.grad = np.array([1.0, -1.0], dtype=np.float32)
         for bad in (np.nan, np.inf, -np.inf):
-            p.value.grad = np.array([bad, 0.0], dtype=np.float32)
+            p.grad = np.array([bad, 0.0], dtype=np.float32)
             with pytest.raises(NumericError, match="w_ih"):
                 opt.step()
             for param in (q, p):
@@ -256,7 +259,7 @@ class TestCheckpoint:
         assert all(p.data.dtype == np.float64 for p in model.parameters().values())
         save_checkpoint(model, tmp_path / "wide.ckpt", epoch=1)
         for p in model.parameters().values():
-            p.value.data = p.data.astype(np.float32)
+            p.data = p.data.astype(np.float32)
         save_checkpoint(model, tmp_path / "narrow.ckpt", epoch=1)
         assert (tmp_path / "wide.ckpt").read_bytes() == (tmp_path / "narrow.ckpt").read_bytes()
 
@@ -297,7 +300,7 @@ class TestCheckpoint:
                 self.fh.close()
 
         for p in model.parameters().values():
-            p.value.data[...] += 1.0
+            p.data[...] += 1.0
         with monkeypatch.context() as patch:
             patch.setattr(
                 training, "open",
@@ -388,6 +391,26 @@ class TestCheckpoint:
         self._rewrite_manifest(path, lambda manifest: manifest.pop(key))
         with pytest.raises(IntegrityError, match=f"no '{key}' entry"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda manifest: manifest["parameters"][0].pop("shape"),
+            lambda manifest: manifest["config"].pop("pooling"),
+            lambda manifest: manifest.update(parameters="x"),
+            lambda manifest: manifest["vocab"].pop("tokens"),
+        ],
+        ids=["entry-without-shape", "config-without-pooling", "parameters-not-a-list",
+             "vocab-without-tokens"],
+    )
+    def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, edit, capsys):
+        path = tmp_path / "tiny.ckpt"
+        shutil.copy(Path(__file__).parent / "fixtures" / "golden" / "tiny.ckpt", path)
+        self._rewrite_manifest(path, edit)
+        with pytest.raises(IntegrityError, match="tiny.ckpt: malformed manifest"):
+            load_checkpoint(path)
+        assert main(["predict", "--checkpoint", str(path)]) == 2
+        assert "tiny.ckpt" in capsys.readouterr().err
 
     def test_unknown_manifest_version_rejected(self, tmp_path):
         _, path, _ = self._trained(tmp_path)
