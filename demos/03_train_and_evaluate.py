@@ -1,7 +1,7 @@
 """Train a small model on a rule-generated corpus, watch the per-epoch log,
 and print the per-genre accuracy report.
 
-Run:  python demos/03_train_and_evaluate.py   (about a minute on a laptop)
+Run:  python demos/03_train_and_evaluate.py   (a few seconds)
 """
 
 import numpy as np

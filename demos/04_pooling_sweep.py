@@ -2,7 +2,7 @@
 is trained over several seeds, then summarized as mean +- 95% CI and as a
 per-cell best, mirroring the two standard result tables.
 
-Run:  python demos/04_pooling_sweep.py   (a few minutes)
+Run:  python demos/04_pooling_sweep.py   (about ten seconds)
 """
 
 from nliattn import synth

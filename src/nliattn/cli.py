@@ -11,6 +11,7 @@ configuration.  Exit codes: 0 success, 1 usage/config error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -123,17 +124,6 @@ _KEYS = {
 }
 KNOWN_KEYS = frozenset(_KEYS)
 
-# command-line flag -> the config key it overrides
-_FLAG_KEYS = {
-    "pooling": "pooling",
-    "seed": "seed",
-    "batch_size": "batch_size",
-    "epochs": "max_epochs",
-    "lr": "learning_rate",
-    "out_dir": "out_dir",
-    "chars": "use_chars",
-}
-
 
 def _parse_value(key: str, raw: str):
     _, annotation, parse = _KEYS[key]
@@ -170,8 +160,9 @@ def build_run_config(args) -> RunConfig:
             raise ConfigError(f"config file not found: {config_path}")
         for key, raw in parse_config_file(config_path).items():
             values[key] = _parse_value(key, raw)
-    for flag, key in _FLAG_KEYS.items():
-        value = getattr(args, flag, None)
+    # a flag's argparse dest is the config key it overrides
+    for key in KNOWN_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             values[key] = value
 
@@ -196,16 +187,25 @@ def _require_files(*paths) -> None:
             raise ConfigError(f"required file does not exist: {path}")
 
 
-def _write_error_log(run_dir: Path | None, exc: Exception) -> None:
-    if run_dir is None:
-        return
+@contextlib.contextmanager
+def _run_dir(config: RunConfig, command: str):
+    """The run directory of a command that trains: the data files are
+    checked before it is made, and a failure inside it leaves error.json."""
+    if config.train_file is None or config.dev_file is None:
+        raise ConfigError(f"{command} needs train_file and dev_file (config file or flags)")
+    _require_files(config.train_file, config.dev_file, config.snli_file, config.embeddings_file)
+    run_dir = make_run_dir(config)
+    print(f"run directory: {run_dir}")
+    print(f"effective seed: {config.train.seed}")
     try:
-        (run_dir / "error.json").write_text(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2),
-            encoding="utf-8",
-        )
-    except OSError:
-        pass
+        yield run_dir
+    except Exception as exc:
+        with contextlib.suppress(OSError):
+            (run_dir / "error.json").write_text(
+                json.dumps({"error": type(exc).__name__, "message": str(exc)}, indent=2),
+                encoding="utf-8",
+            )
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +214,7 @@ def _write_error_log(run_dir: Path | None, exc: Exception) -> None:
 
 def cmd_train(args) -> int:
     config = build_run_config(args)
-    if config.train_file is None or config.dev_file is None:
-        raise ConfigError("train needs train_file and dev_file (config file or flags)")
-    _require_files(config.train_file, config.dev_file, config.snli_file, config.embeddings_file)
-    run_dir = make_run_dir(config)
-    print(f"run directory: {run_dir}")
-    print(f"effective seed: {config.train.seed}")
-    try:
+    with _run_dir(config, "train") as run_dir:
         train_load = load_dataset(config.train_file)
         dev_load = load_dataset(config.dev_file)
         print(
@@ -252,13 +246,8 @@ def cmd_train(args) -> int:
             embeddings = random_embeddings(vocab, emb_rng, scale=config.embedding_scale)
             print(f"embeddings: random, scale {config.embedding_scale}")
 
-        model = NLIModel(
-            config.model,
-            vocab,
-            char_vocab,
-            embeddings,
-            np.random.default_rng([config.train.seed, 13]),
-        )
+        model_rng = np.random.default_rng([config.train.seed, 13])
+        model = NLIModel(config.model, vocab, char_vocab, embeddings, model_rng)
         result = train(
             model,
             train_examples,
@@ -276,9 +265,6 @@ def cmd_train(args) -> int:
             f"checkpoint {result.checkpoint_path}"
         )
         return 0
-    except Exception as exc:
-        _write_error_log(run_dir, exc)
-        raise
 
 
 def cmd_eval(args) -> int:
@@ -326,8 +312,8 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.dims != "tiny":
         raise ConfigError(f"unsupported --dims {args.dims!r}; only 'tiny' is available")
-    print(f"effective seed: {args.seed if args.seed is not None else 7}")
-    report = gradcheck.run_full_check(seed=args.seed if args.seed is not None else 7)
+    print(f"effective seed: {args.seed}")
+    report = gradcheck.run_full_check(seed=args.seed)
     print(report.format())
     if not report.passed:
         raise NumericError(
@@ -338,8 +324,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = build_run_config(args)
-    if config.train_file is None or config.dev_file is None:
-        raise ConfigError("sweep needs train_file and dev_file")
     for key in ("snli_file", "embeddings_file"):
         if getattr(config, key) is not None:
             raise ConfigError(f"sweep does not support {key}; remove it from the config")
@@ -347,16 +331,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"runs_per_cell must be at least 2 for interval estimates, got {args.runs_per_cell}"
         )
-    _require_files(config.train_file, config.dev_file)
-    run_dir = make_run_dir(config)
-    print(f"run directory: {run_dir}")
-    print(f"effective seed: {config.train.seed}")
-    try:
-        train_examples = load_dataset(config.train_file).examples
-        dev_examples = load_dataset(config.dev_file).examples
+    with _run_dir(config, "sweep") as run_dir:
         runs, summary = evaluation.pooling_sweep(
-            train_examples,
-            dev_examples,
+            load_dataset(config.train_file).examples,
+            load_dataset(config.dev_file).examples,
             config.model,
             config.train,
             seeds=[config.train.seed + i for i in range(args.runs_per_cell)],
@@ -374,9 +352,6 @@ def cmd_sweep(args) -> int:
         print("best per cell:")
         print(best_table)
         return 0
-    except Exception as exc:
-        _write_error_log(run_dir, exc)
-        raise
 
 
 def cmd_export(args) -> int:
@@ -399,21 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_model_flags=True):
+    def add_common(p):
+        # each flag's dest is the config key it overrides
         p.add_argument("--config", help=f"key=value config file (or ${CONFIG_ENV_VAR})")
         p.add_argument("--out-dir", dest="out_dir", help="output root directory")
         p.add_argument("--seed", type=int, help="master random seed")
-        if with_model_flags:
-            p.add_argument("--pooling", choices=POOLING_METHODS)
-            p.add_argument(
-                "--chars",
-                action=argparse.BooleanOptionalAction,
-                default=None,
-                help="use character features (--no-chars disables)",
-            )
-            p.add_argument("--batch-size", dest="batch_size", type=int)
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--lr", type=float)
+        p.add_argument("--pooling", choices=POOLING_METHODS)
+        p.add_argument(
+            "--chars",
+            dest="use_chars",
+            action=argparse.BooleanOptionalAction,
+            default=None,
+            help="use character features (--no-chars disables)",
+        )
+        p.add_argument("--batch-size", dest="batch_size", type=int)
+        p.add_argument("--epochs", dest="max_epochs", type=int)
+        p.add_argument("--lr", dest="learning_rate", type=float)
 
     p_train = sub.add_parser("train", help="train a model and keep the best checkpoint")
     add_common(p_train)
@@ -438,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference verification suite")
     p_grad.add_argument("--dims", default="tiny")
-    p_grad.add_argument("--seed", type=int)
+    p_grad.add_argument("--seed", type=int, default=7)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_sweep = sub.add_parser("sweep", help="pooling-method sweep over seeds")

@@ -156,7 +156,9 @@ class Vocabulary:
     """Token -> index map; the reserved tokens take the first indices, in order.
 
     Index order is insertion order, so a saved file's line n (after the
-    header) holds index n.  The word vocabulary holds normalized tokens.
+    header) holds index n.  Tokens are added and looked up as given, so
+    the vocabulary and a batch agree on every token; normalization happens
+    once, at tokenization.
     """
 
     reserved: tuple[str, ...] = (PAD_TOKEN, UNK_TOKEN, NUM_TOKEN)
@@ -199,7 +201,7 @@ class Vocabulary:
     @staticmethod
     def _entries(token: str) -> Iterable[str]:
         """What one corpus token adds to the vocabulary."""
-        return (normalize_token(token),)
+        return (token,)
 
     @classmethod
     def from_examples(cls, examples: Iterable[NLIExample], dim: int) -> "Vocabulary":

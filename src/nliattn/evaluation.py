@@ -8,12 +8,12 @@ summarizes them as mean +/- a 95% Student-t interval plus a per-cell best.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .data import (
     EMBEDDING_SCALE,
@@ -181,6 +181,10 @@ def confidence_interval(accuracies: Sequence[float]) -> tuple[float, float]:
         raise InvalidInputError("confidence_interval needs at least 2 runs")
     if np.all(values == values[0]):
         return float(values[0]), 0.0
+    # imported at its only use: at module level scipy would cost every
+    # `import nliattn` about a second and some 70 MB of resident memory
+    from scipy import stats
+
     t_star = float(stats.t.ppf(0.975, n - 1))
     half_width = t_star * values.std(ddof=1) / np.sqrt(n)
     return float(values.mean()), float(half_width)
@@ -248,8 +252,6 @@ class SweepRun:
 
 @dataclass
 class SweepCell:
-    method: str
-    use_chars: bool
     accuracies: list[float]
     mean: float
     half_width: float
@@ -261,27 +263,22 @@ class SweepSummary:
     cells: dict[tuple[str, bool], SweepCell] = field(default_factory=dict)
     methods: tuple[str, ...] = ()
 
+    def _table(self, width: int, cell_text) -> str:
+        """Methods as rows, char usage as columns of ``width``; ``cell_text``
+        renders one cell."""
+        lines = [f"{'Method':<8s} {'w/o chars':>{width}s} {'w. chars':>{width}s}"]
+        for method in self.methods:
+            row = [cell_text(self.cells[(method, use_chars)]) for use_chars in (False, True)]
+            lines.append(" ".join([f"{method:<8s}", *row]))
+        return "\n".join(lines)
+
     def format_mean_table(self) -> str:
         """Mean +/- 95% CI per cell, methods as rows, char usage as columns."""
-        lines = [f"{'Method':<8s} {'w/o chars':>16s} {'w. chars':>16s}"]
-        for method in self.methods:
-            row = [f"{method:<8s}"]
-            for use_chars in (False, True):
-                cell = self.cells[(method, use_chars)]
-                row.append(f"{100 * cell.mean:6.1f} +- {100 * cell.half_width:4.1f}")
-            lines.append(" ".join(row))
-        return "\n".join(lines)
+        return self._table(16, lambda c: f"{100 * c.mean:6.1f} +- {100 * c.half_width:4.1f}")
 
     def format_best_table(self) -> str:
         """Best accuracy per cell, same layout."""
-        lines = [f"{'Method':<8s} {'w/o chars':>10s} {'w. chars':>10s}"]
-        for method in self.methods:
-            row = [f"{method:<8s}"]
-            for use_chars in (False, True):
-                cell = self.cells[(method, use_chars)]
-                row.append(f"{100 * cell.best:10.1f}")
-            lines.append(" ".join(row))
-        return "\n".join(lines)
+        return self._table(10, lambda c: f"{100 * c.best:10.1f}")
 
 
 def write_sweep_records(runs: Sequence[SweepRun], path) -> None:
@@ -298,51 +295,33 @@ def read_sweep_records(path) -> list[SweepRun]:
 def summarize_runs(runs: Sequence[SweepRun]) -> SweepSummary:
     """Pure fold over run records; re-summarizing stored logs reproduces it."""
     methods = []
-    grouped: dict[tuple[str, bool], list[SweepRun]] = {}
+    grouped: dict[tuple[str, bool], list[float]] = {}
     for run in runs:
         if run.method not in methods:
             methods.append(run.method)
-        grouped.setdefault((run.method, run.use_chars), []).append(run)
+        grouped.setdefault((run.method, run.use_chars), []).append(run.best_dev_accuracy)
     summary = SweepSummary(methods=tuple(methods))
-    for key, cell_runs in grouped.items():
-        accuracies = [r.best_dev_accuracy for r in cell_runs]
+    for key, accuracies in grouped.items():
         mean, half_width = confidence_interval(accuracies)
-        summary.cells[key] = SweepCell(
-            method=key[0],
-            use_chars=key[1],
-            accuracies=accuracies,
-            mean=mean,
-            half_width=half_width,
-            best=max(accuracies),
-        )
+        summary.cells[key] = SweepCell(accuracies, mean, half_width, max(accuracies))
     return summary
 
 
-def _sweep_one(args) -> SweepRun:
-    # top-level worker so process pools can pickle it
-    (
-        method,
-        use_chars,
-        seed,
-        train_examples,
-        dev_examples,
-        base_config,
-        train_config,
-        embedding_scale,
-    ) = args
+def _sweep_one(
+    task, *, train_examples, dev_examples, vocab, chars, base_config, train_config, embedding_scale
+) -> SweepRun:
+    """Train one (method, use_chars, seed) task; top-level so that a process
+    pool can pickle it."""
     from .training import train
 
+    method, use_chars, seed = task
     # an unset hidden_per_dir stays unset, so each cell resolves its own width
     encoder = replace(base_config.encoder, use_chars=use_chars)
     config = replace(base_config, encoder=encoder, pooling=method)
-    vocab = Vocabulary.from_examples(train_examples, dim=encoder.word_dim)
-    chars = CharVocabulary.from_examples(train_examples, dim=encoder.char_dim)
     rng = np.random.default_rng(seed)
     model = NLIModel(config, vocab, chars, random_embeddings(vocab, rng, embedding_scale), rng)
     result = train(model, train_examples, dev_examples, replace(train_config, seed=seed))
-    return SweepRun(
-        method=method, use_chars=use_chars, seed=seed, best_dev_accuracy=result.best_dev_accuracy
-    )
+    return SweepRun(method, use_chars, seed, best_dev_accuracy=result.best_dev_accuracy)
 
 
 def pooling_sweep(
@@ -356,30 +335,32 @@ def pooling_sweep(
 ) -> tuple[list[SweepRun], SweepSummary]:
     """Train every (pooling method x chars) cell once per seed (the cell's
     index shifts each seed); collect each run's best dev accuracy and
-    summarize."""
+    summarize.  The vocabularies depend on no cell and are built once."""
     if len(seeds) < 2:
         raise ConfigError("pooling_sweep needs at least 2 seeds for interval estimates")
 
     grid = [(m, flag) for m in POOLING_METHODS for flag in (False, True)]
     tasks = [
-        (
-            method,
-            use_chars,
-            int(seed) + 10_000 * cell_index,
-            list(train_examples),
-            list(dev_examples),
-            base_config,
-            train_config,
-            embedding_scale,
-        )
+        (method, use_chars, int(seed) + 10_000 * cell_index)
         for cell_index, (method, use_chars) in enumerate(grid)
         for seed in seeds
     ]
+    encoder = base_config.encoder
+    run = functools.partial(
+        _sweep_one,
+        train_examples=list(train_examples),
+        dev_examples=list(dev_examples),
+        vocab=Vocabulary.from_examples(train_examples, dim=encoder.word_dim),
+        chars=CharVocabulary.from_examples(train_examples, dim=encoder.char_dim),
+        base_config=base_config,
+        train_config=train_config,
+        embedding_scale=embedding_scale,
+    )
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_sweep_one, tasks))
+            runs = list(pool.map(run, tasks))
     else:
-        runs = [_sweep_one(task) for task in tasks]
+        runs = [run(task) for task in tasks]
     return runs, summarize_runs(runs)

@@ -184,10 +184,17 @@ def train(
 
     Writes one key=value record per epoch to ``log_path`` when given.
     ``target_dev_accuracy`` stops early once the best accuracy reaches it.
-    An empty dev set is rejected: there would be nothing to select on.
+    An empty dev set is rejected: there would be nothing to select on.  So
+    is a training set in which no premise fits ``max_premise_len``: every
+    epoch would take no step.
     """
     if not len(dev_examples):
         raise InvalidInputError("train: empty dev set")
+    if not any(len(ex.premise_tokens) <= config.max_premise_len for ex in train_examples):
+        raise InvalidInputError(
+            f"train: no training pair has a premise within max_premise_len="
+            f"{config.max_premise_len} tokens"
+        )
     optimizer = RMSProp(model.parameters(), learning_rate=config.learning_rate)
     result = TrainResult(best_epoch=0, best_dev_accuracy=-1.0)
     best_snapshot: dict[str, np.ndarray] | None = None

@@ -11,7 +11,9 @@ from nliattn import autodiff as ad
 from nliattn import cli, evaluation, gradcheck, training
 from nliattn.cli import CONFIG_ENV_VAR, main
 from nliattn.data import load_dataset
-from nliattn.model import NLIModel
+from nliattn.encoder import EncoderConfig
+from nliattn.model import ModelConfig, NLIModel
+from nliattn.training import TrainConfig
 from conftest import FIXTURES, find_run_dir, write_tiny_config
 
 
@@ -128,14 +130,31 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 0
         assert "mixed in 10 extra pairs" in capsys.readouterr().out
 
-    def test_failure_after_run_dir_writes_error_log(self, tmp_path, capsys):
-        bad_emb = tmp_path / "emb.txt"
-        bad_emb.write_text("cat 1.0 2.0\n")  # width 2 != word_dim 12
-        config = write_tiny_config(tmp_path, embeddings_file=bad_emb)
-        assert main(["train", "--config", str(config)]) == 1
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_failure_after_run_dir_writes_error_log(self, tmp_path, capsys, command):
+        if command == "train":
+            bad_emb = tmp_path / "emb.txt"
+            bad_emb.write_text("cat 1.0 2.0\n")  # width 2 != word_dim 12
+            config = write_tiny_config(tmp_path, embeddings_file=bad_emb)
+            code, error = 1, "ConfigError"
+        else:
+            bad_dev = tmp_path / "dev.jsonl"
+            bad_dev.write_text((FIXTURES / "dev.jsonl").read_text() + "{not a record\n")
+            config = write_tiny_config(tmp_path, dev_file=bad_dev)
+            code, error = 2, "DataError"
+        assert main([command, "--config", str(config)]) == code
         run_dir = find_run_dir(tmp_path / "runs")
         payload = json.loads((run_dir / "error.json").read_text())
-        assert payload["error"] == "ConfigError"
+        assert payload["error"] == error
+
+    def test_nothing_to_train_on_exits_2_with_error_log(self, tmp_path, capsys):
+        config = write_tiny_config(tmp_path, max_premise_len=1)
+        assert main(["train", "--config", str(config)]) == 2
+        assert "max_premise_len" in capsys.readouterr().err
+        run_dir = find_run_dir(tmp_path / "runs")
+        payload = json.loads((run_dir / "error.json").read_text())
+        assert payload["error"] == "InvalidInputError"
+        assert not (run_dir / "best.ckpt").exists()
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path)
@@ -146,6 +165,34 @@ class TestTrain:
         assert len((run_dir / "train.log").read_text().strip().splitlines()) == 1
         effective = (run_dir / "config.effective").read_text()
         assert "max_epochs=1" in effective and "seed=9" in effective
+
+    @pytest.mark.parametrize(
+        "flags,key,value,text",
+        [
+            (["--pooling", "max"], "pooling", "max", "max"),
+            (["--seed", "3"], "seed", 3, "3"),
+            (["--batch-size", "4"], "batch_size", 4, "4"),
+            (["--epochs", "1"], "max_epochs", 1, "1"),
+            (["--lr", "0.005"], "learning_rate", 0.005, "0.005"),
+            (["--out-dir", "elsewhere"], "out_dir", "elsewhere", "elsewhere"),
+            (["--chars"], "use_chars", True, "true"),
+        ],
+    )
+    def test_flag_lands_in_its_key(self, tmp_path, capsys, monkeypatch, flags, key, value, text):
+        monkeypatch.chdir(tmp_path)  # a relative --out-dir lands here
+        config = write_tiny_config(tmp_path)
+        argv = ["train", "--config", str(config), *flags]
+        run_config = cli.build_run_config(cli.build_parser().parse_args(argv))
+        owner = {
+            cli.RunConfig: run_config,
+            ModelConfig: run_config.model,
+            EncoderConfig: run_config.model.encoder,
+            TrainConfig: run_config.train,
+        }[cli._KEYS[key][0]]
+        assert getattr(owner, key) == value
+        assert main(argv) == 0
+        run_dir = find_run_dir(tmp_path / run_config.out_dir)
+        assert f"{key}={text}" in (run_dir / "config.effective").read_text().splitlines()
 
     def test_default_no_chars_exports_600_dim(self, tmp_path, capsys):
         # default dimensions, mean pooling, no char features: 600-wide representations

@@ -301,6 +301,16 @@ class TestMakeBatches:
         batch = data.make_batches([novel], 1, "dev", vocab, chars)[0]
         assert batch.word_ids[:2].tolist() == [vocab.unk, vocab.unk]
 
+    def test_vocabulary_tokens_read_as_themselves(self):
+        # the vocabulary and the batch see a token the same way, even one
+        # that was never normalized: none of these reads as UNK
+        ex = data.NLIExample("1", "g", ["The", "cat", "sat", "3"], ["A", "cat"], "neutral")
+        vocab = data.Vocabulary.from_examples([ex], dim=4)
+        chars = data.CharVocabulary.from_examples([ex], dim=2)
+        batch = data.make_batches([ex], 1, "dev", vocab, chars)[0]
+        assert vocab.unk not in batch.word_ids
+        assert chars.unk not in batch.char_ids
+
     def test_char_lengths_equal_token_lengths(self):
         exs, vocab, chars = self._fixtures()
         batch = data.make_batches(exs[:2], 2, "dev", vocab, chars)[0]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,6 +114,21 @@ class TestConfidenceInterval:
     def test_single_run_rejected(self):
         with pytest.raises(InvalidInputError):
             ev.confidence_interval([0.5])
+
+    def test_importing_the_package_leaves_scipy_unloaded(self):
+        # scipy serves only the interval above; the package must not pay
+        # its import time and memory on every start
+        src = str(Path(ev.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, nliattn; print('scipy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class FixedModel:

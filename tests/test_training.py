@@ -230,6 +230,17 @@ class TestTrainLoop:
         for name, p in model.parameters().items():
             np.testing.assert_array_equal(p.data, before[name])
 
+    @pytest.mark.parametrize("case", ["no pairs", "every premise too long"])
+    def test_nothing_to_train_on_rejected_before_the_first_step(self, tmp_path, case):
+        examples = synth.synthetic_examples(6, seed=18)  # premises of 11 tokens
+        model = build_model(examples, seed=19)
+        train_examples, cap = ([], 200) if case == "no pairs" else (examples, 10)
+        config = TrainConfig(batch_size=3, max_epochs=1, seed=5, max_premise_len=cap)
+        ckpt = tmp_path / "best.ckpt"
+        with pytest.raises(InvalidInputError, match="max_premise_len"):
+            train(model, train_examples, examples, config, ckpt)
+        assert not ckpt.exists()
+
     def test_frozen_embeddings_bit_identical_after_training(self):
         examples = synth.synthetic_examples(9, seed=14)
         model = build_model(examples, seed=15)
