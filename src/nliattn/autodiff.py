@@ -6,6 +6,12 @@ accumulates gradients into the participating tensors.  Without an active
 tape the same functions run forward-only, which is what inference and
 finite-difference evaluation use.
 
+A tensor made with ``requires_grad=False`` is a constant, such as the
+frozen word vectors of a batch: it gets no ``.grad``, an operation none of
+whose inputs needs a gradient is not taped, and its output is a constant
+too.  ``lstm_sequence`` forms its input gradient only for the columns that
+need one (``concat`` records which those are).
+
 There is one tensor class.  A ``Parameter`` is a ``Tensor`` that a model
 owns: it adds a name, which keys checkpoints and error messages, and a
 ``trainable`` flag, which the optimizer reads.  The tape treats it as any
@@ -17,11 +23,14 @@ which are too noisy at single precision.
 
 A tape and its tensors belong to one thread.  Independent models (own
 tapes, own parameters) may run in parallel; frozen tensors may be shared
-read-only.  The library starts one thread of its own: the direction
-worker, which computes the second direction of a two-direction
-``lstm_sequence`` in its forward and backward passes.  It reads and writes
-numpy arrays only and never touches a tape; the op's one record is made
-on the calling thread.
+read-only.  The library starts one thread of its own, the worker.  It
+runs the second direction of a two-direction ``lstm_sequence`` in its
+forward and backward passes, and the weight-gradient GEMMs of ``affine``
+and ``attention_scores``, which a backward rule hands back as a
+``Future`` while the calling thread carries on down the input-gradient
+chain.  The worker reads and writes numpy arrays only and never touches a
+tape: records are made, and Futures resolved, on the calling thread, and
+the gradients have the same bits either way.
 """
 
 from __future__ import annotations
@@ -70,17 +79,23 @@ class Tensor:
     """Dense n-dimensional float array; the unit of all numeric computation.
 
     ``data`` is row-major contiguous; ``grad`` is filled in by
-    ``Tape.backward`` and accumulates until the owner clears it.
+    ``Tape.backward`` and accumulates until the owner clears it.  A tensor
+    with ``requires_grad`` False is a constant and never gets a ``grad``;
+    an operation's output needs one when any of its inputs does.
     """
 
-    __slots__ = ("data", "grad")
+    # _grad_columns: set by ``concat`` when only some of its blocks need a
+    # gradient; the column range those blocks span
+    __slots__ = ("data", "grad", "requires_grad", "_grad_columns")
 
-    def __init__(self, data):
+    def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data, dtype=_DTYPE)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
         self.grad = None
+        self.requires_grad = requires_grad
+        self._grad_columns = None
 
     @property
     def shape(self):
@@ -140,8 +155,14 @@ class Tape:
     Records are appended in creation order, which is topological by
     construction: an operation's inputs always exist before its output.
     ``backward`` walks the records once, in reverse; intermediate gradients
-    live in per-walk scratch space and only tape leaves (parameters,
-    constants, tensors made on other tapes) receive a persistent ``.grad``.
+    live in per-walk scratch space and only tape leaves that need a
+    gradient (parameters, tensors made off the tape) receive a persistent
+    ``.grad``.
+
+    A backward rule returns one gradient per input: an array, None for
+    none, or a ``Future`` of a fresh array (see ``_deferred``).  The walk
+    resolves a Future wherever it reads one, so gradients are summed in
+    the same order either way.
     """
 
     def __init__(self):
@@ -173,12 +194,24 @@ class Tape:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
         if self._consumed:
             raise UsageError("this tape has already been walked backward")
+        if not loss.requires_grad:
+            raise UsageError("loss depends on no tensor that needs a gradient")
         produced = {id(out) for out, _, _ in self._records}
         if id(loss) not in produced:
             raise UsageError("loss was not produced on this tape")
         self._consumed = True
 
-        scratch: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
+        scratch: dict[int, np.ndarray | futures.Future] = {
+            id(loss): np.ones((), dtype=loss.data.dtype)
+        }
+        try:
+            self._walk(scratch, produced)
+        except BaseException:
+            # let no deferred GEMM run on past the failed walk
+            futures.wait([g for g in scratch.values() if isinstance(g, futures.Future)])
+            raise
+
+    def _walk(self, scratch: dict, produced: set[int]) -> None:
         # keys whose scratch array this walk allocated itself; rules may hand
         # back aliased arrays, so only these are safe to add into in place
         owned: set[int] = set()
@@ -186,19 +219,24 @@ class Tape:
         # upstream gradient passed on, so a leaf may keep it without a copy
         fresh: set[int] = set()
         for out, inputs, backward_rule in reversed(self._records):
-            gout = scratch.get(id(out))
+            gout = _resolved(scratch.get(id(out)))
             if gout is None:
                 continue
             for tensor, gin in zip(inputs, backward_rule(gout)):
-                if gin is None:
+                if gin is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
                 held = scratch.get(key)
                 if held is None:
                     scratch[key] = gin
-                    if gin is not gout and isinstance(gin, np.ndarray) and gin.base is None:
+                    # a deferred gradient is a fresh array (``_deferred``)
+                    if isinstance(gin, futures.Future) or (
+                        gin is not gout and isinstance(gin, np.ndarray) and gin.base is None
+                    ):
                         fresh.add(key)
-                elif key in owned and held.ndim:
+                    continue
+                held, gin = _resolved(held), _resolved(gin)
+                if key in owned and held.ndim:
                     held += gin
                 else:
                     scratch[key] = held + gin
@@ -207,7 +245,7 @@ class Tape:
         for out, inputs, _ in self._records:
             for tensor in inputs:
                 key = id(tensor)
-                grad = scratch.pop(key, None)
+                grad = _resolved(scratch.pop(key, None))
                 if grad is None or key in produced:
                     continue
                 if tensor.grad is None:
@@ -220,9 +258,17 @@ class Tape:
                     tensor.grad = tensor.grad + grad
 
 
+def _resolved(grad):
+    """A gradient from the scratch space, its Future waited for."""
+    return grad.result() if isinstance(grad, futures.Future) else grad
+
+
 def _emit(out: Tensor, inputs: tuple, backward: Callable) -> Tensor:
+    """Record an operation on the active tape, unless none of its inputs
+    needs a gradient: then the output is a constant."""
+    out.requires_grad = any(t.requires_grad for t in inputs)
     tape = _active_tape()
-    if tape is not None:
+    if tape is not None and out.requires_grad:
         tape._record(out, inputs, backward)
     return out
 
@@ -323,11 +369,18 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along ``axis``.  Joined along the columns of 2-D
+    blocks, some of them constants, the output records the column range
+    that the blocks needing a gradient span."""
     parts = list(parts)
     if not parts:
         raise InvalidInputError("concat needs at least one tensor")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
+    needing = [i for i, p in enumerate(parts) if p.requires_grad]
+    if out.ndim == 2 and axis == 1 and needing:
+        bounds = np.cumsum([0, *sizes]).tolist()
+        out._grad_columns = slice(bounds[needing[0]], bounds[needing[-1] + 1])
 
     def back(g):
         grads = []
@@ -526,14 +579,19 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     it runs 1.4-1.7x as fast as x·wᵀ.  Its transpose and the bias go into
     a row-major result in one pass.  ``w`` is read through a transposed
     view in the backward pass, so no weight copy is made in either
-    direction.
+    direction.  The weight gradient gᵀ·x is deferred (``_deferred``).
     """
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
     xdata, wdata = x.data, w.data
     out = Tensor(np.empty((x.shape[0], w.shape[0]), dtype=np.result_type(xdata, wdata, b.data)))
     np.add((wdata @ xdata.T).T, b.data, out=out.data)
-    return _emit(out, (x, w, b), lambda g: (g @ wdata, g.T @ xdata, g.sum(axis=0)))
+
+    def back(g):
+        dw = np.empty((g.shape[1], xdata.shape[1]), dtype=np.result_type(g, xdata))
+        return g @ wdata, _deferred(dw, lambda: np.matmul(g.T, xdata, out=dw)), g.sum(axis=0)
+
+    return _emit(out, (x, w, b), back)
 
 
 def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
@@ -554,17 +612,17 @@ def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
     return starts[seq] + pos, sizes, offsets
 
 
-# The direction worker, which runs the second direction of a two-direction
-# ``lstm_sequence``
+# The worker, which runs the second direction of a two-direction
+# ``lstm_sequence`` and the deferred weight gradients
 
 
 @functools.cache
 def _concurrent_directions() -> bool:
-    """Whether two LSTM directions run side by side: the process may use at
-    least 2 CPUs and BLAS runs each call on one thread.  Two directions
-    that each run a multi-threaded BLAS fight over the same cores and are
-    slower side by side than in turn, so they run in turn then, and when
-    the thread count cannot be read."""
+    """Whether the worker runs work beside the calling thread: the process
+    may use at least 2 CPUs and BLAS runs each call on one thread.  Two
+    threads that each run a multi-threaded BLAS fight over the same cores
+    and are slower side by side than in turn, so everything runs on the
+    calling thread then, and when the thread count cannot be read."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -594,7 +652,7 @@ def _new_worker() -> None:
     # the executor starts its one thread at the first submit; a forked
     # child inherits the executor but not the thread, so it makes its own
     global _worker
-    _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="nliattn-lstm")
+    _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="nliattn-worker")
 
 
 _new_worker()
@@ -604,9 +662,9 @@ if hasattr(os, "register_at_fork"):
 
 def _each(calls: Iterable[Callable]) -> list:
     """Results of one or two zero-argument calls, in order.  When
-    ``_concurrent_directions`` holds, the second runs on the direction
-    worker while the calling thread runs the first; an exception from
-    either reaches the caller once both have finished."""
+    ``_concurrent_directions`` holds, the second runs on the worker while
+    the calling thread runs the first; an exception from either reaches
+    the caller once both have finished."""
     calls = list(calls)
     if len(calls) == 1 or not _concurrent_directions():
         return [call() for call in calls]
@@ -619,13 +677,30 @@ def _each(calls: Iterable[Callable]) -> list:
     return [result, pending.result()]
 
 
+def _deferred(out: np.ndarray, fill: Callable[[], object]):
+    """A gradient that nothing reads until ``Tape.backward`` hands leaves
+    their ``.grad``: ``out`` once ``fill()`` has written it, a Future of it
+    filled on the worker when ``_concurrent_directions`` holds, else filled
+    at once.  ``out`` is a fresh array made on the calling thread: one the
+    worker's own malloc arena made would go back to the system when freed,
+    and the calling thread's next passes would fault its pages in again."""
+
+    def filled():
+        fill()
+        return out
+
+    return _worker.submit(filled) if _concurrent_directions() else filled()
+
+
 def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
     """Forward pass of one LSTM direction over packed rows ``xdata`` [L x d].
 
     Writes the hidden states into ``dest`` [L x h] in packed row order and
     returns the direction's backward pass, which maps the gradient of
-    ``dest`` to (dx, dw_ih, dw_hh, dbias).  Reads and writes numpy arrays
-    only, so it may run on the direction worker.
+    ``dest`` and the columns of x that need a gradient (a slice, or None)
+    to (dx, dw_ih, dw_hh, dbias); dx is None without columns and zero
+    outside them.  Reads and writes numpy arrays only, so it may run on the
+    worker.
     """
     n = xdata.shape[0]
     h = wh.shape[1]
@@ -655,7 +730,7 @@ def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: n
         hidden[lo:hi] *= o[lo:hi]
     dest[perm] = hidden
 
-    def back(gout):
+    def back(gout, x_columns: slice | None):
         gout = gout[perm]
         first = bounds[1]  # from here on, row r continues row prev_rows[r - first]
         prev_rows = np.arange(first, n) - np.repeat(sizes[:-1], sizes[1:])
@@ -682,8 +757,10 @@ def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: n
                 np.matmul(dgates[lo:hi].reshape(k, -1), wh, out=dh_next[:k])
                 np.multiply(dc, f[lo:hi], out=dc_next[:k])
         dg = dgates.reshape(n, 4 * h)
-        dx = np.empty_like(xdata)
-        dx[perm] = dg @ wi
+        dx = None
+        if x_columns is not None:
+            dx = np.zeros_like(xdata)
+            dx[perm, x_columns] = dg @ wi[:, x_columns]
         return dx, dg.T @ xp, dg[first:].T @ hidden[prev_rows], dg.sum(axis=0)
 
     return back
@@ -707,11 +784,13 @@ def lstm_sequence(
     is one GEMM; each time step is then one GEMM against a contiguous copy
     of w_hhᵀ over the sequences still running, plus the cell update.  The
     backward pass is BPTT over the stacked gate gradients dG [L x 4h]; the
-    weight and input gradients are GEMMs on dG.
+    weight and input gradients are GEMMs on dG.  The input gradient is
+    formed only for the columns of ``x`` that need one: none for a
+    constant, the blocks that ``concat`` recorded otherwise.
 
-    With both directions, the backward one runs on the direction worker
-    while the calling thread runs the forward one, in the forward and in
-    the backward pass, when ``_concurrent_directions`` says that pays.
+    With both directions, the backward one runs on the worker while the
+    calling thread runs the forward one, in the forward and in the
+    backward pass, when ``_concurrent_directions`` says that pays.
     Either way the op is one tape record with the same bits.
     """
     if x.ndim != 2:
@@ -741,11 +820,16 @@ def lstm_sequence(
         for (weights, rev), cols in zip(directions, columns)
     )
 
+    x_columns = (x._grad_columns or slice(0, d)) if x.requires_grad else None
+
     def back(gout):
-        grads = _each(functools.partial(b, gout[:, cols]) for b, cols in zip(backs, columns))
+        grads = _each(
+            functools.partial(b, gout[:, cols], x_columns) for b, cols in zip(backs, columns)
+        )
         dx = grads[0][0]
-        for other in grads[1:]:
-            dx += other[0]
+        if dx is not None:
+            for other in grads[1:]:
+                dx += other[0]
         return (dx, *(g for direction in grads for g in direction[1:]))
 
     inputs = (x, *(w for weights, _ in directions for w in weights))
@@ -760,7 +844,7 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
     ``w`` is split as [w_q | w_h]: the query term is one GEMM over the S
     queries, repeated over each segment's rows, and H·w_hᵀ one GEMM over
     all L rows, neither copying a weight block; the backward pass forms
-    the gradient of ``w`` once per batch.
+    the gradient of ``w`` once per batch, deferred (``_deferred``).
     """
     lengths, starts = _segments(lengths, H.shape[0], "attention_scores")
     q = query.shape[-1]
@@ -785,8 +869,11 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
         dpre = np.outer(g, vdata) * (1.0 - u * u)
         dquery_term = np.add.reduceat(dpre, starts, axis=0)  # [S x a]
         dw = np.empty_like(wdata)
-        dw[:, :q] = dquery_term.T @ qdata
-        dw[:, q:] = dpre.T @ hdata
-        return dpre @ w_h, dquery_term @ w_q, dw, g @ u
+
+        def fill():
+            np.matmul(dquery_term.T, qdata, out=dw[:, :q])
+            np.matmul(dpre.T, hdata, out=dw[:, q:])
+
+        return dpre @ w_h, dquery_term @ w_q, _deferred(dw, fill), g @ u
 
     return _emit(out, (H, query, w, v), back)

@@ -331,6 +331,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"runs_per_cell must be at least 2 for interval estimates, got {args.runs_per_cell}"
         )
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {args.jobs}")
     with _run_dir(config, "sweep") as run_dir:
         runs, summary = evaluation.pooling_sweep(
             load_dataset(config.train_file).examples,

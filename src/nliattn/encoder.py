@@ -122,7 +122,7 @@ def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tenso
         )
     gates = ad.add(
         ad.affine(x_t, params.w_ih, params.bias),
-        ad.affine(h_prev, params.w_hh, Tensor(np.zeros(4 * h))),
+        ad.affine(h_prev, params.w_hh, Tensor(np.zeros(4 * h), requires_grad=False)),
     )
     i = ad.sigmoid(ad.narrow(gates, 1, 0, h))
     f = ad.sigmoid(ad.narrow(gates, 1, h, h))
@@ -300,8 +300,8 @@ class Encoder:
             raise DimensionError(f"embed_tokens: word ids must be [L], got {word_ids.shape}")
         if word_ids.min(initial=0) < 0 or word_ids.max(initial=0) >= self.word_embeddings.shape[0]:
             raise InvalidInputError("embed_tokens: token id outside the vocabulary")
-        # frozen lookup: a constant leaf, nothing to backpropagate into
-        words = Tensor(self.word_embeddings.data[word_ids])
+        # frozen lookup: a constant, so no input gradient is formed toward it
+        words = Tensor(self.word_embeddings.data[word_ids], requires_grad=False)
         if not self.config.use_chars:
             return words
         if word_index is None or char_ids is None or char_lengths is None:

@@ -25,7 +25,7 @@ from .data import (
     random_embeddings,
 )
 from .encoder import POOLING_METHODS
-from .errors import ConfigError, InvalidInputError
+from .errors import ConfigError, DataError, InvalidInputError
 from .model import NLIModel
 
 GENRE_DISPLAY_ORDER = (
@@ -241,13 +241,23 @@ class SweepRun:
 
     @classmethod
     def parse(cls, line: str) -> "SweepRun":
-        fields = dict(kv.split("=", 1) for kv in line.split())
-        return cls(
-            method=fields["method"],
-            use_chars=fields["chars"] == "true",
-            seed=int(fields["seed"]),
-            best_dev_accuracy=float(fields["best_dev_accuracy"]),
-        )
+        """The record ``format`` wrote; a malformed one raises DataError."""
+        fields = {}
+        for token in line.split():
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise DataError(f"sweep record token {token!r} has no '='")
+            fields[key] = value
+        missing = [k for k in ("method", "chars", "seed", "best_dev_accuracy") if k not in fields]
+        if missing:
+            raise DataError(f"sweep record lacks {', '.join(missing)}")
+        if fields["chars"] not in ("true", "false"):
+            raise DataError(f"sweep record has chars={fields['chars']!r}, not true or false")
+        try:
+            seed, accuracy = int(fields["seed"]), float(fields["best_dev_accuracy"])
+        except ValueError as err:
+            raise DataError(f"sweep record has a malformed number: {err}") from None
+        return cls(fields["method"], fields["chars"] == "true", seed, accuracy)
 
 
 @dataclass
@@ -288,8 +298,18 @@ def write_sweep_records(runs: Sequence[SweepRun], path) -> None:
 
 
 def read_sweep_records(path) -> list[SweepRun]:
+    """Every record of a sweep log; a malformed one raises DataError naming
+    the file and its 1-based line."""
+    runs = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [SweepRun.parse(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                runs.append(SweepRun.parse(line))
+            except DataError as err:
+                raise DataError(f"{path}, line {number}: {err}") from None
+    return runs
 
 
 def summarize_runs(runs: Sequence[SweepRun]) -> SweepSummary:
@@ -338,6 +358,8 @@ def pooling_sweep(
     summarize.  The vocabularies depend on no cell and are built once."""
     if len(seeds) < 2:
         raise ConfigError("pooling_sweep needs at least 2 seeds for interval estimates")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
 
     grid = [(m, flag) for m in POOLING_METHODS for flag in (False, True)]
     tasks = [

@@ -1,3 +1,5 @@
+from concurrent import futures
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,138 @@ class TestBackward:
         tape.backward(loss)
         assert x.grad is made[0]
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+
+class TestRequiresGrad:
+    def test_constant_gets_no_grad_and_its_ops_are_not_taped(self):
+        c = ad.Tensor(np.array([0.5, -1.0]), requires_grad=False)
+        theta = ad.Tensor(np.array([2.0, 3.0]))
+        with ad.Tape() as tape:
+            y = ad.tanh(c)
+            assert len(tape) == 0 and not y.requires_grad
+            loss = ad.sum_all(ad.mul(y, theta))
+        assert len(tape) == 2 and loss.requires_grad
+        tape.backward(loss)
+        assert c.grad is None and y.grad is None
+        np.testing.assert_array_equal(theta.grad, np.tanh(c.data))
+
+    def test_loss_of_constants_rejected(self):
+        c = ad.Tensor(np.ones(2), requires_grad=False)
+        with ad.Tape() as tape:
+            loss = ad.sum_all(c)
+        with pytest.raises(UsageError, match="needs a gradient"):
+            tape.backward(loss)
+
+    def test_concat_records_the_columns_that_need_a_gradient(self):
+        const = ad.Tensor(np.zeros((2, 3)), requires_grad=False)
+        var = ad.Tensor(np.ones((2, 2)))
+        assert ad.concat([const, var], axis=1)._grad_columns == slice(3, 5)
+        assert ad.concat([var, const, var], axis=1)._grad_columns == slice(0, 7)
+        assert not ad.concat([const, const], axis=1).requires_grad
+        assert ad.concat([const, ad.Tensor(np.ones((1, 3)))])._grad_columns is None  # rows
+
+    @staticmethod
+    def _lstm_rule_dx(x, concurrent, monkeypatch):
+        """The input gradient that ``lstm_sequence``'s rule hands back for x."""
+        monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+        rng = np.random.default_rng(41)
+        lengths = [3, 1, 4]
+        d = x.shape[1]
+        forward = tuple(ad.Tensor(rng.normal(size=s)) for s in ((12, d), (12, 3), (12,)))
+        backward = tuple(ad.Tensor(rng.normal(size=s)) for s in ((16, d), (16, 4), (16,)))
+        with ad.Tape() as tape:
+            out = ad.lstm_sequence(x, lengths, forward, backward)
+        (record_out, _, rule), = tape._records
+        assert record_out is out
+        return rule(rng.normal(size=out.shape).astype(out.data.dtype))[0]
+
+    @pytest.mark.parametrize("concurrent", [True, False])
+    def test_lstm_forms_no_dx_for_a_constant_input(self, monkeypatch, concurrent):
+        x = ad.Tensor(np.random.default_rng(42).normal(size=(8, 5)), requires_grad=False)
+        assert self._lstm_rule_dx(x, concurrent, monkeypatch) is None
+
+    @pytest.mark.parametrize("concurrent", [True, False])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_lstm_dx_of_the_needed_columns_equals_the_full_dx(
+        self, monkeypatch, concurrent, dtype
+    ):
+        rng = np.random.default_rng(43)
+        words, chars = rng.normal(size=(8, 6)), rng.normal(size=(8, 3))
+        with ad.precision(dtype):
+            full = self._lstm_rule_dx(
+                ad.concat([ad.Tensor(words), ad.Tensor(chars)], axis=1), concurrent, monkeypatch
+            )
+            narrow = self._lstm_rule_dx(
+                ad.concat([ad.Tensor(words, requires_grad=False), ad.Tensor(chars)], axis=1),
+                concurrent,
+                monkeypatch,
+            )
+        # float32 keeps the bits on the bundled OpenBLAS; at float64 the
+        # narrower GEMM may round its last bit differently
+        if dtype == "float32":
+            assert np.array_equal(narrow[:, 6:], full[:, 6:])
+        np.testing.assert_allclose(narrow[:, 6:], full[:, 6:], rtol=1e-13, atol=1e-15)
+        assert not narrow[:, :6].any()
+
+
+class TestDeferredGradients:
+    """Weight gradients handed back as Futures of the worker."""
+
+    @staticmethod
+    def _grads(build, leaves, concurrent, monkeypatch):
+        monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+        for leaf in leaves:
+            leaf.grad = None
+        with ad.Tape() as tape:
+            loss = build()
+        tape.backward(loss)
+        return [leaf.grad for leaf in leaves]
+
+    def test_affine_and_attention_defer_on_the_worker(self, monkeypatch):
+        monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+        rng = np.random.default_rng(44)
+        x, w, b = (ad.Tensor(rng.normal(size=s)) for s in ((4, 3), (5, 3), (5,)))
+        H, q = ad.Tensor(rng.normal(size=(5, 2))), ad.Tensor(rng.normal(size=(2, 3)))
+        wa, va = ad.Tensor(rng.normal(size=(4, 5))), ad.Tensor(rng.normal(size=4))
+        with ad.Tape() as tape:
+            ad.affine(x, w, b)
+            ad.attention_scores(H, [2, 3], q, wa, va)
+        (out, _, affine_rule), (scores, _, attention_rule) = tape._records
+        assert isinstance(affine_rule(np.ones(out.shape, np.float32))[1], futures.Future)
+        assert isinstance(attention_rule(np.ones(scores.shape, np.float32))[2], futures.Future)
+
+    def test_deferred_weight_of_an_op_output_gets_its_gradient(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        x, raw, b = (ad.Tensor(rng.normal(size=s)) for s in ((4, 3), (5, 3), (5,)))
+        weights = ad.Tensor(rng.normal(size=(4, 5)))
+
+        def build():  # the weight is tanh(raw), not a leaf
+            return ad.sum_all(ad.mul(ad.affine(x, ad.tanh(raw), b), weights))
+
+        deferred = self._grads(build, [x, raw, b], True, monkeypatch)
+        inline = self._grads(build, [x, raw, b], False, monkeypatch)
+        for got, ref in zip(deferred, inline):
+            assert np.array_equal(got, ref)
+        expected = (weights.data.T @ x.data) * (1.0 - np.tanh(raw.data) ** 2)
+        np.testing.assert_allclose(deferred[1], expected, rtol=1e-5)
+
+    def test_exception_in_a_deferred_gemm_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+        theta = ad.Tensor(np.ones(3))
+
+        def boom():
+            raise FloatingPointError("deferred GEMM failed")
+
+        with ad.Tape() as tape:
+            y = ad._emit(
+                ad.Tensor(2.0 * theta.data), (theta,), lambda g: (ad._deferred(np.empty(3), boom),)
+            )
+            loss = ad.sum_all(y)
+        with pytest.raises(FloatingPointError, match="deferred GEMM failed"):
+            tape.backward(loss)
+        assert theta.grad is None
+        # the worker is free again
+        assert ad._worker.submit(lambda: 7).result(timeout=10) == 7
 
 
 class TestAffine:

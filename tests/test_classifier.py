@@ -195,6 +195,50 @@ class TestModel:
         dist = model.predict_tokens(["utterly", "novel", "words"], ["cat"])
         assert abs(dist.probs.sum() - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("use_chars", [True, False])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gradients_bit_identical_with_and_without_the_worker(
+        self, monkeypatch, use_chars, dtype
+    ):
+        def grads(concurrent):
+            monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+            with ad.precision(dtype):
+                model, examples, vocab, chars = tiny_model(seed=15, use_chars=use_chars)
+                batch = make_batches(examples, 2, "dev", vocab, chars)[0]
+                with ad.Tape() as tape:
+                    loss = model.batch_loss(batch, training=True, rng=np.random.default_rng(16))
+                tape.backward(loss)
+            return {name: p.grad for name, p in model.parameters().items() if p.trainable}
+
+        deferred, inline = grads(True), grads(False)
+        assert len(deferred) == len(inline) > 10
+        for name, grad in deferred.items():
+            assert grad.dtype == dtype and np.array_equal(grad, inline[name]), name
+
+    @pytest.mark.parametrize("use_chars", [True, False])
+    def test_word_lookup_is_a_constant_without_grad(self, monkeypatch, use_chars):
+        model, examples, vocab, chars = tiny_model(seed=17, use_chars=use_chars)
+        batch = make_batches(examples, 2, "dev", vocab, chars)[0]
+        context_inputs = []
+        lstm_sequence = ad.lstm_sequence
+
+        def spy(x, lengths, forward=None, backward=None):
+            if forward is not None and backward is not None:
+                context_inputs.append(x)
+            return lstm_sequence(x, lengths, forward, backward)
+
+        monkeypatch.setattr(ad, "lstm_sequence", spy)
+        with ad.Tape() as tape:
+            loss = model.batch_loss(batch)
+        tape.backward(loss)
+        (x,) = context_inputs
+        word_dim = model.config.encoder.word_dim
+        if use_chars:  # the char block needs a gradient, the word block does not
+            assert x.requires_grad and x._grad_columns == slice(word_dim, x.shape[1])
+        else:
+            assert not x.requires_grad and x.grad is None
+        assert model.encoder.word_embeddings.grad is None
+
     def test_full_pipeline_gradient_check(self):
         with ad.precision("float64"):
             model, examples, vocab, chars = tiny_model(seed=13)

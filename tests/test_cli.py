@@ -108,6 +108,13 @@ class TestConfigHandling:
         assert "runs_per_cell" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exits_1_before_run_dir(self, tmp_path, capsys, jobs):
+        config = write_tiny_config(tmp_path)
+        assert main(["sweep", "--config", str(config), "--jobs", jobs]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
 
 class TestTrain:
     def test_fixture_corpus_trains_and_writes_artifacts(self, trained_run):

@@ -268,12 +268,12 @@ def _bilstm_after_fork(x):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_bilstm_runs_in_forked_child(monkeypatch):
-    # the child inherits the parent's direction worker but not its thread
+    # the child inherits the parent's worker but not its thread
     monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
     x = np.random.default_rng(14).normal(size=(5, 5)).astype(np.float32)
     model = tiny_encoder(seed=13)
     expected = enc.bilstm(Tensor(x), [2, 3], model.forward_cell, model.backward_cell).H.data
-    assert any(t.name.startswith("nliattn-lstm") for t in threading.enumerate())
+    assert any(t.name.startswith("nliattn-worker") for t in threading.enumerate())
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
         child = pool.submit(_bilstm_after_fork, x).result(timeout=120)
@@ -375,6 +375,30 @@ class TestFusedBilstm:
         for name in params:
             np.testing.assert_allclose(fused_grads[name], step_grads[name], atol=1e-6)
         np.testing.assert_allclose(fused_x, step_x, atol=1e-6)
+
+
+    def test_deferred_contributions_to_one_weight_match_inline(self, monkeypatch):
+        # the unroll calls affine on the same w_ih and w_hh at every step, so
+        # each weight sums several deferred gradients
+        model = tiny_encoder(seed=34)
+        rng = np.random.default_rng(35)
+        x = Tensor(rng.normal(size=(self.LENGTHS.sum(), 5)))
+        weights = Tensor(rng.normal(size=(self.LENGTHS.sum(), 6)))
+        cells = (model.forward_cell, model.backward_cell)
+        params = [*(p for cell in cells for p in cell.parameters().values()), x]
+
+        def grads(concurrent):
+            monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+            for t in params:
+                t.grad = None
+            with ad.Tape() as tape:
+                H, _ = self._unroll(model, x)
+                loss = ad.sum_all(ad.mul(H, weights))
+            tape.backward(loss)
+            return [t.grad for t in params]
+
+        for deferred, inline in zip(grads(True), grads(False)):
+            assert np.array_equal(deferred, inline)
 
 
 class TestPool:

@@ -11,7 +11,7 @@ from nliattn import synth
 from nliattn.classifier import PredictionDistribution
 from nliattn.data import CharVocabulary, Vocabulary, random_embeddings
 from nliattn.encoder import EncoderConfig
-from nliattn.errors import ConfigError, InvalidInputError
+from nliattn.errors import ConfigError, DataError, InvalidInputError
 from nliattn.model import ModelConfig, NLIModel
 from nliattn.training import TrainConfig
 
@@ -316,3 +316,26 @@ class TestSweep:
             ev.pooling_sweep(
                 examples, examples, base, TrainConfig(max_epochs=1), seeds=[0]
             )
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_floor(self, jobs):
+        examples = synth.synthetic_examples(6, seed=21)
+        with pytest.raises(ConfigError, match="jobs"):
+            ev.pooling_sweep(examples, examples, ModelConfig(), TrainConfig(), [0, 1], jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "bad,reason",
+        [
+            ("method=mean chars=false seed=7", "best_dev_accuracy"),
+            ("method=mean chars=false seed=x best_dev_accuracy=0.5", "malformed number"),
+            ("method=mean chars=false seed=7 best_dev_accuracy", "no '='"),
+            ("method=mean chars=yes seed=7 best_dev_accuracy=0.5", "chars"),
+        ],
+    )
+    def test_malformed_record_names_file_and_line(self, tmp_path, bad, reason):
+        good = ev.SweepRun("sum", True, 3, 0.25).format()
+        path = tmp_path / "sweep_runs.log"
+        path.write_text(f"{good}\n\n{bad}\n{good}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=reason) as caught:
+            ev.read_sweep_records(path)
+        assert f"{path}, line 3:" in str(caught.value)
