@@ -2,20 +2,25 @@
 
 Every forward operation optionally records itself on the innermost active
 ``Tape``; ``Tape.backward`` then replays the records in reverse and
-accumulates gradients into the participating tensors.  Without an active
-tape the same functions run forward-only, which is what inference and
+accumulates gradients into the leaves.  Without an active tape the same
+functions run forward-only, which is what inference and
 finite-difference evaluation use.
 
-A tensor made with ``requires_grad=False`` is a constant, such as the
-frozen word vectors of a batch: it gets no ``.grad``, an operation none of
-whose inputs needs a gradient is not taped, and its output is a constant
-too.  ``lstm_sequence`` forms its input gradient only for the columns that
-need one (``concat`` records which those are).
+``requires_grad`` is the one flag that says a tensor learns.  A tensor
+made with ``requires_grad=False`` is a constant, such as the frozen word
+embeddings: it gets no ``.grad``, an operation none of whose inputs needs
+a gradient is not taped, and its output is a constant too.
+``lstm_sequence`` forms its input gradient only for the columns that need
+one (``concat`` records which those are).
 
 There is one tensor class.  A ``Parameter`` is a ``Tensor`` that a model
-owns: it adds a name, which keys checkpoints and error messages, and a
-``trainable`` flag, which the optimizer reads.  The tape treats it as any
-other leaf.
+owns: it adds a name, which keys checkpoints and error messages.  The
+optimizer updates the parameters that require a gradient, and the tape
+treats a parameter as any other leaf.
+
+Gradient arrays have one ownership rule: the walk never writes into an
+array that a backward rule handed back, and a leaf keeps the array it is
+handed only when that array owns its data and no other leaf holds it.
 
 Computation defaults to float32.  A global float64 mode (``precision``)
 exists so gradients can be checked against central finite differences,
@@ -23,12 +28,12 @@ which are too noisy at single precision.
 
 A tape and its tensors belong to one thread.  Independent models (own
 tapes, own parameters) may run in parallel; frozen tensors may be shared
-read-only.  The library starts one thread of its own, the worker.  It
-runs the second direction of a two-direction ``lstm_sequence`` in its
-forward and backward passes, and the weight-gradient GEMMs of ``affine``
-and ``attention_scores``, which a backward rule hands back as a
-``Future`` while the calling thread carries on down the input-gradient
-chain.  The worker reads and writes numpy arrays only and never touches a
+read-only.  The library starts one thread of its own, the worker, and
+hands it work through ``_later`` only: the second direction of a
+two-direction ``lstm_sequence`` in its forward and backward passes, and
+the weight-gradient GEMMs of ``affine`` and ``attention_scores``, which a
+backward rule hands back as a ``Future`` while the calling thread carries
+on down the input-gradient chain.  The worker reads and writes numpy arrays only and never touches a
 tape: records are made, and Futures resolved, on the calling thread, and
 the gradients have the same bits either way.
 """
@@ -119,22 +124,22 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named tensor that a model owns and the optimizer may update.
+    """A named tensor that a model owns and the optimizer updates.
 
-    Frozen parameters (``trainable=False``, e.g. pretrained word embeddings)
-    keep participating in forward passes but are never touched by the
-    optimizer.  Owners clear the gradient by setting ``grad`` to None.
+    A frozen parameter (``requires_grad=False``, e.g. pretrained word
+    embeddings) is a constant: forward passes read it, but it gets no
+    gradient and the optimizer never touches it.  Owners clear the
+    gradient by setting ``grad`` to None.
     """
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str, trainable: bool = True):
-        super().__init__(data)
+    def __init__(self, data, name: str, requires_grad: bool = True):
+        super().__init__(data, requires_grad)
         self.name = name
-        self.trainable = trainable
 
     def __repr__(self):
-        kind = "trainable" if self.trainable else "frozen"
+        kind = "trainable" if self.requires_grad else "frozen"
         return f"Parameter({self.name!r}, shape={self.shape}, {kind})"
 
 
@@ -154,15 +159,19 @@ class Tape:
 
     Records are appended in creation order, which is topological by
     construction: an operation's inputs always exist before its output.
-    ``backward`` walks the records once, in reverse; intermediate gradients
-    live in per-walk scratch space and only tape leaves that need a
-    gradient (parameters, tensors made off the tape) receive a persistent
-    ``.grad``.
+    ``backward`` walks the records once, in reverse.  An operation's output
+    gradient is complete when its record is reached; the walk takes it out
+    of its scratch space there and lets go of it once the rule has run.
+    What is left at the end are the gradients of the leaves that need one
+    (parameters, tensors made off the tape), which become their ``.grad``.
 
     A backward rule returns one gradient per input: an array, None for
-    none, or a ``Future`` of a fresh array (see ``_deferred``).  The walk
-    resolves a Future wherever it reads one, so gradients are summed in
-    the same order either way.
+    none, or a ``Future`` of an array (see ``_later``).  The walk sums
+    contributions out of place, so it never writes into an array that a
+    rule handed back, and resolves a Future wherever it reads one, so
+    gradients are summed in the same order either way.  A leaf keeps the
+    array it is handed when that array owns its data and no other leaf
+    already holds it; otherwise it gets a copy.
     """
 
     def __init__(self):
@@ -196,66 +205,44 @@ class Tape:
             raise UsageError("this tape has already been walked backward")
         if not loss.requires_grad:
             raise UsageError("loss depends on no tensor that needs a gradient")
-        produced = {id(out) for out, _, _ in self._records}
-        if id(loss) not in produced:
+        if not any(out is loss for out, _, _ in self._records):
             raise UsageError("loss was not produced on this tape")
         self._consumed = True
 
-        scratch: dict[int, np.ndarray | futures.Future] = {
-            id(loss): np.ones((), dtype=loss.data.dtype)
-        }
+        pending: list[futures.Future] = []  # every Future a rule handed back
         try:
-            self._walk(scratch, produced)
+            leaves = self._walk(loss, pending)
         except BaseException:
             # let no deferred GEMM run on past the failed walk
-            futures.wait([g for g in scratch.values() if isinstance(g, futures.Future)])
+            futures.wait(pending)
             raise
+        given: set[int] = set()  # ids of the arrays leaves keep uncopied
+        for tensor, grad in leaves.items():
+            if tensor.grad is not None:
+                tensor.grad = tensor.grad + grad
+            elif isinstance(grad, np.ndarray) and grad.base is None and id(grad) not in given:
+                tensor.grad = grad
+                given.add(id(grad))
+            else:
+                tensor.grad = np.array(grad, copy=True)
 
-    def _walk(self, scratch: dict, produced: set[int]) -> None:
-        # keys whose scratch array this walk allocated itself; rules may hand
-        # back aliased arrays, so only these are safe to add into in place
-        owned: set[int] = set()
-        # keys whose array a rule made for them: not a view and not the
-        # upstream gradient passed on, so a leaf may keep it without a copy
-        fresh: set[int] = set()
+    def _walk(self, loss: Tensor, pending: list[futures.Future]) -> dict[Tensor, np.ndarray]:
+        """The leaves' gradients, keyed on the leaf.  Appends every Future a
+        rule hands back to ``pending`` before it reads any of them."""
+        grads: dict[Tensor, object] = {loss: np.ones((), dtype=loss.data.dtype)}
         for out, inputs, backward_rule in reversed(self._records):
-            gout = _resolved(scratch.get(id(out)))
+            gout = grads.pop(out, None)
             if gout is None:
                 continue
-            for tensor, gin in zip(inputs, backward_rule(gout)):
+            for tensor, gin in zip(inputs, backward_rule(_resolved(gout))):
                 if gin is None or not tensor.requires_grad:
                     continue
-                key = id(tensor)
-                held = scratch.get(key)
-                if held is None:
-                    scratch[key] = gin
-                    # a deferred gradient is a fresh array (``_deferred``)
-                    if isinstance(gin, futures.Future) or (
-                        gin is not gout and isinstance(gin, np.ndarray) and gin.base is None
-                    ):
-                        fresh.add(key)
-                    continue
-                held, gin = _resolved(held), _resolved(gin)
-                if key in owned and held.ndim:
-                    held += gin
-                else:
-                    scratch[key] = held + gin
-                    owned.add(key)
-        given: set[int] = set()  # ids of the arrays leaves keep uncopied
-        for out, inputs, _ in self._records:
-            for tensor in inputs:
-                key = id(tensor)
-                grad = _resolved(scratch.pop(key, None))
-                if grad is None or key in produced:
-                    continue
-                if tensor.grad is None:
-                    if key in owned or (key in fresh and id(grad) not in given):
-                        tensor.grad = grad
-                        given.add(id(grad))
-                    else:
-                        tensor.grad = np.array(grad, copy=True)
-                else:
-                    tensor.grad = tensor.grad + grad
+                if isinstance(gin, futures.Future):
+                    pending.append(gin)
+                if tensor in grads:
+                    gin = _resolved(grads[tensor]) + _resolved(gin)
+                grads[tensor] = gin
+        return {tensor: _resolved(grad) for tensor, grad in grads.items()}
 
 
 def _resolved(grad):
@@ -579,7 +566,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     it runs 1.4-1.7x as fast as x·wᵀ.  Its transpose and the bias go into
     a row-major result in one pass.  ``w`` is read through a transposed
     view in the backward pass, so no weight copy is made in either
-    direction.  The weight gradient gᵀ·x is deferred (``_deferred``).
+    direction.  The weight gradient gᵀ·x is deferred (``_later``).
     """
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
@@ -589,7 +576,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         dw = np.empty((g.shape[1], xdata.shape[1]), dtype=np.result_type(g, xdata))
-        return g @ wdata, _deferred(dw, lambda: np.matmul(g.T, xdata, out=dw)), g.sum(axis=0)
+        return g @ wdata, _later(lambda: np.matmul(g.T, xdata, out=dw)), g.sum(axis=0)
 
     return _emit(out, (x, w, b), back)
 
@@ -617,7 +604,7 @@ def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
 
 
 @functools.cache
-def _concurrent_directions() -> bool:
+def _use_worker() -> bool:
     """Whether the worker runs work beside the calling thread: the process
     may use at least 2 CPUs and BLAS runs each call on one thread.  Two
     threads that each run a multi-threaded BLAS fight over the same cores
@@ -660,36 +647,26 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_worker)
 
 
+def _later(fill: Callable[[], object]):
+    """``fill()``, or a Future of it from the worker when ``_use_worker``
+    holds.  A fill that writes into an array should get that array made on
+    the calling thread: one the worker's own malloc arena made would go
+    back to the system when freed, and the calling thread's next passes
+    would fault its pages in again."""
+    return _worker.submit(fill) if _use_worker() else fill()
+
+
 def _each(calls: Iterable[Callable]) -> list:
-    """Results of one or two zero-argument calls, in order.  When
-    ``_concurrent_directions`` holds, the second runs on the worker while
-    the calling thread runs the first; an exception from either reaches
-    the caller once both have finished."""
-    calls = list(calls)
-    if len(calls) == 1 or not _concurrent_directions():
-        return [call() for call in calls]
-    first, second = calls
-    pending = _worker.submit(second)
+    """Results of one or two zero-argument calls, in order.  The second
+    goes through ``_later`` while the calling thread runs the first; an
+    exception reaches the caller only once neither call is still running."""
+    first, *rest = calls
+    rest = [_later(call) for call in rest]
     try:
         result = first()
     finally:
-        futures.wait([pending])
-    return [result, pending.result()]
-
-
-def _deferred(out: np.ndarray, fill: Callable[[], object]):
-    """A gradient that nothing reads until ``Tape.backward`` hands leaves
-    their ``.grad``: ``out`` once ``fill()`` has written it, a Future of it
-    filled on the worker when ``_concurrent_directions`` holds, else filled
-    at once.  ``out`` is a fresh array made on the calling thread: one the
-    worker's own malloc arena made would go back to the system when freed,
-    and the calling thread's next passes would fault its pages in again."""
-
-    def filled():
-        fill()
-        return out
-
-    return _worker.submit(filled) if _concurrent_directions() else filled()
+        futures.wait([f for f in rest if isinstance(f, futures.Future)])
+    return [result, *map(_resolved, rest)]
 
 
 def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
@@ -790,7 +767,7 @@ def lstm_sequence(
 
     With both directions, the backward one runs on the worker while the
     calling thread runs the forward one, in the forward and in the
-    backward pass, when ``_concurrent_directions`` says that pays.
+    backward pass, when ``_use_worker`` says that pays.
     Either way the op is one tape record with the same bits.
     """
     if x.ndim != 2:
@@ -844,7 +821,7 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
     ``w`` is split as [w_q | w_h]: the query term is one GEMM over the S
     queries, repeated over each segment's rows, and H·w_hᵀ one GEMM over
     all L rows, neither copying a weight block; the backward pass forms
-    the gradient of ``w`` once per batch, deferred (``_deferred``).
+    the gradient of ``w`` once per batch, deferred (``_later``).
     """
     lengths, starts = _segments(lengths, H.shape[0], "attention_scores")
     q = query.shape[-1]
@@ -873,7 +850,8 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
         def fill():
             np.matmul(dquery_term.T, qdata, out=dw[:, :q])
             np.matmul(dpre.T, hdata, out=dw[:, q:])
+            return dw
 
-        return dpre @ w_h, dquery_term @ w_q, _deferred(dw, fill), g @ u
+        return dpre @ w_h, dquery_term @ w_q, _later(fill), g @ u
 
     return _emit(out, (H, query, w, v), back)

@@ -25,6 +25,7 @@ import numpy as np
 from . import evaluation, gradcheck
 from .data import (
     EMBEDDING_SCALE,
+    LABELS,
     SNLI_FRACTION,
     CharVocabulary,
     Vocabulary,
@@ -301,7 +302,6 @@ def cmd_predict(args) -> int:
     premise = [normalize_token(t) for t in lines[0].split() if t]
     hypothesis = [normalize_token(t) for t in lines[1].split() if t]
     dist = loaded.model.predict_tokens(premise, hypothesis)
-    from .data import LABELS
 
     for label, p in zip(LABELS, dist.probs):
         print(f"{label} {p:.6f}")

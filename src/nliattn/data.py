@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .autodiff import Parameter
 from .errors import ConfigError, DataError
 
 LABELS = ("entailment", "neutral", "contradiction")
@@ -273,16 +274,14 @@ def random_embeddings(
     Stand-in for pretrained vectors when none are available; the default
     scale matches the unknown-word initialization.
     """
-    from .autodiff import Parameter
-
     return Parameter(
-        _init_embedding_matrix(vocab, rng, scale), name="word_embeddings", trainable=False
+        _init_embedding_matrix(vocab, rng, scale), name="word_embeddings", requires_grad=False
     )
 
 
 @dataclass
 class EmbeddingLoad:
-    parameter: object
+    parameter: Parameter
     found: int
     skipped_lines: int
 
@@ -294,18 +293,25 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
     (UNK and NUM included) keep their uniform(-EMBEDDING_SCALE,
     EMBEDDING_SCALE) initialization; the PAD row stays zero.  Malformed
     lines are skipped and counted; a file whose vector width disagrees
-    with the vocabulary dimension is rejected.
+    with the vocabulary dimension is rejected.  A first line of exactly two
+    integers is the ``count dim`` header of the word2vec and fastText
+    ``.vec`` format.
     The resulting parameter is frozen: these vectors are never fine-tuned.
     """
-    from .autodiff import Parameter
-
     matrix = _init_embedding_matrix(vocab, rng)
     found = 0
     skipped = 0
     file_dim = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh):
             parts = line.rstrip("\n").split(" ")
+            if number == 0 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                if int(parts[1]) != vocab.dim:
+                    raise ConfigError(
+                        f"{path}: header embedding width {int(parts[1])} "
+                        f"!= vocabulary dimension {vocab.dim}"
+                    )
+                continue
             if len(parts) < 2:
                 skipped += 1
                 continue
@@ -328,7 +334,7 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
                 continue
             matrix[vocab.lookup(token)] = vector
             found += 1
-    parameter = Parameter(matrix, name="word_embeddings", trainable=False)
+    parameter = Parameter(matrix, name="word_embeddings", requires_grad=False)
     return EmbeddingLoad(parameter=parameter, found=found, skipped_lines=skipped)
 
 

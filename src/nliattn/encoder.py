@@ -30,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import ConfigError, DataError, DimensionError, InvalidInputError
+from .errors import ConfigError, DataError, DimensionError
 
 POOLING_METHODS = ("mean", "sum", "last", "max")
 
@@ -298,10 +298,9 @@ class Encoder:
         word_ids = np.asarray(word_ids, dtype=np.int64)
         if word_ids.ndim != 1:
             raise DimensionError(f"embed_tokens: word ids must be [L], got {word_ids.shape}")
-        if word_ids.min(initial=0) < 0 or word_ids.max(initial=0) >= self.word_embeddings.shape[0]:
-            raise InvalidInputError("embed_tokens: token id outside the vocabulary")
-        # frozen lookup: a constant, so no input gradient is formed toward it
-        words = Tensor(self.word_embeddings.data[word_ids], requires_grad=False)
+        # a lookup in the frozen table is a constant: not taped, and no input
+        # gradient is formed toward it
+        words = ad.take_rows(self.word_embeddings, word_ids)
         if not self.config.use_chars:
             return words
         if word_index is None or char_ids is None or char_lengths is None:

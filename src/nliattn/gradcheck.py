@@ -240,7 +240,7 @@ def model_suite(seed: int = 7, eps: float = 1e-5) -> dict[str, float]:
         )
         embeddings = random_embeddings(vocab, rng, scale=0.5)
         model = NLIModel(config, vocab, chars, embeddings, rng)
-        trainable = {name: p for name, p in model.parameters().items() if p.trainable}
+        trainable = {name: p for name, p in model.parameters().items() if p.requires_grad}
         for p in trainable.values():
             p.data[:] = rng.uniform(-0.6, 0.6, p.shape)
         batch = make_batches(examples, 2, "dev", vocab, chars)[0]

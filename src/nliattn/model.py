@@ -89,10 +89,6 @@ class NLIModel:
         params.update(self.mlp.parameters())
         return params
 
-    def zero_grads(self) -> None:
-        for p in self.parameters().values():
-            p.grad = None
-
     # -- forward ------------------------------------------------------------
 
     def represent(self, batch: Batch) -> tuple[Tensor, Tensor]:

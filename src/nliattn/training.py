@@ -95,9 +95,9 @@ class RMSProp:
         self.rho = rho
         self.eps = eps
         self.square_avg = {
-            name: np.zeros_like(p.data) for name, p in params.items() if p.trainable
+            name: np.zeros_like(p.data) for name, p in params.items() if p.requires_grad
         }
-        trainable = [p.data for p in params.values() if p.trainable]
+        trainable = [p.data for p in params.values() if p.requires_grad]
         self._work = np.empty(
             (2, min(CHUNK, max((a.size for a in trainable), default=0))),
             dtype=np.result_type(*trainable) if trainable else default_dtype(),
@@ -110,7 +110,7 @@ class RMSProp:
         trainable = [
             (name, p, (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1))
             for name, p in self.params.items()
-            if p.trainable
+            if p.requires_grad
         ]
         for name, _, g in trainable:
             with np.errstate(over="ignore"):  # an overflowing square is told apart below
@@ -285,7 +285,7 @@ def _manifest_for(model: NLIModel, epoch, dev_accuracy, seed) -> dict:
         "dev_accuracy": dev_accuracy,
         "seed": seed,
         "parameters": [
-            {"name": name, "shape": list(p.shape), "trainable": p.trainable}
+            {"name": name, "shape": list(p.shape), "trainable": p.requires_grad}
             for name, p in model.parameters().items()
         ],
     }
@@ -402,7 +402,7 @@ def _model_for(manifest: dict, path) -> NLIModel:
     embeddings = Parameter(
         np.empty((len(saved_vocab), saved_vocab.dim), dtype=default_dtype()),
         name="word_embeddings",
-        trainable=False,
+        requires_grad=False,
     )
     return NLIModel(config, saved_vocab, saved_chars, embeddings, _Unfilled())
 

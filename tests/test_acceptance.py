@@ -180,7 +180,7 @@ class TestDimensionConformance:
         embeddings = Parameter(
             rng.uniform(-0.05, 0.05, (vocab_size, 300)).astype(np.float32),
             name="word_embeddings",
-            trainable=False,
+            requires_grad=False,
         )
 
         chars_cfg = EncoderConfig(use_chars=True)  # 350 per direction

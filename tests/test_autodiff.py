@@ -1,3 +1,6 @@
+import threading
+import time
+import weakref
 from concurrent import futures
 
 import numpy as np
@@ -315,6 +318,28 @@ class TestBackward:
         assert x.grad is made[0]
         np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
+    def test_walk_lets_go_of_an_intermediate_gradient_once_used(self):
+        x = ad.Tensor(np.array([1.0, -2.0]))
+        handed = []  # a weak reference to the gradient handed back for b
+        alive_at_first_rule = []
+
+        def first(g):
+            alive_at_first_rule.append(handed[0]() is not None)
+            return (g,)
+
+        def last(g):
+            made = np.full(2, 3.0 * g)
+            handed.append(weakref.ref(made))
+            return (made,)
+
+        with ad.Tape() as tape:
+            a = ad._emit(ad.Tensor(x.data), (x,), first)
+            b = ad._emit(ad.Tensor(a.data), (a,), lambda g: (2.0 * g,))
+            loss = ad._emit(ad.Tensor(b.data.sum()), (b,), last)
+        tape.backward(loss)
+        assert alive_at_first_rule == [False]
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
 
 class TestRequiresGrad:
     def test_constant_gets_no_grad_and_its_ops_are_not_taped(self):
@@ -347,7 +372,7 @@ class TestRequiresGrad:
     @staticmethod
     def _lstm_rule_dx(x, concurrent, monkeypatch):
         """The input gradient that ``lstm_sequence``'s rule hands back for x."""
-        monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+        monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
         rng = np.random.default_rng(41)
         lengths = [3, 1, 4]
         d = x.shape[1]
@@ -393,7 +418,7 @@ class TestDeferredGradients:
 
     @staticmethod
     def _grads(build, leaves, concurrent, monkeypatch):
-        monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+        monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
         for leaf in leaves:
             leaf.grad = None
         with ad.Tape() as tape:
@@ -402,7 +427,7 @@ class TestDeferredGradients:
         return [leaf.grad for leaf in leaves]
 
     def test_affine_and_attention_defer_on_the_worker(self, monkeypatch):
-        monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
         rng = np.random.default_rng(44)
         x, w, b = (ad.Tensor(rng.normal(size=s)) for s in ((4, 3), (5, 3), (5,)))
         H, q = ad.Tensor(rng.normal(size=(5, 2))), ad.Tensor(rng.normal(size=(2, 3)))
@@ -430,7 +455,7 @@ class TestDeferredGradients:
         np.testing.assert_allclose(deferred[1], expected, rtol=1e-5)
 
     def test_exception_in_a_deferred_gemm_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
         theta = ad.Tensor(np.ones(3))
 
         def boom():
@@ -438,7 +463,7 @@ class TestDeferredGradients:
 
         with ad.Tape() as tape:
             y = ad._emit(
-                ad.Tensor(2.0 * theta.data), (theta,), lambda g: (ad._deferred(np.empty(3), boom),)
+                ad.Tensor(2.0 * theta.data), (theta,), lambda g: (ad._later(boom),)
             )
             loss = ad.sum_all(y)
         with pytest.raises(FloatingPointError, match="deferred GEMM failed"):
@@ -446,6 +471,33 @@ class TestDeferredGradients:
         assert theta.grad is None
         # the worker is free again
         assert ad._worker.submit(lambda: 7).result(timeout=10) == 7
+
+    def test_failed_walk_waits_for_every_deferred_fill(self, monkeypatch):
+        # two deferred contributions to one tensor: resolving the first
+        # raises while the second is still running on the worker
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
+        theta = ad.Tensor(np.ones(3))
+        slow_done = threading.Event()
+
+        def boom():
+            raise FloatingPointError("deferred GEMM failed")
+
+        def slow():
+            time.sleep(0.3)
+            slow_done.set()
+            return np.ones(3)
+
+        with ad.Tape() as tape:
+            y = ad._emit(
+                ad.Tensor(2.0 * theta.data),
+                (theta, theta),
+                lambda g: (ad._later(boom), ad._later(slow)),
+            )
+            loss = ad.sum_all(y)
+        with pytest.raises(FloatingPointError, match="deferred GEMM failed"):
+            tape.backward(loss)
+        assert slow_done.is_set()
+        assert theta.grad is None
 
 
 class TestAffine:
@@ -493,7 +545,7 @@ class TestLstmSequenceDirections:
 
     @pytest.mark.parametrize("concurrent", [True, False])
     def test_bit_identical_to_one_direction_calls(self, monkeypatch, concurrent):
-        monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+        monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
         x, forward, backward, weights = self._case()
         assert x.data.dtype == np.float32
         out, grads = self._run(
@@ -517,7 +569,7 @@ class TestLstmSequenceDirections:
             assert np.array_equal(grad, ref)
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
         x, forward, backward, _ = self._case()
         run_direction = ad._lstm_direction
 
@@ -587,7 +639,7 @@ class TestDeterminismAndPrecision:
 
     def test_parameter_gradient_shape_tracks_value(self):
         p = ad.Parameter(np.zeros((3, 2)), name="w")
-        assert isinstance(p, ad.Tensor) and p.trainable and p.grad is None
+        assert isinstance(p, ad.Tensor) and p.requires_grad and p.grad is None
         with ad.Tape() as tape:
             loss = ad.sum_all(p)
         tape.backward(loss)

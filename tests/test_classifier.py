@@ -201,14 +201,14 @@ class TestModel:
         self, monkeypatch, use_chars, dtype
     ):
         def grads(concurrent):
-            monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+            monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
             with ad.precision(dtype):
                 model, examples, vocab, chars = tiny_model(seed=15, use_chars=use_chars)
                 batch = make_batches(examples, 2, "dev", vocab, chars)[0]
                 with ad.Tape() as tape:
                     loss = model.batch_loss(batch, training=True, rng=np.random.default_rng(16))
                 tape.backward(loss)
-            return {name: p.grad for name, p in model.parameters().items() if p.trainable}
+            return {name: p.grad for name, p in model.parameters().items() if p.requires_grad}
 
         deferred, inline = grads(True), grads(False)
         assert len(deferred) == len(inline) > 10
@@ -243,7 +243,7 @@ class TestModel:
         with ad.precision("float64"):
             model, examples, vocab, chars = tiny_model(seed=13)
             rng = np.random.default_rng(14)
-            trainable = {name: p for name, p in model.parameters().items() if p.trainable}
+            trainable = {name: p for name, p in model.parameters().items() if p.requires_grad}
             for p in trainable.values():
                 p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
             batch = make_batches(examples, 2, "dev", vocab, chars)[0]
@@ -262,7 +262,7 @@ def _probs_of(model, examples, pair_id):
 def _large_weights(model, seed):
     rng = np.random.default_rng(seed)
     for p in model.parameters().values():
-        if p.trainable:
+        if p.requires_grad:
             p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
 
 
@@ -316,12 +316,13 @@ class TestBatchPaths:
                 return clf.classify(clf.aggregate(*unrolled_represent(model, batch)), model.mlp)
 
             def grads(loss_of):
-                model.zero_grads()
+                for p in model.parameters().values():
+                    p.grad = None
                 with ad.Tape() as tape:
                     loss = loss_of()
                 tape.backward(loss)
                 return {name: p.grad.copy() for name, p in model.parameters().items()
-                        if p.trainable}
+                        if p.requires_grad}
 
             rows = [r.data for r in model.represent(batch)]
             ref_rows = [r.data for r in unrolled_represent(model, batch)]
@@ -424,7 +425,8 @@ class TestCharHalf:
             slow = unrolled_embed_tokens(model.encoder, *inputs).data
 
             def char_grads():
-                model.zero_grads()
+                for p in model.parameters().values():
+                    p.grad = None
                 with ad.Tape() as tape:
                     loss = model.batch_loss(batch)
                 tape.backward(loss)

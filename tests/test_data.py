@@ -208,7 +208,7 @@ class TestEmbeddings:
             np.array([0.25, -0.5, 1.0, 2.0], dtype=np.float32),
         )
         assert load.found == 1
-        assert not load.parameter.trainable
+        assert not load.parameter.requires_grad
 
     def test_out_of_file_rows_in_init_range(self, tmp_path):
         vocab = self._vocab()
@@ -234,6 +234,24 @@ class TestEmbeddings:
         assert load.found == 1
         assert load.skipped_lines == 2
 
+    def test_vec_header_skipped(self, tmp_path):
+        vocab = self._vocab(dim=4)
+        path = tmp_path / "emb.vec"
+        path.write_text("2 4\ncat 0.25 -0.5 1.0 2.0\ndog 1 1 1 1\n")
+        load = data.load_embeddings(path, vocab, np.random.default_rng(0))
+        assert load.found == 2 and load.skipped_lines == 0
+        np.testing.assert_array_equal(
+            load.parameter.data[vocab.lookup("cat")],
+            np.array([0.25, -0.5, 1.0, 2.0], dtype=np.float32),
+        )
+
+    def test_vec_header_of_another_width_rejected(self, tmp_path):
+        vocab = self._vocab(dim=4)
+        path = tmp_path / "emb.vec"
+        path.write_text("2000000 300\ncat 0.25 -0.5 1.0 2.0\n")
+        with pytest.raises(ConfigError, match="300 != vocabulary dimension 4"):
+            data.load_embeddings(path, vocab, np.random.default_rng(0))
+
     def test_wrong_width_rejected(self, tmp_path):
         vocab = self._vocab(dim=4)
         path = tmp_path / "emb.txt"
@@ -245,7 +263,7 @@ class TestEmbeddings:
         vocab = self._vocab(dim=8)
         param = data.random_embeddings(vocab, np.random.default_rng(1))
         assert param.data.shape == (len(vocab), 8)
-        assert not param.trainable
+        assert not param.requires_grad
         np.testing.assert_array_equal(param.data[vocab.pad], 0.0)
 
 

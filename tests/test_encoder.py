@@ -47,7 +47,7 @@ def tiny_encoder(use_chars=False, word_dim=5, hidden=3, n_vocab=9, n_chars=7, se
     )
     matrix = rng.uniform(-0.5, 0.5, (n_vocab, word_dim)).astype(np.float32)
     matrix[0] = 0.0
-    embeddings = Parameter(matrix, name="word_embeddings", trainable=False)
+    embeddings = Parameter(matrix, name="word_embeddings", requires_grad=False)
     return enc.Encoder(config, embeddings, n_chars=n_chars, rng=rng)
 
 
@@ -269,7 +269,7 @@ def _bilstm_after_fork(x):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_bilstm_runs_in_forked_child(monkeypatch):
     # the child inherits the parent's worker but not its thread
-    monkeypatch.setattr(ad, "_concurrent_directions", lambda: True)
+    monkeypatch.setattr(ad, "_use_worker", lambda: True)
     x = np.random.default_rng(14).normal(size=(5, 5)).astype(np.float32)
     model = tiny_encoder(seed=13)
     expected = enc.bilstm(Tensor(x), [2, 3], model.forward_cell, model.backward_cell).H.data
@@ -388,7 +388,7 @@ class TestFusedBilstm:
         params = [*(p for cell in cells for p in cell.parameters().values()), x]
 
         def grads(concurrent):
-            monkeypatch.setattr(ad, "_concurrent_directions", lambda: concurrent)
+            monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
             for t in params:
                 t.grad = None
             with ad.Tape() as tape:
@@ -558,7 +558,7 @@ class TestEncodeSentence:
         emb = Parameter(
             rng.uniform(-0.05, 0.05, (12, 300)).astype(np.float32),
             name="word_embeddings",
-            trainable=False,
+            requires_grad=False,
         )
         model = enc.Encoder(with_chars, emb, n_chars=8, rng=rng)
         assert model.attention_w.shape == (1400, 1400)
@@ -577,7 +577,7 @@ class TestEncoderGradients:
             model = tiny_encoder(use_chars=True, word_dim=3, hidden=2, seed=25)
             # healthy magnitudes so the finite differences resolve every weight
             rng = np.random.default_rng(26)
-            trainable = {name: p for name, p in model.parameters().items() if p.trainable}
+            trainable = {name: p for name, p in model.parameters().items() if p.requires_grad}
             for p in trainable.values():
                 p.data[:] = rng.uniform(-0.6, 0.6, p.shape)
             ids = np.array([2, 3, 4])

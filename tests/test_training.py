@@ -73,9 +73,9 @@ class TestRMSProp:
                   "three_chunks_plus_7": (3 * CHUNK + 7,)}
         params = {name: Parameter(rng.normal(size=shape), name=name)
                   for name, shape in shapes.items()}
-        params["frozen"] = Parameter(rng.normal(size=(3, 4)), name="frozen", trainable=False)
+        params["frozen"] = Parameter(rng.normal(size=(3, 4)), name="frozen", requires_grad=False)
         frozen_before = params["frozen"].data.copy()
-        live = [p for p in params.values() if p.trainable]
+        live = [p for p in params.values() if p.requires_grad]
         ref_thetas = [p.data.copy() for p in live]
         ref_avgs = [np.zeros_like(p.data) for p in live]
         opt = RMSProp(params, learning_rate=0.003)
@@ -133,7 +133,7 @@ class TestRMSProp:
         assert abs(expected_delta - 0.0031623) < 1e-6
 
     def test_frozen_parameter_untouched_over_many_steps(self):
-        frozen = Parameter(np.full((3, 2), 0.25), name="emb", trainable=False)
+        frozen = Parameter(np.full((3, 2), 0.25), name="emb", requires_grad=False)
         live = Parameter(np.ones(2), name="w")
         opt = RMSProp({"emb": frozen, "w": live}, learning_rate=0.001)
         before = frozen.data.copy()
@@ -166,7 +166,7 @@ class TestRMSProp:
         opt = RMSProp(model.parameters(), learning_rate=1e-4)
         from nliattn.autodiff import Tape
 
-        model.zero_grads()
+        opt.zero_grads()
         with Tape() as tape:
             loss = model.batch_loss(batch, training=False)
         before = loss.item()
