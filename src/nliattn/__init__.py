@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import Parameter, Tape, Tensor, precision
+from .autodiff import Tape, Tensor, precision
 from .data import (
     CharVocabulary,
     NLIExample,
@@ -33,7 +33,6 @@ __all__ = [
     "ModelConfig",
     "NLIExample",
     "NLIModel",
-    "Parameter",
     "Tape",
     "Tensor",
     "TrainConfig",

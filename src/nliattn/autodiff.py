@@ -13,10 +13,11 @@ a gradient is not taped, and its output is a constant too.
 ``lstm_sequence`` forms its input gradient only for the columns that need
 one (``concat`` records which those are).
 
-There is one tensor class.  A ``Parameter`` is a ``Tensor`` that a model
-owns: it adds a name, which keys checkpoints and error messages.  The
-optimizer updates the parameters that require a gradient, and the tape
-treats a parameter as any other leaf.
+There is one tensor class.  A model's parameters are plain tensors; the
+model names them in its ``parameters()`` registry, whose names key
+checkpoints and the optimizer's state.  The optimizer updates the ones
+that require a gradient, and the tape treats a parameter as any other
+leaf.
 
 Gradient arrays have one ownership rule: the walk never writes into an
 array that a backward rule handed back, and a leaf keeps the array it is
@@ -26,16 +27,19 @@ Computation defaults to float32.  A global float64 mode (``precision``)
 exists so gradients can be checked against central finite differences,
 which are too noisy at single precision.
 
-A tape and its tensors belong to one thread.  Independent models (own
-tapes, own parameters) may run in parallel; frozen tensors may be shared
-read-only.  The library starts one thread of its own, the worker, and
-hands it work through ``_later`` only: the second direction of a
-two-direction ``lstm_sequence`` in its forward and backward passes, and
-the weight-gradient GEMMs of ``affine`` and ``attention_scores``, which a
-backward rule hands back as a ``Future`` while the calling thread carries
-on down the input-gradient chain.  The worker reads and writes numpy arrays only and never touches a
-tape: records are made, and Futures resolved, on the calling thread, and
-the gradients have the same bits either way.
+A tape and its tensors belong to one thread, and each thread keeps its
+own stack of entered tapes, so an operation records on the innermost tape
+of the thread that runs it.  Independent models (own tapes, own
+parameters) may run in parallel; frozen tensors may be shared read-only.
+``precision`` is process-wide.  The library starts one thread of its own,
+the worker, and hands it work through ``_later`` only: the second
+direction of a two-direction ``lstm_sequence`` in its forward and
+backward passes, and the weight-gradient GEMMs of ``affine`` and
+``attention_scores``, which a backward rule hands back as a ``Future``
+while the calling thread carries on down the input-gradient chain.  The
+worker reads and writes numpy arrays only and never touches a tape:
+records are made, and Futures resolved, on the calling thread, and the
+gradients have the same bits either way.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 from concurrent import futures
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -123,35 +128,23 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-class Parameter(Tensor):
-    """A named tensor that a model owns and the optimizer updates.
-
-    A frozen parameter (``requires_grad=False``, e.g. pretrained word
-    embeddings) is a constant: forward passes read it, but it gets no
-    gradient and the optimizer never touches it.  Owners clear the
-    gradient by setting ``grad`` to None.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, data, name: str, requires_grad: bool = True):
-        super().__init__(data, requires_grad)
-        self.name = name
-
-    def __repr__(self):
-        kind = "trainable" if self.requires_grad else "frozen"
-        return f"Parameter({self.name!r}, shape={self.shape}, {kind})"
-
-
 # ---------------------------------------------------------------------------
 # Tape
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """The tapes entered on the current thread, innermost last."""
+
+    def __init__(self):
+        self.tapes: list[Tape] = []
+
+
+_TAPES = _TapeStack()
 
 
 def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPES.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tape:
@@ -179,11 +172,11 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPES.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _TAPE_STACK.pop()
+        popped = _TAPES.tapes.pop()
         assert popped is self
 
     def __len__(self):

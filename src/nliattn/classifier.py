@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .errors import DimensionError, UsageError
 
 N_CLASSES = 3
@@ -57,20 +57,20 @@ class MLPParams:
         self.input_dim = input_dim
         self.widths = tuple(widths)
         self.dropout = dropout
-        self.layers: list[tuple[Parameter, Parameter]] = []
+        self.layers: list[tuple[Tensor, Tensor]] = []
         fan_in = input_dim
-        for i, width in enumerate(list(self.widths) + [N_CLASSES]):
+        for width in (*self.widths, N_CLASSES):
             bound = 1.0 / math.sqrt(fan_in)
-            w = Parameter(rng.uniform(-bound, bound, (width, fan_in)), name=f"mlp.{i}.w")
-            b = Parameter(np.zeros(width), name=f"mlp.{i}.b")
-            self.layers.append((w, b))
+            w = Tensor(rng.uniform(-bound, bound, (width, fan_in)))
+            self.layers.append((w, Tensor(np.zeros(width))))
             fan_in = width
 
-    def parameters(self) -> dict[str, Parameter]:
-        params: dict[str, Parameter] = {}
-        for w, b in self.layers:
-            params[w.name] = w
-            params[b.name] = b
+    def parameters(self) -> dict[str, Tensor]:
+        """Every weight under its checkpoint name, layer by layer."""
+        params = {}
+        for i, (w, b) in enumerate(self.layers):
+            params[f"mlp.{i}.w"] = w
+            params[f"mlp.{i}.b"] = b
         return params
 
 

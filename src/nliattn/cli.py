@@ -310,8 +310,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.dims != "tiny":
-        raise ConfigError(f"unsupported --dims {args.dims!r}; only 'tiny' is available")
     print(f"effective seed: {args.seed}")
     report = gradcheck.run_full_check(seed=args.seed)
     print(report.format())
@@ -415,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.set_defaults(fn=cmd_predict)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference verification suite")
-    p_grad.add_argument("--dims", default="tiny")
     p_grad.add_argument("--seed", type=int, default=7)
     p_grad.set_defaults(fn=cmd_gradcheck)
 

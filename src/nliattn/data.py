@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Parameter
+from .autodiff import Tensor
 from .errors import ConfigError, DataError
 
 LABELS = ("entailment", "neutral", "contradiction")
@@ -274,14 +274,12 @@ def random_embeddings(
     Stand-in for pretrained vectors when none are available; the default
     scale matches the unknown-word initialization.
     """
-    return Parameter(
-        _init_embedding_matrix(vocab, rng, scale), name="word_embeddings", requires_grad=False
-    )
+    return Tensor(_init_embedding_matrix(vocab, rng, scale), requires_grad=False)
 
 
 @dataclass
 class EmbeddingLoad:
-    parameter: Parameter
+    parameter: Tensor
     found: int
     skipped_lines: int
 
@@ -295,7 +293,8 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
     lines are skipped and counted; a file whose vector width disagrees
     with the vocabulary dimension is rejected.  A first line of exactly two
     integers is the ``count dim`` header of the word2vec and fastText
-    ``.vec`` format.
+    ``.vec`` format, whose vector lines end with a space: trailing
+    whitespace is dropped before a line is split on single spaces.
     The resulting parameter is frozen: these vectors are never fine-tuned.
     """
     matrix = _init_embedding_matrix(vocab, rng)
@@ -304,7 +303,7 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
     file_dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if number == 0 and len(parts) == 2 and all(p.isdecimal() for p in parts):
                 if int(parts[1]) != vocab.dim:
                     raise ConfigError(
@@ -334,8 +333,7 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
                 continue
             matrix[vocab.lookup(token)] = vector
             found += 1
-    parameter = Parameter(matrix, name="word_embeddings", requires_grad=False)
-    return EmbeddingLoad(parameter=parameter, found=found, skipped_lines=skipped)
+    return EmbeddingLoad(Tensor(matrix, requires_grad=False), found, skipped)
 
 
 # ---------------------------------------------------------------------------

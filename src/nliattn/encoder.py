@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .errors import ConfigError, DataError, DimensionError
 
 POOLING_METHODS = ("mean", "sum", "last", "max")
@@ -79,50 +80,43 @@ class EncoderConfig:
         return 2 * self.rep_dim
 
 
-class LSTMCellParams:
-    """Weights of one LSTM direction; gate order is input, forget, cell, output.
+class LSTMWeights(NamedTuple):
+    """Weights of one LSTM direction, the triple ``ad.lstm_sequence`` takes;
+    gate order is input, forget, cell, output."""
 
-    Matrices start uniform(-1/sqrt(h), 1/sqrt(h)); biases start at zero
-    except the forget-gate slots, which start at 1.
-    """
+    w_ih: Tensor  # [4h x d]
+    w_hh: Tensor  # [4h x h]
+    bias: Tensor  # [4h]
 
-    def __init__(self, name: str, input_dim: int, hidden: int, rng: np.random.Generator):
-        bound = 1.0 / math.sqrt(hidden)
-        self.hidden = hidden
-        self.input_dim = input_dim
-        self.w_ih = Parameter(
-            rng.uniform(-bound, bound, (4 * hidden, input_dim)), name=f"{name}.w_ih"
-        )
-        self.w_hh = Parameter(
-            rng.uniform(-bound, bound, (4 * hidden, hidden)), name=f"{name}.w_hh"
-        )
-        bias = np.zeros(4 * hidden)
-        bias[hidden : 2 * hidden] = 1.0
-        self.bias = Parameter(bias, name=f"{name}.bias")
-
-    def parameters(self) -> dict[str, Parameter]:
-        return {p.name: p for p in (self.w_ih, self.w_hh, self.bias)}
-
-    def weights(self) -> tuple[Tensor, Tensor, Tensor]:
-        """The (w_ih, w_hh, bias) triple ``ad.lstm_sequence`` takes per direction."""
-        return self.w_ih, self.w_hh, self.bias
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        """The three weights under the names ``prefix.w_ih`` and so on."""
+        return {f"{prefix}.{k}": t for k, t in self._asdict().items()}
 
 
-def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
+def lstm_weights(input_dim: int, hidden: int, rng: np.random.Generator) -> LSTMWeights:
+    """Matrices uniform(-1/sqrt(h), 1/sqrt(h)); biases zero except the
+    forget-gate slots, which start at 1."""
+    bound = 1.0 / math.sqrt(hidden)
+    w_ih = Tensor(rng.uniform(-bound, bound, (4 * hidden, input_dim)))
+    w_hh = Tensor(rng.uniform(-bound, bound, (4 * hidden, hidden)))
+    bias = np.zeros(4 * hidden)
+    bias[hidden : 2 * hidden] = 1.0
+    return LSTMWeights(w_ih, w_hh, Tensor(bias))
+
+
+def lstm_step(weights: LSTMWeights, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One LSTM cell update of k rows from elementary ops: inputs x_t
     [k x d] and states [k x h]; returns (h_t, c_t), each [k x h].
 
     Reference implementation: the encoder runs ``ad.lstm_sequence``, and
     the tests hold it to this step-by-step unroll.
     """
-    h = params.hidden
-    if x_t.ndim != 2 or x_t.shape[1] != params.input_dim:
-        raise DimensionError(
-            f"lstm_step: input shape {x_t.shape} is not [k x {params.input_dim}]"
-        )
+    h, d = weights.w_hh.shape[1], weights.w_ih.shape[1]
+    if x_t.ndim != 2 or x_t.shape[1] != d:
+        raise DimensionError(f"lstm_step: input shape {x_t.shape} is not [k x {d}]")
     gates = ad.add(
-        ad.affine(x_t, params.w_ih, params.bias),
-        ad.affine(h_prev, params.w_hh, Tensor(np.zeros(4 * h), requires_grad=False)),
+        ad.affine(x_t, weights.w_ih, weights.bias),
+        ad.affine(h_prev, weights.w_hh, Tensor(np.zeros(4 * h), requires_grad=False)),
     )
     i = ad.sigmoid(ad.narrow(gates, 1, 0, h))
     f = ad.sigmoid(ad.narrow(gates, 1, h, h))
@@ -133,7 +127,7 @@ def lstm_step(params: LSTMCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tenso
     return h_t, c_t
 
 
-def char_encode(char_ids, lengths, char_embeddings: Parameter, cell: LSTMCellParams) -> Tensor:
+def char_encode(char_ids, lengths, char_embeddings: Tensor, cell: LSTMWeights) -> Tensor:
     """Final hidden states [W x h] of a unidirectional LSTM over W words.
 
     ``char_ids`` holds the words' character ids packed word after word and
@@ -144,9 +138,7 @@ def char_encode(char_ids, lengths, char_embeddings: Parameter, cell: LSTMCellPar
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0 or lengths.min() < 1:
         raise DataError("char_encode: empty character sequence")
-    states = ad.lstm_sequence(
-        ad.take_rows(char_embeddings, char_ids), lengths, cell.weights()
-    )
+    states = ad.lstm_sequence(ad.take_rows(char_embeddings, char_ids), lengths, cell)
     return ad.take_rows(states, np.cumsum(lengths) - 1)
 
 
@@ -188,8 +180,8 @@ class SentenceRepresentation:
 def bilstm(
     x: Tensor,
     lengths,
-    forward_cell: LSTMCellParams,
-    backward_cell: LSTMCellParams,
+    forward_cell: LSTMWeights,
+    backward_cell: LSTMWeights,
 ) -> ContextualSequence:
     """Run both LSTM directions from zero states over every sentence.
 
@@ -200,7 +192,7 @@ def bilstm(
     op, which may run them on two threads.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    H = ad.lstm_sequence(x, lengths, forward_cell.weights(), backward_cell.weights())
+    H = ad.lstm_sequence(x, lengths, forward_cell, backward_cell)
     return ContextualSequence(H=H, lengths=lengths)
 
 
@@ -218,7 +210,7 @@ def pool(seq: ContextualSequence, method: str) -> Tensor:
 
 
 def inner_attention(
-    seq: ContextualSequence, raw: Tensor, W: Parameter, v: Parameter
+    seq: ContextualSequence, raw: Tensor, W: Tensor, v: Tensor
 ) -> tuple[Tensor, Tensor]:
     """Refine each raw representation by attending over its sentence's
     context vectors; returns the refined rows [S x d] and the packed
@@ -241,7 +233,7 @@ class Encoder:
     def __init__(
         self,
         config: EncoderConfig,
-        word_embeddings: Parameter,
+        word_embeddings: Tensor,
         n_chars: int,
         rng: np.random.Generator,
     ):
@@ -254,34 +246,27 @@ class Encoder:
         if config.use_chars:
             char_matrix = rng.uniform(-0.05, 0.05, (n_chars, config.char_dim))
             char_matrix[0] = 0.0  # PAD character row
-            self.char_embeddings = Parameter(char_matrix, name="char_embeddings")
-            self.char_cell = LSTMCellParams(
-                "char_lstm", config.char_dim, config.char_hidden, rng
-            )
+            self.char_embeddings = Tensor(char_matrix)
+            self.char_cell = lstm_weights(config.char_dim, config.char_hidden, rng)
         else:
             self.char_embeddings = None
             self.char_cell = None
-        self.forward_cell = LSTMCellParams(
-            "context_forward", config.input_dim, config.context_hidden, rng
-        )
-        self.backward_cell = LSTMCellParams(
-            "context_backward", config.input_dim, config.context_hidden, rng
-        )
+        self.forward_cell = lstm_weights(config.input_dim, config.context_hidden, rng)
+        self.backward_cell = lstm_weights(config.input_dim, config.context_hidden, rng)
         a = config.attention_dim
-        self.attention_w = Parameter(rng.uniform(-0.005, 0.005, (a, a)), name="attention.w")
-        self.attention_v = Parameter(rng.uniform(-0.005, 0.005, a), name="attention.v")
+        self.attention_w = Tensor(rng.uniform(-0.005, 0.005, (a, a)))
+        self.attention_v = Tensor(rng.uniform(-0.005, 0.005, a))
 
-    def parameters(self) -> dict[str, Parameter]:
-        params: dict[str, Parameter] = {
-            self.word_embeddings.name: self.word_embeddings
-        }
+    def parameters(self) -> dict[str, Tensor]:
+        """Every weight under its checkpoint name, in checkpoint order."""
+        params = {"word_embeddings": self.word_embeddings}
         if self.config.use_chars:
-            params[self.char_embeddings.name] = self.char_embeddings
-            params.update(self.char_cell.parameters())
-        params.update(self.forward_cell.parameters())
-        params.update(self.backward_cell.parameters())
-        params[self.attention_w.name] = self.attention_w
-        params[self.attention_v.name] = self.attention_v
+            params["char_embeddings"] = self.char_embeddings
+            params.update(self.char_cell.named("char_lstm"))
+        params.update(self.forward_cell.named("context_forward"))
+        params.update(self.backward_cell.named("context_backward"))
+        params["attention.w"] = self.attention_w
+        params["attention.v"] = self.attention_v
         return params
 
     def embed_tokens(

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import classifier as clf
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .data import Batch, CharVocabulary, Vocabulary, pairs_to_batch
 from .encoder import Encoder, EncoderConfig, POOLING_METHODS
 from .errors import ConfigError
@@ -58,7 +58,7 @@ class NLIModel:
         config: ModelConfig,
         vocab: Vocabulary,
         char_vocab: CharVocabulary,
-        embeddings: Parameter,
+        embeddings: Tensor,
         rng: np.random.Generator,
     ):
         if embeddings.shape != (len(vocab), config.encoder.word_dim):
@@ -83,7 +83,7 @@ class NLIModel:
     def rep_dim(self) -> int:
         return self.config.encoder.rep_dim
 
-    def parameters(self) -> dict[str, Parameter]:
+    def parameters(self) -> dict[str, Tensor]:
         """All parameters in a stable declared order (checkpoint blob order)."""
         params = self.encoder.parameters()
         params.update(self.mlp.parameters())

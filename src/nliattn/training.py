@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, default_dtype
+from .autodiff import Tape, Tensor, default_dtype
 from .data import CharVocabulary, Vocabulary, make_batches
 from .errors import ConfigError, IntegrityError, InvalidInputError, NumericError
 from .evaluation import evaluate
@@ -85,7 +85,7 @@ class RMSProp:
 
     def __init__(
         self,
-        params: dict[str, Parameter],
+        params: dict[str, Tensor],
         learning_rate: float,
         rho: float = 0.9,
         eps: float = 1e-8,
@@ -399,9 +399,8 @@ def _model_for(manifest: dict, path) -> NLIModel:
         raise IntegrityError(f"{path}: char vocabulary does not match its recorded hash")
 
     config = ModelConfig.from_dict(manifest["config"])
-    embeddings = Parameter(
+    embeddings = Tensor(
         np.empty((len(saved_vocab), saved_vocab.dim), dtype=default_dtype()),
-        name="word_embeddings",
         requires_grad=False,
     )
     return NLIModel(config, saved_vocab, saved_chars, embeddings, _Unfilled())

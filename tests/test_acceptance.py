@@ -15,7 +15,7 @@ from nliattn import encoder as enc
 from nliattn import evaluation as ev
 from nliattn import gradcheck as gc
 from nliattn import synth
-from nliattn.autodiff import Parameter
+from nliattn.autodiff import Tensor
 from nliattn.classifier import aggregate
 from nliattn.data import (
     CharVocabulary,
@@ -177,10 +177,8 @@ class TestDimensionConformance:
     def test_reference_dimensions_exact(self):
         rng = np.random.default_rng(7)
         vocab_size = 40
-        embeddings = Parameter(
-            rng.uniform(-0.05, 0.05, (vocab_size, 300)).astype(np.float32),
-            name="word_embeddings",
-            requires_grad=False,
+        embeddings = Tensor(
+            rng.uniform(-0.05, 0.05, (vocab_size, 300)).astype(np.float32), requires_grad=False
         )
 
         chars_cfg = EncoderConfig(use_chars=True)  # 350 per direction
@@ -293,7 +291,7 @@ class TestProtocolFidelity:
         assert total("train") == 4 and total("dev") == 5
 
         # first RMSProp step matches the closed form
-        p = Parameter(np.array([0.5]), name="theta")
+        p = Tensor(np.array([0.5]))
         opt = RMSProp({"theta": p}, learning_rate=0.001)
         p.grad = np.array([2.0], dtype=np.float32)
         opt.step()

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 import weakref
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,33 @@ class TestBackward:
                 loss = ad.sum_all(theta)
             tape.backward(loss)
         np.testing.assert_array_equal(theta.grad, 2 * np.ones(3, dtype=np.float32))
+
+    def test_tapes_of_two_threads_do_not_mix(self):
+        # both tapes are open while both threads run their forward passes
+        barrier = threading.Barrier(2, timeout=30)
+        grads, errors = {}, []
+
+        def run(k):
+            theta = ad.Tensor(np.full(3, k + 1.0))
+            try:
+                with ad.Tape() as tape:
+                    barrier.wait()
+                    loss = ad.sum_all(ad.mul(theta, theta))
+                    barrier.wait()
+                    tape.backward(loss)
+                grads[k] = theta.grad
+            except Exception as exc:
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors, errors
+        for k in range(2):
+            np.testing.assert_array_equal(grads[k], np.full(3, 2 * (k + 1.0), dtype=np.float32))
 
     def test_double_backward_rejected(self):
         theta = ad.Tensor(np.ones(3))
@@ -500,6 +531,31 @@ class TestDeferredGradients:
         assert theta.grad is None
 
 
+class TestWorkerRegime:
+    def test_blas_thread_count_is_read_and_decides_the_worker(self):
+        # a numpy whose bundled OpenBLAS renames its thread-count symbol would
+        # leave _blas_threads() None and the worker silently off
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy is built against {blas}, not OpenBLAS")
+        src = str(Path(ad.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = (
+            "import os\n"
+            "from nliattn import autodiff as ad\n"
+            "assert ad._blas_threads() == 1, ad._blas_threads()\n"
+            "assert ad._use_worker() == (len(os.sched_getaffinity(0)) >= 2)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+
+
 class TestAffine:
     @pytest.mark.parametrize("rows", [1, 8, 32])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -638,8 +694,8 @@ class TestDeterminismAndPrecision:
         assert ad.Tensor(1.0).data.dtype == np.float32
 
     def test_parameter_gradient_shape_tracks_value(self):
-        p = ad.Parameter(np.zeros((3, 2)), name="w")
-        assert isinstance(p, ad.Tensor) and p.requires_grad and p.grad is None
+        p = ad.Tensor(np.zeros((3, 2)))
+        assert p.requires_grad and p.grad is None
         with ad.Tape() as tape:
             loss = ad.sum_all(p)
         tape.backward(loss)

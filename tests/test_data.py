@@ -237,13 +237,15 @@ class TestEmbeddings:
     def test_vec_header_skipped(self, tmp_path):
         vocab = self._vocab(dim=4)
         path = tmp_path / "emb.vec"
-        path.write_text("2 4\ncat 0.25 -0.5 1.0 2.0\ndog 1 1 1 1\n")
-        load = data.load_embeddings(path, vocab, np.random.default_rng(0))
-        assert load.found == 2 and load.skipped_lines == 0
-        np.testing.assert_array_equal(
-            load.parameter.data[vocab.lookup("cat")],
-            np.array([0.25, -0.5, 1.0, 2.0], dtype=np.float32),
-        )
+        # fastText and word2vec end every vector line with a space
+        for end in ("", " "):
+            path.write_text(f"2 4\ncat 0.25 -0.5 1.0 2.0{end}\ndog 1 1 1 1{end}\n")
+            load = data.load_embeddings(path, vocab, np.random.default_rng(0))
+            assert load.found == 2 and load.skipped_lines == 0, repr(end)
+            np.testing.assert_array_equal(
+                load.parameter.data[vocab.lookup("cat")],
+                np.array([0.25, -0.5, 1.0, 2.0], dtype=np.float32),
+            )
 
     def test_vec_header_of_another_width_rejected(self, tmp_path):
         vocab = self._vocab(dim=4)

@@ -10,7 +10,7 @@ import pytest
 from nliattn import autodiff as ad
 from nliattn import encoder as enc
 from nliattn import gradcheck as gc
-from nliattn.autodiff import Parameter, Tensor
+from nliattn.autodiff import Tensor
 from nliattn.errors import ConfigError, DataError, DimensionError, InvalidInputError
 
 
@@ -32,10 +32,6 @@ def np_lstm_step(w_ih, w_hh, bias, x, h_prev, c_prev):
     return o * np.tanh(c), c
 
 
-def make_cell(name, d_in, hidden, rng):
-    return enc.LSTMCellParams(name, d_in, hidden, rng)
-
-
 def tiny_encoder(use_chars=False, word_dim=5, hidden=3, n_vocab=9, n_chars=7, seed=0):
     rng = np.random.default_rng(seed)
     config = enc.EncoderConfig(
@@ -47,15 +43,15 @@ def tiny_encoder(use_chars=False, word_dim=5, hidden=3, n_vocab=9, n_chars=7, se
     )
     matrix = rng.uniform(-0.5, 0.5, (n_vocab, word_dim)).astype(np.float32)
     matrix[0] = 0.0
-    embeddings = Parameter(matrix, name="word_embeddings", requires_grad=False)
+    embeddings = Tensor(matrix, requires_grad=False)
     return enc.Encoder(config, embeddings, n_chars=n_chars, rng=rng)
 
 
 class TestLstmStep:
     def test_zero_params_zero_state(self):
         rng = np.random.default_rng(0)
-        cell = make_cell("z", 4, 3, rng)
-        for p in cell.parameters().values():
+        cell = enc.lstm_weights(4, 3, rng)
+        for p in cell:
             p.data[:] = 0.0
         zero = Tensor(np.zeros((1, 3)))
         h, c = enc.lstm_step(cell, Tensor(rng.normal(size=(1, 4))), zero, zero)
@@ -64,7 +60,7 @@ class TestLstmStep:
 
     def test_gate_saturation_carries_cell_state(self):
         rng = np.random.default_rng(1)
-        cell = make_cell("s", 2, 3, rng)
+        cell = enc.lstm_weights(2, 3, rng)
         cell.w_ih.data[:] = 0.0
         cell.w_hh.data[:] = 0.0
         bias = np.full(12, -50.0, dtype=np.float32)
@@ -79,7 +75,7 @@ class TestLstmStep:
         # k = 3 rows, each an independent cell update
         with ad.precision("float64"):
             rng = np.random.default_rng(2)
-            cell = make_cell("r", 2, 3, rng)
+            cell = enc.lstm_weights(2, 3, rng)
             x = rng.normal(size=(3, 2))
             h0 = rng.normal(size=(3, 3))
             c0 = rng.normal(size=(3, 3))
@@ -93,15 +89,14 @@ class TestLstmStep:
             np.testing.assert_allclose(c.data[row], exp_c, atol=1e-6)
 
     def test_forget_bias_initialized_to_one(self):
-        cell = make_cell("b", 2, 4, np.random.default_rng(3))
+        cell = enc.lstm_weights(2, 4, np.random.default_rng(3))
         np.testing.assert_array_equal(cell.bias.data[4:8], np.ones(4, dtype=np.float32))
         np.testing.assert_array_equal(cell.bias.data[:4], np.zeros(4, dtype=np.float32))
 
 
 def np_char_unroll(cell, emb, ids):
     """Final hidden state of the char-LSTM over one word, by ``np_lstm_step``."""
-    h = np.zeros(cell.hidden)
-    c = np.zeros(cell.hidden)
+    h = c = np.zeros(cell.w_hh.shape[1])
     for i in ids:
         h, c = np_lstm_step(cell.w_ih.data, cell.w_hh.data, cell.bias.data, emb.data[i], h, c)
     return h
@@ -109,8 +104,8 @@ def np_char_unroll(cell, emb, ids):
 
 class TestCharEncode:
     def _char_model(self, rng):
-        emb = Parameter(rng.uniform(-0.5, 0.5, (6, 2)), name="char_embeddings")
-        cell = make_cell("char", 2, 2, rng)
+        emb = Tensor(rng.uniform(-0.5, 0.5, (6, 2)))
+        cell = enc.lstm_weights(2, 2, rng)
         return emb, cell
 
     def test_single_char_equals_one_step(self):
@@ -228,7 +223,7 @@ class TestBilstm:
         x = np.random.default_rng(10).normal(size=(3, 5)).astype(np.float32)
         seq = enc.bilstm(Tensor(x), [3], model.forward_cell, model.backward_cell)
         seq_rev = enc.bilstm(Tensor(x[::-1]), [3], model.forward_cell, model.backward_cell)
-        h = model.forward_cell.hidden
+        h = model.forward_cell.w_hh.shape[1]
         for i in range(3):
             np.testing.assert_allclose(
                 seq.H.data[i, :h], seq_rev.H.data[2 - i, h:], atol=1e-6
@@ -285,7 +280,7 @@ def unrolled_bilstm(model, x: Tensor, lengths):
     one row at a time: H [L x 2h] and, per sentence, the forward state
     after its last row and the backward state after its first, each [1 x h]."""
     rows = [ad.narrow(x, 0, i, 1) for i in range(x.shape[0])]
-    hidden = model.forward_cell.hidden
+    hidden = model.forward_cell.w_hh.shape[1]
     H, finals = [], []
     start = 0
     for n in lengths:
@@ -316,9 +311,10 @@ def unrolled_embed_tokens(model, word_ids, word_index, char_ids, char_lengths):
     words = Tensor(model.word_embeddings.data[np.asarray(word_ids)])
     ends = np.cumsum(char_lengths)
     cell = model.char_cell
+    hidden = cell.w_hh.shape[1]
     rows = []
     for w in word_index:
-        h, c = Tensor(np.zeros((1, cell.hidden))), Tensor(np.zeros((1, cell.hidden)))
+        h, c = Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden)))
         for i in char_ids[ends[w] - char_lengths[w] : ends[w]]:
             h, c = enc.lstm_step(cell, ad.take_rows(model.char_embeddings, [i]), h, c)
         rows.append(h)
@@ -357,8 +353,8 @@ class TestFusedBilstm:
             x = Tensor(rng.normal(size=(self.LENGTHS.sum(), 5)))
             weights = Tensor(rng.normal(size=(self.LENGTHS.sum(), 6)))
             params = {
-                **model.forward_cell.parameters(),
-                **model.backward_cell.parameters(),
+                **model.forward_cell.named("context_forward"),
+                **model.backward_cell.named("context_backward"),
             }
 
             def grads(build):
@@ -385,7 +381,7 @@ class TestFusedBilstm:
         x = Tensor(rng.normal(size=(self.LENGTHS.sum(), 5)))
         weights = Tensor(rng.normal(size=(self.LENGTHS.sum(), 6)))
         cells = (model.forward_cell, model.backward_cell)
-        params = [*(p for cell in cells for p in cell.parameters().values()), x]
+        params = [*(p for cell in cells for p in cell), x]
 
         def grads(concurrent):
             monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
@@ -555,11 +551,7 @@ class TestEncodeSentence:
         without = enc.EncoderConfig(use_chars=False)
         assert without.rep_dim == 600
 
-        emb = Parameter(
-            rng.uniform(-0.05, 0.05, (12, 300)).astype(np.float32),
-            name="word_embeddings",
-            requires_grad=False,
-        )
+        emb = Tensor(rng.uniform(-0.05, 0.05, (12, 300)).astype(np.float32), requires_grad=False)
         model = enc.Encoder(with_chars, emb, n_chars=8, rng=rng)
         assert model.attention_w.shape == (1400, 1400)
         assert model.attention_v.shape == (1400,)

@@ -11,7 +11,7 @@ import pytest
 
 from nliattn import synth, training
 from nliattn.cli import main
-from nliattn.autodiff import Parameter, precision
+from nliattn.autodiff import Tensor, precision
 from nliattn.data import CharVocabulary, Vocabulary, make_batches, random_embeddings
 from nliattn.encoder import EncoderConfig
 from nliattn.errors import IntegrityError, InvalidInputError, NumericError
@@ -71,26 +71,25 @@ class TestRMSProp:
         rng = np.random.default_rng(5)
         shapes = {"one": (1,), "chunk": (256, CHUNK // 256), "chunk_plus_one": (CHUNK + 1,),
                   "three_chunks_plus_7": (3 * CHUNK + 7,)}
-        params = {name: Parameter(rng.normal(size=shape), name=name)
-                  for name, shape in shapes.items()}
-        params["frozen"] = Parameter(rng.normal(size=(3, 4)), name="frozen", requires_grad=False)
+        params = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+        params["frozen"] = Tensor(rng.normal(size=(3, 4)), requires_grad=False)
         frozen_before = params["frozen"].data.copy()
-        live = [p for p in params.values() if p.requires_grad]
-        ref_thetas = [p.data.copy() for p in live]
-        ref_avgs = [np.zeros_like(p.data) for p in live]
+        live = {name: p for name, p in params.items() if p.requires_grad}
+        ref_thetas = [p.data.copy() for p in live.values()]
+        ref_avgs = [np.zeros_like(p.data) for p in live.values()]
         opt = RMSProp(params, learning_rate=0.003)
         for _ in range(steps):
             opt.zero_grads()
-            grads = [make_grad(rng, p.shape, p.data.dtype) for p in live]
-            for p, g in zip(live, grads):
+            grads = [make_grad(rng, p.shape, p.data.dtype) for p in live.values()]
+            for p, g in zip(live.values(), grads):
                 p.grad = g
             params["frozen"].grad = np.ones_like(frozen_before)
             opt.step()
             whole_array_rmsprop(ref_thetas, grads, ref_avgs, learning_rate=0.003)
-        for p, theta, s in zip(live, ref_thetas, ref_avgs):
+        for (name, p), theta, s in zip(live.items(), ref_thetas, ref_avgs):
             assert p.data.dtype == theta.dtype
-            assert np.array_equal(p.data, theta), p.name
-            assert np.array_equal(opt.square_avg[p.name], s), p.name
+            assert np.array_equal(p.data, theta), name
+            assert np.array_equal(opt.square_avg[name], s), name
         np.testing.assert_array_equal(params["frozen"].data, frozen_before)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -114,7 +113,7 @@ class TestRMSProp:
             self._check_against_whole_array(huge, steps=2)
 
     def test_zero_gradient_is_fixed_point(self):
-        p = Parameter(np.array([1.0, -2.0]), name="theta")
+        p = Tensor(np.array([1.0, -2.0]))
         opt = RMSProp({"theta": p}, learning_rate=0.001)
         before = p.data.copy()
         opt.step()
@@ -122,7 +121,7 @@ class TestRMSProp:
         np.testing.assert_array_equal(opt.square_avg["theta"], np.zeros(2))
 
     def test_first_step_closed_form(self):
-        p = Parameter(np.array([0.5]), name="theta")
+        p = Tensor(np.array([0.5]))
         opt = RMSProp({"theta": p}, learning_rate=0.001, rho=0.9, eps=1e-8)
         p.grad = np.array([2.0], dtype=np.float32)
         opt.step()
@@ -133,8 +132,8 @@ class TestRMSProp:
         assert abs(expected_delta - 0.0031623) < 1e-6
 
     def test_frozen_parameter_untouched_over_many_steps(self):
-        frozen = Parameter(np.full((3, 2), 0.25), name="emb", requires_grad=False)
-        live = Parameter(np.ones(2), name="w")
+        frozen = Tensor(np.full((3, 2), 0.25), requires_grad=False)
+        live = Tensor(np.ones(2))
         opt = RMSProp({"emb": frozen, "w": live}, learning_rate=0.001)
         before = frozen.data.copy()
         for _ in range(100):
@@ -147,17 +146,17 @@ class TestRMSProp:
 
     def test_nan_gradient_names_parameter(self):
         # the finite parameter comes first: it must not move either
-        q = Parameter(np.ones(2), name="bias")
-        p = Parameter(np.ones(2), name="w_ih")
+        q = Tensor(np.ones(2))
+        p = Tensor(np.ones(2))
         opt = RMSProp({"bias": q, "w_ih": p}, learning_rate=0.001)
         q.grad = np.array([1.0, -1.0], dtype=np.float32)
         for bad in (np.nan, np.inf, -np.inf):
             p.grad = np.array([bad, 0.0], dtype=np.float32)
             with pytest.raises(NumericError, match="w_ih"):
                 opt.step()
-            for param in (q, p):
+            for name, param in opt.params.items():
                 np.testing.assert_array_equal(param.data, np.ones(2))
-                np.testing.assert_array_equal(opt.square_avg[param.name], np.zeros(2))
+                np.testing.assert_array_equal(opt.square_avg[name], np.zeros(2))
 
     def test_single_step_decreases_loss_at_small_lr(self):
         examples = synth.synthetic_examples(2, seed=3)
