@@ -32,26 +32,32 @@ own stack of entered tapes, so an operation records on the innermost tape
 of the thread that runs it.  Independent models (own tapes, own
 parameters) may run in parallel; frozen tensors may be shared read-only.
 ``precision`` is process-wide.  The library starts one thread of its own,
-the worker, and hands it work through ``_later`` only: the second
-direction of a two-direction ``lstm_sequence`` in its forward and
-backward passes, and the weight-gradient GEMMs of ``affine`` and
-``attention_scores``, which a backward rule hands back as a ``Future``
-while the calling thread carries on down the input-gradient chain.  The
-worker reads and writes numpy arrays only and never touches a tape:
-records are made, and Futures resolved, on the calling thread, and the
-gradients have the same bits either way.
+the worker, and hands it work through ``_later`` only.  ``_split`` runs
+a few calls at once: the first on the calling thread, the rest on the
+worker, and it takes back any call the worker has not started.  It runs
+the two directions of ``lstm_sequence`` in its forward and backward
+passes, the two row halves of a large forward GEMM in ``affine`` and
+``attention_scores``, and the two parameter groups of
+``training.RMSProp.step``.  The weight-gradient GEMMs of ``affine`` and
+``attention_scores`` go to ``_later`` alone: a backward rule hands them
+back as a ``Future`` while the calling thread carries on down the
+input-gradient chain.  The worker reads and writes numpy arrays only and
+never touches a tape: records are made, and Futures resolved, on the
+calling thread.  Gradients have the same bits either way, and so do
+outputs at float32; at float64 a split GEMM may differ in its last bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import os
 import threading
 from concurrent import futures
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -559,13 +565,22 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     it runs 1.4-1.7x as fast as x·wᵀ.  Its transpose and the bias go into
     a row-major result in one pass.  ``w`` is read through a transposed
     view in the backward pass, so no weight copy is made in either
-    direction.  The weight gradient gᵀ·x is deferred (``_later``).
+    direction.  A large GEMM is split by weight rows (``_row_blocks``),
+    one block on the worker.  The weight gradient gᵀ·x is deferred
+    (``_later``).
     """
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
     xdata, wdata = x.data, w.data
+    wx = np.empty((w.shape[0], x.shape[0]), dtype=np.result_type(xdata, wdata))
+    _split(
+        [
+            functools.partial(np.matmul, wdata[rows], xdata.T, out=wx[rows])
+            for rows in _row_blocks(wdata, x.shape[0])
+        ]
+    )
     out = Tensor(np.empty((x.shape[0], w.shape[0]), dtype=np.result_type(xdata, wdata, b.data)))
-    np.add((wdata @ xdata.T).T, b.data, out=out.data)
+    np.add(wx.T, b.data, out=out.data)
 
     def back(g):
         dw = np.empty((g.shape[1], xdata.shape[1]), dtype=np.result_type(g, xdata))
@@ -592,8 +607,8 @@ def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
     return starts[seq] + pos, sizes, offsets
 
 
-# The worker, which runs the second direction of a two-direction
-# ``lstm_sequence`` and the deferred weight gradients
+# The worker, which runs the second half of a split (``_split``) and the
+# deferred weight gradients
 
 
 @functools.cache
@@ -642,24 +657,55 @@ if hasattr(os, "register_at_fork"):
 
 def _later(fill: Callable[[], object]):
     """``fill()``, or a Future of it from the worker when ``_use_worker``
-    holds.  A fill that writes into an array should get that array made on
-    the calling thread: one the worker's own malloc arena made would go
-    back to the system when freed, and the calling thread's next passes
-    would fault its pages in again."""
-    return _worker.submit(fill) if _use_worker() else fill()
+    holds.  The fill runs in a copy of the caller's context, so numpy's
+    error state (``np.errstate``) holds on the worker too.  A fill that
+    writes into an array should get that array made on the calling
+    thread: one the worker's own malloc arena made would go back to the
+    system when freed, and the calling thread's next passes would fault
+    its pages in again."""
+    if not _use_worker():
+        return fill()
+    return _worker.submit(contextvars.copy_context().run, fill)
 
 
-def _each(calls: Iterable[Callable]) -> list:
-    """Results of one or two zero-argument calls, in order.  The second
-    goes through ``_later`` while the calling thread runs the first; an
-    exception reaches the caller only once neither call is still running."""
+def _split(calls: Sequence[Callable[[], object]]) -> list:
+    """Results of zero-argument calls, in order.  The first runs on the
+    calling thread and the rest go through ``_later``.  When the calling
+    thread is done, it takes back every call the worker has not started
+    and runs it itself, so a split never waits behind work queued before
+    it.  An exception reaches the caller only once none of the calls is
+    still running."""
     first, *rest = calls
-    rest = [_later(call) for call in rest]
+    handed = [_later(call) for call in rest]
     try:
-        result = first()
+        results = [first()]
+        for call, result in zip(rest, handed):
+            if isinstance(result, futures.Future) and result.cancel():
+                result = call()  # the worker had not started it
+            results.append(result)
     finally:
-        futures.wait([f for f in rest if isinstance(f, futures.Future)])
-    return [result, *map(_resolved, rest)]
+        # after a failure, cancel what has not started and wait for the rest
+        futures.wait([f for f in handed if isinstance(f, futures.Future) and not f.cancel()])
+    return [_resolved(result) for result in results]
+
+
+# A weight GEMM is split in two by weight rows when both hold: the weight
+# has at least _SPLIT_MIN_WEIGHT elements, and the GEMM at least
+# _SPLIT_MIN_WORK multiply-adds, so each half outweighs the hand-off.
+# Below these, a half may also take another OpenBLAS kernel than the
+# whole GEMM: the 3-row output layer split as 1 + 2 rows, and [1200 x 600]
+# against 2 columns, were not bit-identical to the whole GEMM at float32.
+_SPLIT_MIN_WEIGHT = 1 << 18
+_SPLIT_MIN_WORK = 1 << 21
+
+
+def _row_blocks(w: np.ndarray, n: int) -> list[slice]:
+    """The row blocks of weight ``w`` for a GEMM against ``n`` columns:
+    two halves when ``_use_worker`` holds and the GEMM is large, else one."""
+    rows = w.shape[0]
+    if _use_worker() and w.size >= _SPLIT_MIN_WEIGHT and w.size * n >= _SPLIT_MIN_WORK:
+        return [slice(0, rows // 2), slice(rows // 2, rows)]
+    return [slice(0, rows)]
 
 
 def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
@@ -678,7 +724,8 @@ def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: n
     perm, sizes, offsets = _time_major(lengths, starts, reverse)
     bounds = offsets.tolist()
     xp = xdata[perm]
-    acts = xp @ wi.T + bias  # pre-activations, overwritten by the gate values
+    acts = xp @ wi.T  # pre-activations, overwritten by the gate values
+    acts += bias
     cells = np.empty((n, h), dtype=acts.dtype)
     hidden = np.empty((n, h), dtype=acts.dtype)
     i, f, g, o = (acts[:, k * h : (k + 1) * h] for k in range(4))
@@ -758,10 +805,10 @@ def lstm_sequence(
     formed only for the columns of ``x`` that need one: none for a
     constant, the blocks that ``concat`` recorded otherwise.
 
-    With both directions, the backward one runs on the worker while the
-    calling thread runs the forward one, in the forward and in the
-    backward pass, when ``_use_worker`` says that pays.
-    Either way the op is one tape record with the same bits.
+    With both directions, ``_split`` hands the backward one to the worker
+    while the calling thread runs the forward one, in the forward and in
+    the backward pass.  Either way the op is one tape record with the same
+    bits.
     """
     if x.ndim != 2:
         raise DimensionError(f"lstm_sequence needs an [L x d] input, got {x.shape}")
@@ -782,19 +829,21 @@ def lstm_sequence(
         columns.append(slice(width, width + h))
         width += h
     out = Tensor(np.empty((n, width), dtype=_DTYPE))
-    backs = _each(
-        functools.partial(
-            _lstm_direction, x.data, lengths, starts, *(w.data for w in weights), rev,
-            out.data[:, cols],
-        )
-        for (weights, rev), cols in zip(directions, columns)
+    backs = _split(
+        [
+            functools.partial(
+                _lstm_direction, x.data, lengths, starts, *(w.data for w in weights), rev,
+                out.data[:, cols],
+            )
+            for (weights, rev), cols in zip(directions, columns)
+        ]
     )
 
     x_columns = (x._grad_columns or slice(0, d)) if x.requires_grad else None
 
     def back(gout):
-        grads = _each(
-            functools.partial(b, gout[:, cols], x_columns) for b, cols in zip(backs, columns)
+        grads = _split(
+            [functools.partial(b, gout[:, cols], x_columns) for b, cols in zip(backs, columns)]
         )
         dx = grads[0][0]
         if dx is not None:
@@ -813,8 +862,11 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
 
     ``w`` is split as [w_q | w_h]: the query term is one GEMM over the S
     queries, repeated over each segment's rows, and H·w_hᵀ one GEMM over
-    all L rows, neither copying a weight block; the backward pass forms
-    the gradient of ``w`` once per batch, deferred (``_later``).
+    all L rows, neither copying a weight block.  A large H·w_hᵀ is split
+    by the rows of w_h (``_row_blocks``), and each block adds its columns
+    of the query term and applies tanh, one block on the worker.  The
+    backward pass forms the gradient of ``w`` once per batch, deferred
+    (``_later``).
     """
     lengths, starts = _segments(lengths, H.shape[0], "attention_scores")
     q = query.shape[-1]
@@ -832,7 +884,15 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
     w_q, w_h = wdata[:, :q], wdata[:, q:]
     # the column blocks of w are strided views: BLAS reads them as the left
     # operand without a copy, faster than through a transposed view
-    u = np.tanh((w_h @ hdata.T).T + np.repeat((w_q @ qdata.T).T, lengths, axis=0))  # [L x a]
+    u = np.repeat((w_q @ qdata.T).T, lengths, axis=0)  # [L x a], the query term so far
+    hw = np.empty((w_h.shape[0], hdata.shape[0]), dtype=np.result_type(w_h, hdata))
+
+    def block(rows):  # u[:, rows] = tanh(query term + H·w_hᵀ)
+        np.matmul(w_h[rows], hdata.T, out=hw[rows])
+        np.add(u[:, rows], hw[rows].T, out=u[:, rows])
+        np.tanh(u[:, rows], out=u[:, rows])
+
+    _split([functools.partial(block, rows) for rows in _row_blocks(w_h, hdata.shape[0])])
     out = Tensor(u @ vdata)
 
     def back(g):

@@ -16,6 +16,7 @@ directions.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, default_dtype
+from .autodiff import Tape, Tensor, _split, default_dtype
 from .data import CharVocabulary, Vocabulary, make_batches
 from .errors import ConfigError, IntegrityError, InvalidInputError, NumericError
 from .evaluation import evaluate
@@ -72,14 +73,18 @@ class RMSProp:
 
     No momentum, no centering.  Frozen parameters are never updated.  A
     step works in place, over each parameter in flat blocks of ``CHUNK``
-    elements: two work arrays of one block each, shared by all parameters,
-    hold the intermediate terms, so it allocates nothing.  Every element
-    sees the same operations in the same order as a whole-array update, so
-    the result is the same to the last bit.
+    elements.  The trainable parameters form two groups of about equal
+    size, and ``autodiff._split`` runs one group on the calling thread and
+    the other on the worker.  Each group has its own two work rows of one
+    block, made here, which hold the intermediate terms, so a step
+    allocates nothing.  Every element sees the same operations in the same
+    order as a whole-array update, on either thread, so the result is the
+    same to the last bit.
 
-    Before anything is written, each gradient is checked with one
-    ``dot(g, g)``, which is NaN or infinite whenever an entry is.  Only a
-    non-finite dot falls back to min and max, because a finite float32
+    Before anything is written, every gradient is checked with one
+    ``dot(g, g)``, which is NaN or infinite whenever an entry is; both
+    groups are checked, in the same split, before either is updated.  Only
+    a non-finite dot falls back to min and max, because a finite float32
     entry above about 1.8e19 also squares to infinity.
     """
 
@@ -97,36 +102,55 @@ class RMSProp:
         self.square_avg = {
             name: np.zeros_like(p.data) for name, p in params.items() if p.requires_grad
         }
-        trainable = [p.data for p in params.values() if p.requires_grad]
-        self._work = np.empty(
-            (2, min(CHUNK, max((a.size for a in trainable), default=0))),
-            dtype=np.result_type(*trainable) if trainable else default_dtype(),
-        )
+        # two groups, largest parameter first into the lighter one; each
+        # keeps the registry order, so a failed check names the first
+        # non-finite gradient in that order
+        sizes = {name: s.size for name, s in self.square_avg.items()}
+        self._groups: tuple[list[str], list[str]] = ([], [])
+        for name in sorted(sizes, key=sizes.get, reverse=True):
+            min(self._groups, key=lambda group: sum(map(sizes.get, group))).append(name)
+        for group in self._groups:
+            group.sort(key=list(sizes).index)
+        self._work = [
+            np.empty(
+                (2, min(CHUNK, max(map(sizes.get, group), default=0))),
+                dtype=np.result_type(*(self.square_avg[n] for n in group))
+                if group
+                else default_dtype(),
+            )
+            for group in self._groups
+        ]
 
     def step(self) -> None:
         """Update every trainable parameter; a non-finite gradient raises
         ``NumericError`` naming its parameter before anything changes."""
         # a parameter that no gradient reached updates as with a zero one
-        trainable = [
-            (name, p, (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1))
+        grads = {
+            name: (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1)
             for name, p in self.params.items()
             if p.requires_grad
-        ]
-        for name, _, g in trainable:
-            with np.errstate(over="ignore"):  # an overflowing square is told apart below
-                squared_norm = np.dot(g, g)
-            if not np.isfinite(squared_norm) and not (
-                np.isfinite(g.min()) and np.isfinite(g.max())
-            ):
+        }
+        flagged = _split([functools.partial(_first_nonfinite, g, grads) for g in self._groups])
+        for name in grads:
+            if name in flagged:
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
-        for name, p, g in trainable:
+        _split(
+            [
+                functools.partial(self._update, group, grads, work)
+                for group, work in zip(self._groups, self._work)
+            ]
+        )
+
+    def _update(self, names: list[str], grads: dict[str, np.ndarray], work: np.ndarray) -> None:
+        for name in names:
+            g = grads[name]
             # flat views: parameter data and square_avg are C-contiguous
             s = self.square_avg[name].reshape(-1)
-            theta = p.data.reshape(-1)
+            theta = self.params[name].data.reshape(-1)
             for lo in range(0, g.size, CHUNK):
                 hi = min(lo + CHUNK, g.size)
                 gc, sc = g[lo:hi], s[lo:hi]
-                term, denom = (w[: hi - lo] for w in self._work)
+                term, denom = (w[: hi - lo] for w in work)
                 # the operations of s*rho + (1-rho)*g*g and lr*g / (sqrt(s) + eps),
                 # in that order, so the result is the same to the last bit
                 sc *= self.rho
@@ -142,6 +166,17 @@ class RMSProp:
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+
+def _first_nonfinite(names: list[str], grads: dict[str, np.ndarray]) -> str | None:
+    """The first of ``names`` whose gradient holds a NaN or an infinity."""
+    for name in names:
+        g = grads[name]
+        with np.errstate(over="ignore"):  # an overflowing square is told apart below
+            squared_norm = np.dot(g, g)
+        if not np.isfinite(squared_norm) and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+            return name
+    return None
 
 
 @dataclass

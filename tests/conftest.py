@@ -93,3 +93,14 @@ def reported_probs(monkeypatch):
 
     monkeypatch.setattr(evaluation, "_report", spy)
     return seen
+
+
+@pytest.fixture(params=[True, False], ids=["worker", "serial"])
+def worker(request, monkeypatch):
+    """Runs the test with the library's worker forced on, then off
+    (``autodiff._use_worker``); the value says which.  With the host's
+    own BLAS threads the worker may be off, and no split would run."""
+    from nliattn import autodiff
+
+    monkeypatch.setattr(autodiff, "_use_worker", lambda: request.param)
+    return request.param

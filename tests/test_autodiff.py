@@ -531,6 +531,116 @@ class TestDeferredGradients:
         assert theta.grad is None
 
 
+class TestSplit:
+    """``_split`` and the forward GEMMs it splits by weight rows."""
+
+    @staticmethod
+    def _halves_on_the_worker(worker, w, n):
+        blocks = ad._row_blocks(w, n)
+        assert len(blocks) == (2 if worker else 1)
+
+    @pytest.mark.parametrize("d_in", [2000, 2400, 2800])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_affine_split_matches_the_whole_gemm(self, worker, d_in, dtype):
+        rng = np.random.default_rng(d_in)
+        w = rng.uniform(-0.05, 0.05, size=(2000, d_in))
+        b = rng.normal(size=2000)
+        for rows in (1, 2, 8, 32, 64):
+            x = rng.normal(size=(rows, d_in))
+            with ad.precision(dtype):
+                xt, wt, bt = (ad.Tensor(a) for a in (x, w, b))
+                self._halves_on_the_worker(worker, wt.data, rows)
+                out = ad.affine(xt, wt, bt).data
+            whole = (wt.data @ xt.data.T).T + bt.data
+            if dtype == "float32" or not worker:
+                assert np.array_equal(out, whole), rows
+            np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [600, 700])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_attention_split_matches_the_whole_gemm(self, worker, d, dtype):
+        rng = np.random.default_rng(d)
+        a = 2 * d
+        w, v = rng.uniform(-0.05, 0.05, size=(a, a)), rng.uniform(-0.05, 0.05, size=a)
+        for sentences, length in ((2, 17), (16, 16), (64, 16)):
+            lengths = np.full(sentences, length)
+            lengths[0] += 1  # L = 35, 257 and 1025 rows
+            H, query = rng.normal(size=(lengths.sum(), d)), rng.normal(size=(sentences, d))
+            with ad.precision(dtype):
+                H, query, w_t, v_t = (ad.Tensor(x) for x in (H, query, w, v))
+                self._halves_on_the_worker(worker, w_t.data[:, d:], H.shape[0])
+                out = ad.attention_scores(H, lengths, query, w_t, v_t).data
+            w_q, w_h = w_t.data[:, :d], w_t.data[:, d:]
+            u = np.tanh(
+                (w_h @ H.data.T).T + np.repeat((w_q @ query.data.T).T, lengths, axis=0)
+            )
+            whole = u @ v_t.data
+            if dtype == "float32" or not worker:
+                assert np.array_equal(out, whole), sentences
+            np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
+
+    def test_small_gemms_stay_whole(self, monkeypatch):
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
+        # the 3-row output layer, and a GEMM whose halves would not pay
+        assert len(ad._row_blocks(np.zeros((3, 2000)), 10_000)) == 1
+        assert len(ad._row_blocks(np.zeros((1200, 600)), 2)) == 1
+
+    def test_a_call_the_worker_has_not_started_is_taken_back(self, monkeypatch):
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            release.wait(10)
+            return "slow"
+
+        queued = ad._later(slow)
+        try:
+            assert started.wait(10)
+            threads = []
+
+            def call():
+                threads.append(threading.get_ident())
+                return len(threads)
+
+            assert ad._split([call, call]) == [1, 2]
+            assert threads == [threading.get_ident()] * 2
+            assert not queued.done()
+        finally:
+            release.set()
+        assert queued.result(timeout=10) == "slow"
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_exception_in_either_call_reaches_the_caller_after_the_other(
+        self, monkeypatch, failing
+    ):
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
+        started, finished = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            time.sleep(0.2)
+            finished.set()
+
+        def boom():
+            started.wait(10)  # the other call is running
+            raise FloatingPointError("half failed")
+
+        calls = [slow, slow]
+        calls[failing] = boom
+        with pytest.raises(FloatingPointError, match="half failed"):
+            ad._split(calls)
+        assert finished.is_set()
+
+    def test_worker_keeps_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(ad, "_use_worker", lambda: True)
+        big = np.full(4, 1e30, dtype=np.float32)
+        with np.errstate(over="raise"):
+            handed = ad._later(lambda: big * big)
+            with pytest.raises(FloatingPointError):
+                handed.result(timeout=10)
+
+
 class TestWorkerRegime:
     def test_blas_thread_count_is_read_and_decides_the_worker(self):
         # a numpy whose bundled OpenBLAS renames its thread-count symbol would

@@ -66,6 +66,12 @@ def whole_array_rmsprop(thetas, grads, square_avgs, learning_rate, rho=0.9, eps=
         theta -= term
 
 
+def spread_gradient(rng, shape, dtype):
+    """Gradient entries of magnitude 1e-4 to 1e2, either sign."""
+    mag = 10.0 ** rng.uniform(-4.0, 2.0, size=shape)
+    return (mag * rng.choice([-1.0, 1.0], size=shape)).astype(dtype)
+
+
 class TestRMSProp:
     def _check_against_whole_array(self, make_grad, steps):
         rng = np.random.default_rng(5)
@@ -91,16 +97,12 @@ class TestRMSProp:
             assert np.array_equal(p.data, theta), name
             assert np.array_equal(opt.square_avg[name], s), name
         np.testing.assert_array_equal(params["frozen"].data, frozen_before)
+        return opt
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_blocked_update_bit_identical_to_whole_array(self, dtype):
-        def spread(rng, shape, dt):
-            # magnitudes from 1e-4 to 1e2, either sign
-            mag = 10.0 ** rng.uniform(-4.0, 2.0, size=shape)
-            return (mag * rng.choice([-1.0, 1.0], size=shape)).astype(dt)
-
         with precision(dtype):
-            self._check_against_whole_array(spread, steps=20)
+            self._check_against_whole_array(spread_gradient, steps=20)
 
     def test_finite_gradient_whose_square_overflows_is_accepted(self):
         def huge(rng, shape, dt):
@@ -111,6 +113,12 @@ class TestRMSProp:
         # the square average overflows to inf in both updates, and the step is 0
         with np.errstate(over="ignore"):
             self._check_against_whole_array(huge, steps=2)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_two_groups_bit_identical_to_whole_array(self, worker, dtype):
+        with precision(dtype):
+            opt = self._check_against_whole_array(spread_gradient, steps=20)
+        assert all(opt._groups)  # both groups hold parameters
 
     def test_zero_gradient_is_fixed_point(self):
         p = Tensor(np.array([1.0, -2.0]))
