@@ -37,11 +37,11 @@ a few calls at once: the first on the calling thread, the rest on the
 worker, and it takes back any call the worker has not started.  It runs
 the two directions of ``lstm_sequence`` in its forward and backward
 passes, the two row halves of a large forward GEMM in ``affine`` and
-``attention_scores``, and the two parameter groups of
-``training.RMSProp.step``.  The weight-gradient GEMMs of ``affine`` and
-``attention_scores`` go to ``_later`` alone: a backward rule hands them
-back as a ``Future`` while the calling thread carries on down the
-input-gradient chain.  The worker reads and writes numpy arrays only and
+``attention_scores``, and the parameter groups (``_size_groups``) of
+``training.RMSProp.step`` and of ``training.load_checkpoint``'s reads.
+The weight-gradient GEMMs of ``affine`` and ``attention_scores`` go to
+``_later`` alone: a backward rule hands them back as a ``Future`` while
+the calling thread carries on down the input-gradient chain.  The worker reads and writes numpy arrays only and
 never touches a tape: records are made, and Futures resolved, on the
 calling thread.  Gradients have the same bits either way, and so do
 outputs at float32; at float64 a split GEMM may differ in its last bit.
@@ -706,6 +706,21 @@ def _row_blocks(w: np.ndarray, n: int) -> list[slice]:
     if _use_worker() and w.size >= _SPLIT_MIN_WEIGHT and w.size * n >= _SPLIT_MIN_WORK:
         return [slice(0, rows // 2), slice(rows // 2, rows)]
     return [slice(0, rows)]
+
+
+def _size_groups(sizes: dict[str, int]) -> list[list[str]]:
+    """The names of ``sizes`` in groups for ``_split``, each group in the
+    order of ``sizes``: two of about equal total size when ``_use_worker``
+    holds and there are two names or more, else one holding them all."""
+    if not _use_worker() or len(sizes) < 2:
+        return [list(sizes)]
+    groups: list[list[str]] = [[], []]
+    # largest first into the lighter group; on a tie the shorter, so
+    # neither group is left empty
+    for name in sorted(sizes, key=sizes.get, reverse=True):
+        min(groups, key=lambda group: (sum(map(sizes.get, group)), len(group))).append(name)
+    order = {name: i for i, name in enumerate(sizes)}
+    return [sorted(group, key=order.get) for group in groups]
 
 
 def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):

@@ -15,10 +15,9 @@ running with one GEMM per time step and direction; the op may run the
 two directions on two threads.  The char-LSTM is the same op with one
 direction over the batch's table of distinct words: each word's
 characters are encoded once, all words in one packed call, and
-``word_index`` gathers the results back to the tokens.
-
-``lstm_step`` builds the same cell on rows from elementary taped ops; it
-is kept as the reference the fused path is tested against.
+``word_index`` gathers the results back to the tokens.  The tests hold
+the fused op to a step-by-step unroll of the same cell built from
+elementary taped ops.
 """
 
 from __future__ import annotations
@@ -102,29 +101,6 @@ def lstm_weights(input_dim: int, hidden: int, rng: np.random.Generator) -> LSTMW
     bias = np.zeros(4 * hidden)
     bias[hidden : 2 * hidden] = 1.0
     return LSTMWeights(w_ih, w_hh, Tensor(bias))
-
-
-def lstm_step(weights: LSTMWeights, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-    """One LSTM cell update of k rows from elementary ops: inputs x_t
-    [k x d] and states [k x h]; returns (h_t, c_t), each [k x h].
-
-    Reference implementation: the encoder runs ``ad.lstm_sequence``, and
-    the tests hold it to this step-by-step unroll.
-    """
-    h, d = weights.w_hh.shape[1], weights.w_ih.shape[1]
-    if x_t.ndim != 2 or x_t.shape[1] != d:
-        raise DimensionError(f"lstm_step: input shape {x_t.shape} is not [k x {d}]")
-    gates = ad.add(
-        ad.affine(x_t, weights.w_ih, weights.bias),
-        ad.affine(h_prev, weights.w_hh, Tensor(np.zeros(4 * h), requires_grad=False)),
-    )
-    i = ad.sigmoid(ad.narrow(gates, 1, 0, h))
-    f = ad.sigmoid(ad.narrow(gates, 1, h, h))
-    g = ad.tanh(ad.narrow(gates, 1, 2 * h, h))
-    o = ad.sigmoid(ad.narrow(gates, 1, 3 * h, h))
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h_t = ad.mul(o, ad.tanh(c_t))
-    return h_t, c_t
 
 
 def char_encode(char_ids, lengths, char_embeddings: Tensor, cell: LSTMWeights) -> Tensor:

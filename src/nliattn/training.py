@@ -10,7 +10,10 @@ Checkpoint file layout: an 8-byte little-endian length, a canonical JSON
 manifest (config, vocabularies, hashes, parameter order), then the raw
 little-endian float32 parameter blob in manifest order.  The blob moves
 straight between the file and each parameter's own array, in both
-directions.
+directions.  A load reads the parameters in two groups on two threads when
+the library's worker runs, each through its own handle on the file; a save
+writes on one thread, because the file system serialises buffered writes
+to one file, and two writers of disjoint ranges were no faster.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _split, default_dtype
+from .autodiff import Tape, Tensor, _size_groups, _split, default_dtype
 from .data import CharVocabulary, Vocabulary, make_batches
 from .errors import ConfigError, IntegrityError, InvalidInputError, NumericError
 from .evaluation import evaluate
@@ -73,13 +76,18 @@ class RMSProp:
 
     No momentum, no centering.  Frozen parameters are never updated.  A
     step works in place, over each parameter in flat blocks of ``CHUNK``
-    elements.  The trainable parameters form two groups of about equal
-    size, and ``autodiff._split`` runs one group on the calling thread and
-    the other on the worker.  Each group has its own two work rows of one
+    elements.  The trainable parameters form the groups of
+    ``autodiff._size_groups``: with the worker, two of about equal size,
+    and ``autodiff._split`` runs one group on the calling thread and the
+    other on the worker.  Each group has its own two work rows of one
     block, made here, which hold the intermediate terms, so a step
     allocates nothing.  Every element sees the same operations in the same
     order as a whole-array update, on either thread, so the result is the
     same to the last bit.
+
+    ``square_avg`` is made unfilled and reads as zeros until a step writes
+    it: a parameter's first step stores (1-rho)*g*g straight, which has the
+    bits of rho*0 + (1-rho)*g*g, since 0 + t is t for every t >= +0.
 
     Before anything is written, every gradient is checked with one
     ``dot(g, g)``, which is NaN or infinite whenever an entry is; both
@@ -99,27 +107,32 @@ class RMSProp:
         self.learning_rate = learning_rate
         self.rho = rho
         self.eps = eps
-        self.square_avg = {
-            name: np.zeros_like(p.data) for name, p in params.items() if p.requires_grad
+        # left unfilled: a parameter's first step writes its average
+        # before reading it (``_unwritten`` holds those not yet written)
+        self._square_avg = {
+            name: np.empty_like(p.data) for name, p in params.items() if p.requires_grad
         }
-        # two groups, largest parameter first into the lighter one; each
-        # keeps the registry order, so a failed check names the first
-        # non-finite gradient in that order
-        sizes = {name: s.size for name, s in self.square_avg.items()}
-        self._groups: tuple[list[str], list[str]] = ([], [])
-        for name in sorted(sizes, key=sizes.get, reverse=True):
-            min(self._groups, key=lambda group: sum(map(sizes.get, group))).append(name)
-        for group in self._groups:
-            group.sort(key=list(sizes).index)
+        self._unwritten = set(self._square_avg)
+        sizes = {name: s.size for name, s in self._square_avg.items()}
+        self._groups = _size_groups(sizes)
         self._work = [
             np.empty(
                 (2, min(CHUNK, max(map(sizes.get, group), default=0))),
-                dtype=np.result_type(*(self.square_avg[n] for n in group))
+                dtype=np.result_type(*(self._square_avg[n] for n in group))
                 if group
                 else default_dtype(),
             )
             for group in self._groups
         ]
+
+    @property
+    def square_avg(self) -> dict[str, np.ndarray]:
+        """Each trainable parameter's running average of g*g; zeros until
+        a step has written it."""
+        return {
+            name: np.zeros_like(s) if name in self._unwritten else s
+            for name, s in self._square_avg.items()
+        }
 
     def step(self) -> None:
         """Update every trainable parameter; a non-finite gradient raises
@@ -145,23 +158,29 @@ class RMSProp:
         for name in names:
             g = grads[name]
             # flat views: parameter data and square_avg are C-contiguous
-            s = self.square_avg[name].reshape(-1)
+            s = self._square_avg[name].reshape(-1)
             theta = self.params[name].data.reshape(-1)
+            first = name in self._unwritten
             for lo in range(0, g.size, CHUNK):
                 hi = min(lo + CHUNK, g.size)
                 gc, sc = g[lo:hi], s[lo:hi]
                 term, denom = (w[: hi - lo] for w in work)
                 # the operations of s*rho + (1-rho)*g*g and lr*g / (sqrt(s) + eps),
                 # in that order, so the result is the same to the last bit
-                sc *= self.rho
-                np.multiply(gc, 1.0 - self.rho, out=term)
-                term *= gc
-                sc += term
+                if first:  # from s = 0: 0*rho + t is t for every t >= +0
+                    np.multiply(gc, 1.0 - self.rho, out=sc)
+                    sc *= gc
+                else:
+                    sc *= self.rho
+                    np.multiply(gc, 1.0 - self.rho, out=term)
+                    term *= gc
+                    sc += term
                 np.multiply(gc, self.learning_rate, out=term)
                 np.sqrt(sc, out=denom)
                 denom += self.eps
                 term /= denom
                 theta[lo:hi] -= term
+            self._unwritten.discard(name)
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -289,17 +308,20 @@ def train(
                     seed=config.seed,
                 )
                 result.checkpoint_path = str(checkpoint_path)
-            else:
+            else:  # frozen parameters never change: only the trained ones are kept
                 best_snapshot = {
-                    name: p.data.copy() for name, p in model.parameters().items()
+                    name: p.data.copy()
+                    for name, p in model.parameters().items()
+                    if p.requires_grad
                 }
         if target_dev_accuracy is not None and result.best_dev_accuracy >= target_dev_accuracy:
             break
 
     # leave the model holding its best parameters when nothing was written to disk
     if checkpoint_path is None and best_snapshot is not None:
-        for name, p in model.parameters().items():
-            p.data[:] = best_snapshot[name]
+        params = model.parameters()
+        for name, data in best_snapshot.items():
+            params[name].data[:] = data
     return result
 
 
@@ -399,6 +421,13 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     the model is built; each parameter's values are then read straight into
     its array, with no copy of the whole blob.  A manifest entry that is
     missing or of the wrong kind raises ``IntegrityError`` too.
+
+    The parameters are read in the groups of ``autodiff._size_groups``
+    through ``autodiff._split``.  With the worker that is two groups of
+    about equal size, each through its own handle on the file, each
+    parameter with one ``readinto`` at its offset into the array made
+    here; without it, one group in registry order through the handle that
+    read the manifest.
     """
     with open(path, "rb") as fh:
         try:
@@ -412,13 +441,31 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         params = model.parameters()
         if [name for name, _ in declared] != list(params):
             raise IntegrityError(f"{path}: parameter order does not match this build")
+        reads, offset = {}, fh.tell()  # name -> (name, array, blob offset)
         for name, shape in declared:
             p = params[name]
             if list(p.shape) != shape:
                 raise IntegrityError(
                     f"{path}: parameter {name} has shape {shape}, expected {list(p.shape)}"
                 )
-            _read_parameter(fh, p.data, path, name)
+            reads[name] = (name, p.data, offset)
+            offset += 4 * p.size
+        groups = _size_groups({name: p.size for name, p in params.items()})
+        with contextlib.ExitStack() as opened:
+            handles = [fh]
+            for _ in groups[1:]:
+                other = opened.enter_context(open(path, "rb"))
+                if not os.path.samestat(os.fstat(other.fileno()), os.fstat(fh.fileno())):
+                    # the path was replaced since the manifest was read
+                    groups, handles = [list(params)], [fh]
+                    break
+                handles.append(other)
+            _split(
+                [
+                    functools.partial(_read_group, handle, path, [reads[n] for n in group])
+                    for handle, group in zip(handles, groups)
+                ]
+            )
     return LoadedCheckpoint(model=model, manifest=manifest)
 
 
@@ -478,11 +525,13 @@ def _read_manifest(fh, path) -> dict:
     return manifest
 
 
-def _read_parameter(fh, data: np.ndarray, path, name: str) -> None:
-    """Fill ``data`` from the next ``4 * data.size`` bytes of ``fh``, read in
-    place when it is native little-endian float32 and cast otherwise."""
-    target = data if data.dtype == np.dtype("<f4") else np.empty(data.shape, dtype="<f4")
-    if fh.readinto(target) != target.nbytes:
-        raise IntegrityError(f"{path}: file ends inside parameter {name}")
-    if target is not data:
-        data[...] = target
+def _read_group(fh, path, reads: list[tuple[str, np.ndarray, int]]) -> None:
+    """Fill each array of ``reads`` (name, array, blob offset) from ``fh``:
+    read in place when it is native little-endian float32, cast otherwise."""
+    for name, data, offset in reads:
+        fh.seek(offset)
+        target = data if data.dtype == np.dtype("<f4") else np.empty(data.shape, dtype="<f4")
+        if fh.readinto(target) != target.nbytes:
+            raise IntegrityError(f"{path}: file ends inside parameter {name}")
+        if target is not data:
+            data[...] = target

@@ -32,6 +32,24 @@ def np_lstm_step(w_ih, w_hh, bias, x, h_prev, c_prev):
     return o * np.tanh(c), c
 
 
+def lstm_step(weights: enc.LSTMWeights, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
+    """One LSTM cell update of k rows from elementary taped ops: inputs x_t
+    [k x d] and states [k x h]; returns (h_t, c_t), each [k x h].  The
+    reference the fused ``ad.lstm_sequence`` is held to, step by step."""
+    h = weights.w_hh.shape[1]
+    gates = ad.add(
+        ad.affine(x_t, weights.w_ih, weights.bias),
+        ad.affine(h_prev, weights.w_hh, Tensor(np.zeros(4 * h), requires_grad=False)),
+    )
+    i = ad.sigmoid(ad.narrow(gates, 1, 0, h))
+    f = ad.sigmoid(ad.narrow(gates, 1, h, h))
+    g = ad.tanh(ad.narrow(gates, 1, 2 * h, h))
+    o = ad.sigmoid(ad.narrow(gates, 1, 3 * h, h))
+    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    h_t = ad.mul(o, ad.tanh(c_t))
+    return h_t, c_t
+
+
 def tiny_encoder(use_chars=False, word_dim=5, hidden=3, n_vocab=9, n_chars=7, seed=0):
     rng = np.random.default_rng(seed)
     config = enc.EncoderConfig(
@@ -54,7 +72,7 @@ class TestLstmStep:
         for p in cell:
             p.data[:] = 0.0
         zero = Tensor(np.zeros((1, 3)))
-        h, c = enc.lstm_step(cell, Tensor(rng.normal(size=(1, 4))), zero, zero)
+        h, c = lstm_step(cell, Tensor(rng.normal(size=(1, 4))), zero, zero)
         np.testing.assert_array_equal(h.data, np.zeros((1, 3), dtype=np.float32))
         np.testing.assert_array_equal(c.data, np.zeros((1, 3), dtype=np.float32))
 
@@ -67,7 +85,7 @@ class TestLstmStep:
         bias[3:6] = 50.0  # forget slots
         cell.bias.data[:] = bias
         c_prev = Tensor(np.array([[0.3, -0.7, 1.1]]))
-        h, c = enc.lstm_step(cell, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3))), c_prev)
+        h, c = lstm_step(cell, Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 3))), c_prev)
         np.testing.assert_allclose(c.data, c_prev.data, atol=1e-6)
         np.testing.assert_allclose(h.data, np.zeros((1, 3)), atol=1e-6)
 
@@ -79,7 +97,7 @@ class TestLstmStep:
             x = rng.normal(size=(3, 2))
             h0 = rng.normal(size=(3, 3))
             c0 = rng.normal(size=(3, 3))
-            h, c = enc.lstm_step(cell, Tensor(x), Tensor(h0), Tensor(c0))
+            h, c = lstm_step(cell, Tensor(x), Tensor(h0), Tensor(c0))
         assert h.shape == c.shape == (3, 3)
         for row in range(3):
             exp_h, exp_c = np_lstm_step(
@@ -112,7 +130,7 @@ class TestCharEncode:
         rng = np.random.default_rng(4)
         emb, cell = self._char_model(rng)
         out = enc.char_encode([3], [1], emb, cell)
-        expected, _ = enc.lstm_step(
+        expected, _ = lstm_step(
             cell, Tensor(emb.data[3:4]), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))
         )
         assert out.shape == (1, 2)
@@ -210,8 +228,8 @@ class TestBilstm:
         x = Tensor(np.random.default_rng(8).normal(size=(1, 5)))
         seq = enc.bilstm(x, [1], model.forward_cell, model.backward_cell)
         zero = Tensor(np.zeros((1, 3)))
-        fh, _ = enc.lstm_step(model.forward_cell, x, zero, zero)
-        bh, _ = enc.lstm_step(model.backward_cell, x, zero, zero)
+        fh, _ = lstm_step(model.forward_cell, x, zero, zero)
+        bh, _ = lstm_step(model.backward_cell, x, zero, zero)
         np.testing.assert_array_equal(seq.H.data, np.hstack([fh.data, bh.data]))
 
     def test_reversal_symmetry_with_tied_weights(self):
@@ -292,7 +310,7 @@ def unrolled_bilstm(model, x: Tensor, lengths):
         ):
             h, c = Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden)))
             for i in order:
-                h, c = enc.lstm_step(cell, rows[i], h, c)
+                h, c = lstm_step(cell, rows[i], h, c)
                 states[(i, cell)] = h
             ends.append(h)
         H += [
@@ -316,7 +334,7 @@ def unrolled_embed_tokens(model, word_ids, word_index, char_ids, char_lengths):
     for w in word_index:
         h, c = Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden)))
         for i in char_ids[ends[w] - char_lengths[w] : ends[w]]:
-            h, c = enc.lstm_step(cell, ad.take_rows(model.char_embeddings, [i]), h, c)
+            h, c = lstm_step(cell, ad.take_rows(model.char_embeddings, [i]), h, c)
         rows.append(h)
     return ad.concat([words, ad.concat(rows)], axis=1)
 

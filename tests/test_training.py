@@ -4,12 +4,15 @@ import json
 import os
 import shutil
 import struct
+import threading
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nliattn import synth, training
+from nliattn import autodiff, synth, training
 from nliattn.cli import main
 from nliattn.autodiff import Tensor, precision
 from nliattn.data import CharVocabulary, Vocabulary, make_batches, random_embeddings
@@ -28,9 +31,11 @@ from nliattn.training import (
 
 def build_model(
     examples, seed=0, use_chars=False, pooling="mean", hidden=4, mlp=8, word_dim=6,
-    emb_scale=0.05,
+    emb_scale=0.05, extra_words=0,
 ):
     vocab = Vocabulary.from_examples(examples, dim=word_dim)
+    for i in range(extra_words):  # rows of the frozen embedding no example uses
+        vocab.add(f"unseen{i}")
     chars = CharVocabulary.from_examples(examples, dim=2)
     rng = np.random.default_rng(seed)
     config = ModelConfig(
@@ -70,6 +75,22 @@ def spread_gradient(rng, shape, dtype):
     """Gradient entries of magnitude 1e-4 to 1e2, either sign."""
     mag = 10.0 ** rng.uniform(-4.0, 2.0, size=shape)
     return (mag * rng.choice([-1.0, 1.0], size=shape)).astype(dtype)
+
+
+class FileWrapper:
+    """An open file that passes everything through to ``fh``."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
 
 
 class TestRMSProp:
@@ -248,6 +269,21 @@ class TestTrainLoop:
             train(model, train_examples, examples, config, ckpt)
         assert not ckpt.exists()
 
+    def test_snapshot_without_checkpoint_leaves_frozen_parameters_out(self):
+        examples = synth.synthetic_examples(9, seed=20)
+        model = build_model(examples, seed=21, extra_words=20_000)
+        params = model.parameters()
+        embedding_bytes = model.encoder.word_embeddings.data.nbytes
+        assert embedding_bytes > sum(p.data.nbytes for p in params.values() if p.requires_grad)
+        tracemalloc.start()
+        try:
+            result = train(model, examples, examples, TrainConfig(batch_size=3, max_epochs=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.best_epoch >= 1
+        assert peak < embedding_bytes
+
     def test_frozen_embeddings_bit_identical_after_training(self):
         examples = synth.synthetic_examples(9, seed=14)
         model = build_model(examples, seed=15)
@@ -348,38 +384,115 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError, match="blob holds"):
             load_checkpoint(path)
 
-    def test_short_read_names_the_parameter(self, tmp_path, monkeypatch):
-        _, path, _ = self._trained(tmp_path)
-        victim = json.loads(self._manifest_bytes(path))["parameters"][2]["name"]
+    def _blob_offsets(self, path) -> dict[str, int]:
+        """Each parameter's byte offset in the file, from the manifest."""
+        header = self._manifest_bytes(path)
+        offsets, offset = {}, 8 + len(header)
+        for entry in json.loads(header)["parameters"]:
+            offsets[entry["name"]] = offset
+            offset += 4 * int(np.prod(entry["shape"]))
+        return offsets
 
-        class ShortThirdRead:
-            """File whose third readinto stops half-way, as if cut under the reader."""
-
-            def __init__(self, fh):
-                self.fh = fh
-                self.reads = 0
-
-            def readinto(self, buffer):
-                self.reads += 1
-                view = memoryview(buffer).cast("B")
-                return self.fh.readinto(view[: len(view) // 2] if self.reads == 3 else view)
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
+    @staticmethod
+    def _wrap_open(monkeypatch, wrapper) -> None:
         monkeypatch.setattr(
             training, "open",
-            lambda *args, **kwargs: ShortThirdRead(builtins.open(*args, **kwargs)),
+            lambda *args, **kwargs: wrapper(builtins.open(*args, **kwargs)),
             raising=False,
         )
+
+    def test_short_read_names_the_parameter(self, tmp_path, monkeypatch, worker):
+        _, path, _ = self._trained(tmp_path)
+        victim = json.loads(self._manifest_bytes(path))["parameters"][2]["name"]
+        victim_offset = self._blob_offsets(path)[victim]
+
+        class ShortVictimRead(FileWrapper):
+            """File whose read of the victim stops half-way, as if cut under the reader."""
+
+            def readinto(self, buffer):
+                view = memoryview(buffer).cast("B")
+                cut = self.fh.tell() == victim_offset
+                return self.fh.readinto(view[: len(view) // 2] if cut else view)
+
+        self._wrap_open(monkeypatch, ShortVictimRead)
         with pytest.raises(IntegrityError, match=f"parameter {victim}$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_split_load_equals_one_handle_read(self, tmp_path, monkeypatch, worker, dtype):
+        _, path, _ = self._trained(tmp_path)
+        raw = path.read_bytes()
+        offsets = self._blob_offsets(path)
+        shapes = {
+            entry["name"]: tuple(entry["shape"])
+            for entry in json.loads(self._manifest_bytes(path))["parameters"]
+        }
+        opened = []
+        self._wrap_open(monkeypatch, lambda fh: opened.append(fh) or fh)
+        with precision(dtype):
+            loaded = load_checkpoint(path)
+        assert len(opened) == (2 if worker else 1)
+        assert all(fh.closed for fh in opened)
+        for name, p in loaded.model.parameters().items():
+            expected = np.frombuffer(
+                raw, dtype="<f4", count=int(np.prod(shapes[name])), offset=offsets[name]
+            ).reshape(shapes[name])
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, expected), name
+
+    def test_failed_group_closes_both_handles_after_the_other_ends(self, tmp_path, monkeypatch):
+        _, path, _ = self._trained(tmp_path)
+        monkeypatch.setattr(autodiff, "_use_worker", lambda: True)
+        other_reading = threading.Event()
+        handles = []
+
+        class FirstHandleFails(FileWrapper):
+            """The first handle's first read ends the file once the second
+            handle is reading; the second handle's reads are slow."""
+
+            def __init__(self, fh):
+                super().__init__(fh)
+                self.reads = 0
+                handles.append(self)
+
+            def readinto(self, buffer):
+                if self is handles[0]:
+                    assert other_reading.wait(timeout=10)
+                    return 0
+                other_reading.set()
+                time.sleep(0.02)
+                self.reads += 1
+                return self.fh.readinto(buffer)
+
+        self._wrap_open(monkeypatch, FirstHandleFails)
+        with pytest.raises(IntegrityError, match="file ends inside parameter"):
+            load_checkpoint(path)
+        reads_when_raised = handles[1].reads
+        time.sleep(0.1)
+        assert len(handles) == 2
+        assert all(h.fh.closed for h in handles)
+        # the second group had read all it would before the error arrived
+        assert handles[1].reads == reads_when_raised > 0
+
+    def test_path_replaced_during_load_reads_the_first_file(self, tmp_path, monkeypatch):
+        model, path, examples = self._trained(tmp_path)
+        newer = tmp_path / "newer.ckpt"
+        other = build_model(examples, seed=40)
+        save_checkpoint(other, newer, epoch=4)
+        monkeypatch.setattr(autodiff, "_use_worker", lambda: True)
+        opens = []
+
+        def open_replaced(file, *args, **kwargs):
+            # every open after the first finds the path replaced by ``newer``
+            opens.append(file)
+            return builtins.open(newer if len(opens) > 1 else file, *args, **kwargs)
+
+        monkeypatch.setattr(training, "open", open_replaced, raising=False)
+        loaded = load_checkpoint(path)
+        assert len(opens) == 2
+        assert loaded.manifest["epoch"] == 3
+        for name, p in loaded.model.parameters().items():
+            np.testing.assert_array_equal(p.data, model.parameters()[name].data)
 
     def test_float64_load_equals_float32_values(self, tmp_path):
         model, path, _ = self._trained(tmp_path)
