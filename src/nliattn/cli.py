@@ -45,7 +45,7 @@ from .errors import (
     UsageError,
 )
 from .model import ModelConfig, NLIModel
-from .training import TrainConfig, load_checkpoint, train
+from .training import TrainConfig, load_checkpoint, remove_standby, train
 
 CONFIG_ENV_VAR = "NLIATTN_CONFIG"
 
@@ -257,6 +257,7 @@ def cmd_train(args) -> int:
             checkpoint_path=run_dir / "best.ckpt",
             log_path=run_dir / "train.log",
         )
+        remove_standby(run_dir / "best.ckpt")  # the run saves no more
         for record in result.epochs:
             print(record.format())
         if result.halted:

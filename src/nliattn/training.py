@@ -13,18 +13,23 @@ straight between the file and each parameter's own array, in both
 directions.  A load reads the parameters in two groups on two threads when
 the library's worker runs, each through its own handle on the file; a save
 writes on one thread, because the file system serialises buffered writes
-to one file, and two writers of disjoint ranges were no faster.
+to one file, and two writers of disjoint ranges were no faster.  A save
+writes into the blocks of the file the previous save to the same path
+replaced, kept beside it as ``<path>.standby``, and swaps the two names
+(``save_checkpoint``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import struct
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -42,8 +47,11 @@ CHECKPOINT_VERSION = 1
 _MANIFEST_KEYS = (
     "version", "config", "vocab", "char_vocab", "vocab_hash", "char_vocab_hash", "parameters",
 )
-# the name of the threads that close a replaced checkpoint file
-_CLOSER_NAME = "nliattn-checkpoint-close"
+# the file the last save to a checkpoint path replaced, kept beside it
+_STANDBY_SUFFIX = ".standby"
+# renameat2's arguments for "relative to the working directory" and "swap"
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2
 
 # elements per block of an RMSProp update: a block's gradient, average,
 # weights and two work rows (1.25 MB at float32) stay in a core's L2 cache
@@ -351,52 +359,107 @@ def _manifest_for(model: NLIModel, epoch, dev_accuracy, seed) -> dict:
 def save_checkpoint(model: NLIModel, path, epoch=None, dev_accuracy=None, seed=None) -> None:
     """Write manifest + float32 parameter blob; the round trip is bit-exact.
 
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so a failed write leaves any previous
-    checkpoint intact and no partial file behind.  On POSIX the file being
-    replaced is held open across the rename, so the rename only drops a
-    name; the last close, where the file system frees the old file's
-    blocks (tens of ms for a paper-size checkpoint), runs on a thread of
-    its own.
+    The new checkpoint is written under ``<path>.standby`` and then takes
+    the name ``path`` in one step, so ``path`` always names a complete
+    checkpoint, and a failed save leaves the previous one in place and no
+    standby behind.
+
+    The standby is the file the previous save replaced.  A save writes into
+    its blocks (opened ``r+b``, then truncated to the new length) and swaps
+    the two names with ``renameat2(RENAME_EXCHANGE)``, so afterwards the
+    standby holds the previous checkpoint.  Such a save neither frees a
+    whole file's blocks nor renames a file over another, which ext4
+    answers by flushing the new file to disk.  A standby that is
+    not a regular file, or that has another hard link, is unlinked and
+    created afresh, so a save never writes through another name.  Where
+    ``path`` is not yet a regular file, or the exchange is missing or
+    refused (``ENOSYS``, ``EINVAL``), the new file is renamed over ``path``
+    and no standby is kept.
+
+    Costs: a second file per checkpoint path, until ``remove_standby``; a
+    reader that holds a checkpoint open across two saves sees it rewritten;
+    and nothing is synced to disk, so after a power loss ``path`` may be
+    torn.
     """
     manifest = _manifest_for(model, epoch, dev_accuracy, seed)
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     path = os.fspath(path)
-    tmp_path = path + ".tmp"
-    replaced = None
+    standby = path + _STANDBY_SUFFIX
+    fh = open(standby, _standby_mode(standby))
     try:
-        with open(tmp_path, "wb") as fh:
+        with fh:
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
             for p in model.parameters().values():
                 # written from the array's own buffer: no bytes copy
                 fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
-        if os.name == "posix":  # elsewhere an open file cannot be replaced
-            with contextlib.suppress(OSError):  # nothing there yet: a plain replace
-                replaced = os.open(path, os.O_RDONLY)
-        os.replace(tmp_path, path)
+            fh.truncate()
+        _swap_in(standby, path)
     except BaseException:
-        if os.path.exists(tmp_path):
-            os.remove(tmp_path)
+        remove_standby(path)
         raise
-    finally:
-        if replaced is not None:
-            _close_in_background(replaced)
 
 
-def _close_in_background(fd: int) -> None:
-    closer = threading.Thread(target=os.close, args=(fd,), name=_CLOSER_NAME)
+def remove_standby(path) -> None:
+    """Delete the standby kept beside the checkpoint at ``path``; for a
+    caller that saves to ``path`` no more."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.fspath(path) + _STANDBY_SUFFIX)
+
+
+def _standby_mode(standby: str) -> str:
+    """``r+b`` when a save may write into ``standby``'s blocks: a regular
+    file with no other name.  Anything else there is unlinked, and ``xb``
+    creates the file afresh."""
     try:
-        closer.start()
-    except RuntimeError:  # no thread to be had: close it here
-        os.close(fd)
+        st = os.lstat(standby)
+    except FileNotFoundError:
+        return "xb"
+    if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+        return "r+b"
+    os.remove(standby)
+    return "xb"
 
 
-def _join_background_closes() -> None:
-    """Wait until every replaced checkpoint file handed off so far is closed."""
-    for thread in threading.enumerate():
-        if thread.name == _CLOSER_NAME:
-            thread.join()
+def _swap_in(standby: str, path: str) -> None:
+    """Give the file at ``standby`` the name ``path``: exchange the two
+    names when ``path`` is a regular file, else rename over ``path``."""
+    try:
+        exchange = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        exchange = False
+    if exchange:
+        try:
+            _exchange(standby, path)
+            return
+        except OSError as exc:
+            if exc.errno not in (errno.ENOSYS, errno.EINVAL):
+                raise
+    os.replace(standby, path)
+
+
+def _exchange(a: str, b: str) -> None:
+    """Swap the files named ``a`` and ``b`` in one step: Linux's
+    ``renameat2(RENAME_EXCHANGE)``, which the os module does not wrap.
+    Raises ``OSError(ENOSYS)`` where the C library has no such call."""
+    renameat2 = _renameat2()
+    if renameat2 is None:
+        raise OSError(errno.ENOSYS, "renameat2 is not available", a)
+    if renameat2(_AT_FDCWD, os.fsencode(a), _AT_FDCWD, os.fsencode(b), _RENAME_EXCHANGE):
+        code = ctypes.get_errno()
+        raise OSError(code, os.strerror(code), a, None, b)
+
+
+@functools.cache
+def _renameat2():
+    """The C library's ``renameat2``, typed, or None where it has none."""
+    try:
+        call = ctypes.CDLL(None, use_errno=True).renameat2
+    except (AttributeError, OSError, TypeError):
+        return None
+    call.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p, ctypes.c_uint)
+    call.restype = ctypes.c_int
+    return call
 
 
 class _Unfilled:

@@ -123,6 +123,24 @@ class TestTrain:
             assert (run_dir / name).exists(), name
         log_lines = (run_dir / "train.log").read_text().strip().splitlines()
         assert len(log_lines) == 2  # one record per epoch
+        assert not list(run_dir.glob("*.standby"))  # the run saves no more
+
+    def test_standby_removed_once_training_returns(self, tmp_path, monkeypatch):
+        standbys = []
+
+        def train_saving_twice(model, *args, checkpoint_path, **kwargs):
+            result = training.train(model, *args, checkpoint_path=checkpoint_path, **kwargs)
+            training.save_checkpoint(model, checkpoint_path, epoch=result.best_epoch)
+            standbys.extend(checkpoint_path.parent.glob("*.standby"))
+            return result
+
+        monkeypatch.setattr(cli, "train", train_saving_twice)
+        config = write_tiny_config(tmp_path, max_epochs=1)
+        assert main(["train", "--config", str(config)]) == 0
+        run_dir = find_run_dir(tmp_path / "runs")
+        assert [p.name for p in standbys] == ["best.ckpt.standby"]
+        assert (run_dir / "best.ckpt").exists()
+        assert not list(run_dir.glob("*.standby"))
 
     def test_snli_mixing(self, tmp_path, capsys):
         from nliattn import synth

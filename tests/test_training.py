@@ -1,4 +1,5 @@
 import builtins
+import ctypes
 import errno
 import json
 import os
@@ -554,33 +555,160 @@ class TestCheckpoint:
         fd_dir = "/proc/self/fd"
         if not os.path.isdir(fd_dir):
             pytest.skip("needs /proc/self/fd to count open descriptors")
-        training._join_background_closes()
         before = len(os.listdir(fd_dir))
         for epoch in range(20):
             save_checkpoint(model, path, epoch=epoch)
-        training._join_background_closes()
-        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.ckpt.standby"]
         assert len(os.listdir(fd_dir)) == before
         assert load_checkpoint(path).manifest["epoch"] == 19
 
     def test_failed_rename_keeps_previous_checkpoint_and_closes(self, tmp_path, monkeypatch):
         model, path, _ = self._trained(tmp_path)
         fd_dir = "/proc/self/fd"
-        training._join_background_closes()
         before = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
 
-        def no_rename(src, dst):
+        def no_exchange(a, b):
             raise OSError(errno.EXDEV, "Invalid cross-device link")
 
         with monkeypatch.context() as patch:
-            patch.setattr(training.os, "replace", no_rename)
+            patch.setattr(training, "_exchange", no_exchange)
             with pytest.raises(OSError):
                 save_checkpoint(model, path, epoch=4)
-        training._join_background_closes()
         assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
         assert load_checkpoint(path).manifest["epoch"] == 3
         if before is not None:
             assert len(os.listdir(fd_dir)) == before
+
+    @staticmethod
+    def _one_shot(model, directory, epoch):
+        """The bytes of a save to a path nothing was saved to before."""
+        directory.mkdir()
+        fresh = directory / "model.ckpt"
+        save_checkpoint(model, fresh, epoch=epoch)
+        assert sorted(os.listdir(directory)) == ["model.ckpt"]
+        return fresh.read_bytes()
+
+    @staticmethod
+    def _shift(model, by):
+        for p in model.parameters().values():
+            p.data[...] += by
+
+    def test_each_save_equals_a_one_shot_write_and_keeps_the_last(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        path.unlink()
+        standby = tmp_path / "model.ckpt.standby"
+        saved = []
+        for k in range(3):
+            self._shift(model, 0.25)
+            save_checkpoint(model, path, epoch=k)
+            saved.append(self._one_shot(model, tmp_path / f"fresh{k}", epoch=k))
+            assert path.read_bytes() == saved[k]
+        assert standby.read_bytes() == saved[1]
+
+    def test_larger_standby_is_truncated(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        previous = path.read_bytes()
+        standby = tmp_path / "model.ckpt.standby"
+        standby.write_bytes(previous + b"\x7f" * 4096)
+        self._shift(model, 0.5)
+        save_checkpoint(model, path, epoch=5)
+        assert path.read_bytes() == self._one_shot(model, tmp_path / "fresh", epoch=5)
+        assert load_checkpoint(path).manifest["epoch"] == 5
+        assert standby.read_bytes() == previous
+
+    def test_hard_linked_standby_is_not_written_through(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        save_checkpoint(model, path, epoch=4)
+        keep = tmp_path / "keep"
+        os.link(tmp_path / "model.ckpt.standby", keep)
+        kept = keep.read_bytes()
+        for epoch in (5, 6):
+            self._shift(model, 0.5)
+            save_checkpoint(model, path, epoch=epoch)
+        assert keep.read_bytes() == kept
+        assert load_checkpoint(path).manifest["epoch"] == 6
+
+    def test_hard_linked_checkpoint_is_not_written_through(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        keep = tmp_path / "keep.ckpt"
+        os.link(path, keep)
+        kept = keep.read_bytes()
+        for epoch in (4, 5):
+            self._shift(model, 0.5)
+            save_checkpoint(model, path, epoch=epoch)
+        assert keep.read_bytes() == kept
+        assert load_checkpoint(keep).manifest["epoch"] == 3
+
+    @pytest.mark.parametrize(
+        "code", [None, errno.ENOSYS, errno.EINVAL], ids=["missing", "ENOSYS", "EINVAL"]
+    )
+    def test_exchange_missing_or_refused_falls_back_to_replace(self, tmp_path, monkeypatch, code):
+        model, path, _ = self._trained(tmp_path)
+        calls = []
+
+        def refused(*args):
+            calls.append(args)
+            ctypes.set_errno(code)
+            return -1
+
+        # None: the C library has no renameat2
+        monkeypatch.setattr(training, "_renameat2", lambda: None if code is None else refused)
+        for epoch in (4, 5):
+            self._shift(model, 0.5)
+            save_checkpoint(model, path, epoch=epoch)
+            assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+        assert path.read_bytes() == self._one_shot(model, tmp_path / "fresh", epoch=5)
+        assert len(calls) == (0 if code is None else 2)
+
+    def test_failed_write_into_the_standby_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, path, _ = self._trained(tmp_path)
+        save_checkpoint(model, path, epoch=4)
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt", "model.ckpt.standby"]
+        saved = {name: p.data.copy() for name, p in model.parameters().items()}
+        modes = []
+
+        class FailsMidBlob(FileWrapper):
+            writes = 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return FailsMidBlob(builtins.open(file, mode, *args, **kwargs))
+
+        self._shift(model, 1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "open", failing_open, raising=False)
+            with pytest.raises(OSError, match="No space"):
+                save_checkpoint(model, path, epoch=5)
+        assert modes == ["r+b"]
+        assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+        loaded = load_checkpoint(path)
+        assert loaded.manifest["epoch"] == 4
+        for name, p in loaded.model.parameters().items():
+            np.testing.assert_array_equal(p.data, saved[name])
+
+    def test_remove_standby_leaves_the_checkpoint(self, tmp_path):
+        model, path, _ = self._trained(tmp_path)
+        save_checkpoint(model, path, epoch=4)
+        for _ in range(2):  # a second call finds nothing to remove
+            training.remove_standby(path)
+            assert sorted(os.listdir(tmp_path)) == ["model.ckpt"]
+        assert load_checkpoint(path).manifest["epoch"] == 4
+
+    def test_save_starts_no_thread(self, tmp_path, monkeypatch):
+        model, path, _ = self._trained(tmp_path)
+        before = threading.active_count()
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        for epoch in (4, 5):
+            save_checkpoint(model, path, epoch=epoch)
+        assert started == []
+        assert threading.active_count() == before
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
