@@ -37,14 +37,16 @@ a few calls at once: the first on the calling thread, the rest on the
 worker, and it takes back any call the worker has not started.  It runs
 the two directions of ``lstm_sequence`` in its forward and backward
 passes, the two row halves of a large forward GEMM in ``affine`` and
-``attention_scores``, and the parameter groups (``_size_groups``) of
-``training.RMSProp.step`` and of ``training.load_checkpoint``'s reads.
+``attention_scores``, the parameter groups (``_size_groups``) of
+``training.RMSProp.step`` and of ``training.load_checkpoint``'s reads,
+and the two halves of a large initial weight's draws (``_uniform``).
 The weight-gradient GEMMs of ``affine`` and ``attention_scores`` go to
 ``_later`` alone: a backward rule hands them back as a ``Future`` while
-the calling thread carries on down the input-gradient chain.  The worker reads and writes numpy arrays only and
-never touches a tape: records are made, and Futures resolved, on the
-calling thread.  Gradients have the same bits either way, and so do
-outputs at float32; at float64 a split GEMM may differ in its last bit.
+the calling thread carries on down the input-gradient chain.  The worker
+reads and writes numpy arrays only and never touches a tape: records are
+made, and Futures resolved, on the calling thread.  Gradients and initial
+weights have the same bits either way, and so do outputs at float32; at
+float64 a split GEMM may differ in its last bit.
 """
 
 from __future__ import annotations
@@ -723,6 +725,66 @@ def _size_groups(sizes: dict[str, int]) -> list[list[str]]:
     return [sorted(group, key=order.get) for group in groups]
 
 
+# An initial weight of at least _UNIFORM_SPLIT_MIN values is drawn in two
+# halves, one on the worker; every array is drawn _UNIFORM_BLOCK values at
+# a time, so the float64 draws stay in cache and no whole-size temporary
+# is made.  A train-paper build took 86 ms with these two (one BLAS
+# thread, 2-vCPU host), 92 with a floor of 2^20 and 118-136 with blocks of
+# 2^12, against 168 ms for whole-size draws on one thread.  Only these bit
+# generators jump ahead by a number of draws and then give the serial
+# stream: Philox's ``advance`` did not reproduce it, and SFC64 and MT19937
+# have no ``advance``.
+_UNIFORM_SPLIT_MIN = 1 << 18
+_UNIFORM_BLOCK = 1 << 16
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _uniform(
+    rng: np.random.Generator | None, low: float, high: float, shape, dtype=None
+) -> np.ndarray:
+    """A new ``dtype`` array (the current one by default) holding
+    ``rng.uniform(low, high, shape)``, with the same values and the same
+    generator state afterwards; an unfilled one when ``rng`` is None.
+
+    With ``_use_worker``, a large array drawn from a PCG64 or PCG64DXSM
+    generator is filled in two halves through ``_split``.  The worker's
+    half draws from a copy of the bit generator advanced past the first
+    half.  Afterwards the caller's generator takes the copy's state, with
+    its own buffered 32-bit half (``has_uint32``, ``uinteger``), which
+    ``advance`` drops and no double draw touches."""
+    out = np.empty(shape, dtype=dtype or _DTYPE)
+    if rng is None:
+        return out
+    flat = out.reshape(-1)
+    bitgen = rng.bit_generator
+    if not (_use_worker() and flat.size >= _UNIFORM_SPLIT_MIN and type(bitgen) in _JUMPABLE):
+        _fill_uniform(rng, low, high, flat)
+        return out
+    half = flat.size // 2
+    state = bitgen.state
+    twin = type(bitgen)(0)  # the seed is overwritten by the next line
+    twin.state = state
+    twin.advance(half)
+    _split(
+        [
+            functools.partial(_fill_uniform, rng, low, high, flat[:half]),
+            functools.partial(_fill_uniform, np.random.Generator(twin), low, high, flat[half:]),
+        ]
+    )
+    after = twin.state
+    after["has_uint32"], after["uinteger"] = state["has_uint32"], state["uinteger"]
+    bitgen.state = after
+    return out
+
+
+def _fill_uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray) -> None:
+    """Fill the 1-D ``out`` with ``rng.uniform(low, high)`` draws, in order,
+    ``_UNIFORM_BLOCK`` at a time."""
+    for start in range(0, out.size, _UNIFORM_BLOCK):
+        block = out[start : start + _UNIFORM_BLOCK]
+        block[...] = rng.uniform(low, high, block.size)
+
+
 def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
     """Forward pass of one LSTM direction over packed rows ``xdata`` [L x d].
 
@@ -920,6 +982,10 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
             np.matmul(dpre.T, hdata, out=dw[:, q:])
             return dw
 
-        return dpre @ w_h, dquery_term @ w_q, _later(fill), g @ u
+        # handed off before this thread's own GEMMs, which it does not need:
+        # the worker is free now, and the context BiLSTM's backward, next
+        # in the walk, queues its second direction behind it
+        dw_later = _later(fill)
+        return dpre @ w_h, dquery_term @ w_q, dw_later, g @ u
 
     return _emit(out, (H, query, w, v), back)

@@ -44,13 +44,14 @@ class PredictionDistribution:
 class MLPParams:
     """Affine stack: hidden widths with ReLU + dropout, then a 3-way projection.
 
-    Weights start uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), biases at zero.
+    Weights start uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)), unfilled when
+    ``rng`` is None; biases at zero.
     """
 
     def __init__(
         self,
         input_dim: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         widths: tuple[int, ...],
         dropout: float,
     ):
@@ -61,7 +62,7 @@ class MLPParams:
         fan_in = input_dim
         for width in (*self.widths, N_CLASSES):
             bound = 1.0 / math.sqrt(fan_in)
-            w = Tensor(rng.uniform(-bound, bound, (width, fan_in)))
+            w = Tensor(ad._uniform(rng, -bound, bound, (width, fan_in)))
             self.layers.append((w, Tensor(np.zeros(width))))
             fan_in = width
 

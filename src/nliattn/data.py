@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, _uniform
 from .errors import ConfigError, DataError
 
 LABELS = ("entailment", "neutral", "contradiction")
@@ -261,7 +261,8 @@ class CharVocabulary(Vocabulary):
 def _init_embedding_matrix(
     vocab: Vocabulary, rng: np.random.Generator, scale: float = EMBEDDING_SCALE
 ) -> np.ndarray:
-    matrix = rng.uniform(-scale, scale, size=(len(vocab), vocab.dim)).astype(np.float32)
+    # float32 in either precision mode, so a float64 model gets the same vectors
+    matrix = _uniform(rng, -scale, scale, (len(vocab), vocab.dim), np.float32)
     matrix[vocab.pad] = 0.0
     return matrix
 

@@ -92,12 +92,12 @@ class LSTMWeights(NamedTuple):
         return {f"{prefix}.{k}": t for k, t in self._asdict().items()}
 
 
-def lstm_weights(input_dim: int, hidden: int, rng: np.random.Generator) -> LSTMWeights:
-    """Matrices uniform(-1/sqrt(h), 1/sqrt(h)); biases zero except the
-    forget-gate slots, which start at 1."""
+def lstm_weights(input_dim: int, hidden: int, rng: np.random.Generator | None) -> LSTMWeights:
+    """Matrices uniform(-1/sqrt(h), 1/sqrt(h)), unfilled when ``rng`` is
+    None; biases zero except the forget-gate slots, which start at 1."""
     bound = 1.0 / math.sqrt(hidden)
-    w_ih = Tensor(rng.uniform(-bound, bound, (4 * hidden, input_dim)))
-    w_hh = Tensor(rng.uniform(-bound, bound, (4 * hidden, hidden)))
+    w_ih = Tensor(ad._uniform(rng, -bound, bound, (4 * hidden, input_dim)))
+    w_hh = Tensor(ad._uniform(rng, -bound, bound, (4 * hidden, hidden)))
     bias = np.zeros(4 * hidden)
     bias[hidden : 2 * hidden] = 1.0
     return LSTMWeights(w_ih, w_hh, Tensor(bias))
@@ -204,14 +204,17 @@ def inner_attention(
 
 
 class Encoder:
-    """Shared sentence encoder: embedding, context BiLSTM, pooling, attention."""
+    """Shared sentence encoder: embedding, context BiLSTM, pooling, attention.
+
+    The trainable weights are drawn from ``rng``, or left unfilled when it
+    is None."""
 
     def __init__(
         self,
         config: EncoderConfig,
         word_embeddings: Tensor,
         n_chars: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ):
         self.config = config
         self.word_embeddings = word_embeddings
@@ -220,7 +223,7 @@ class Encoder:
                 f"embedding width {word_embeddings.shape[1]} != word_dim {config.word_dim}"
             )
         if config.use_chars:
-            char_matrix = rng.uniform(-0.05, 0.05, (n_chars, config.char_dim))
+            char_matrix = ad._uniform(rng, -0.05, 0.05, (n_chars, config.char_dim))
             char_matrix[0] = 0.0  # PAD character row
             self.char_embeddings = Tensor(char_matrix)
             self.char_cell = lstm_weights(config.char_dim, config.char_hidden, rng)
@@ -230,8 +233,8 @@ class Encoder:
         self.forward_cell = lstm_weights(config.input_dim, config.context_hidden, rng)
         self.backward_cell = lstm_weights(config.input_dim, config.context_hidden, rng)
         a = config.attention_dim
-        self.attention_w = Tensor(rng.uniform(-0.005, 0.005, (a, a)))
-        self.attention_v = Tensor(rng.uniform(-0.005, 0.005, a))
+        self.attention_w = Tensor(ad._uniform(rng, -0.005, 0.005, (a, a)))
+        self.attention_v = Tensor(ad._uniform(rng, -0.005, 0.005, a))
 
     def parameters(self) -> dict[str, Tensor]:
         """Every weight under its checkpoint name, in checkpoint order."""

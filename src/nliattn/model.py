@@ -51,7 +51,12 @@ class ModelConfig:
 
 
 class NLIModel:
-    """Inner-attention sentence-pair classifier with tied encoders."""
+    """Inner-attention sentence-pair classifier with tied encoders.
+
+    The trainable weights are drawn from ``rng``.  With ``rng=None`` they
+    are left unfilled, for a caller that overwrites every one, as
+    ``training.load_checkpoint`` does: nothing is drawn or copied.
+    """
 
     def __init__(
         self,
@@ -59,7 +64,7 @@ class NLIModel:
         vocab: Vocabulary,
         char_vocab: CharVocabulary,
         embeddings: Tensor,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ):
         if embeddings.shape != (len(vocab), config.encoder.word_dim):
             raise ConfigError(

@@ -462,14 +462,6 @@ def _renameat2():
     return call
 
 
-class _Unfilled:
-    """Stands in for the generator ``NLIModel`` initialises its parameters
-    from: hands out uninitialised arrays, since a load overwrites every one."""
-
-    def uniform(self, low, high, size):
-        return np.empty(size, dtype=default_dtype())
-
-
 @dataclass
 class LoadedCheckpoint:
     model: NLIModel
@@ -548,7 +540,7 @@ def _model_for(manifest: dict, path) -> NLIModel:
         np.empty((len(saved_vocab), saved_vocab.dim), dtype=default_dtype()),
         requires_grad=False,
     )
-    return NLIModel(config, saved_vocab, saved_chars, embeddings, _Unfilled())
+    return NLIModel(config, saved_vocab, saved_chars, embeddings, rng=None)
 
 
 def _read_manifest(fh, path) -> dict:

@@ -641,6 +641,81 @@ class TestSplit:
                 handed.result(timeout=10)
 
 
+class TestUniform:
+    """``_uniform`` against ``rng.uniform``: the same values, and the same
+    next draws from the generator."""
+
+    SIZES = [
+        1,
+        1000,  # below the split floor
+        ad._UNIFORM_SPLIT_MIN + 1,
+        2 * ad._UNIFORM_SPLIT_MIN + ad._UNIFORM_BLOCK + 7,
+    ]
+    BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937]
+
+    @staticmethod
+    def _split_calls(monkeypatch):
+        """The number of calls of each ``_split`` the test makes."""
+        seen, split = [], ad._split
+
+        def counted(calls):
+            seen.append(len(calls))
+            return split(calls)
+
+        monkeypatch.setattr(ad, "_split", counted)
+        return seen
+
+    @staticmethod
+    def _pair(bit_generator, seed):
+        return [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_values_and_next_draws_equal_rng_uniform(
+        self, worker, monkeypatch, n, bit_generator, dtype
+    ):
+        splits = self._split_calls(monkeypatch)
+        rng, reference = self._pair(bit_generator, n)
+        with ad.precision(dtype):
+            values = ad._uniform(rng, -0.3, 0.7, (n,))
+            expected = ad.Tensor(reference.uniform(-0.3, 0.7, (n,))).data
+        assert values.dtype == expected.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(rng.uniform(size=5), reference.uniform(size=5))
+        halves = worker and n >= ad._UNIFORM_SPLIT_MIN and bit_generator in ad._JUMPABLE
+        assert splits == ([2] if halves else [])
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_buffered_32_bit_half_is_kept(self, worker, bit_generator):
+        rng, reference = self._pair(bit_generator, 11)
+        for generator in (rng, reference):
+            generator.integers(0, 2**32, dtype=np.uint32)  # leaves half of a 64-bit draw
+        n = ad._UNIFORM_SPLIT_MIN + 3
+        np.testing.assert_array_equal(
+            ad._uniform(rng, -1.0, 1.0, n), reference.uniform(-1.0, 1.0, n).astype(np.float32)
+        )
+        assert rng.integers(0, 2**32, dtype=np.uint32) == reference.integers(
+            0, 2**32, dtype=np.uint32
+        )
+        assert rng.random() == reference.random()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_shape_and_a_float32_array_in_float64_mode(self, worker):
+        rng, reference = self._pair(np.random.PCG64, 12)
+        with ad.precision("float64"):
+            values = ad._uniform(rng, -0.05, 0.05, (600, 700), np.float32)
+        assert values.shape == (600, 700) and values.dtype == np.float32
+        np.testing.assert_array_equal(
+            values, reference.uniform(-0.05, 0.05, (600, 700)).astype(np.float32)
+        )
+
+    def test_no_generator_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(ad, "_fill_uniform", None)  # would fail if called
+        values = ad._uniform(None, -1.0, 1.0, (3, 4))
+        assert values.shape == (3, 4) and values.dtype == ad.default_dtype()
+
+
 class TestWorkerRegime:
     def test_blas_thread_count_is_read_and_decides_the_worker(self):
         # a numpy whose bundled OpenBLAS renames its thread-count symbol would

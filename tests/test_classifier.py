@@ -263,7 +263,7 @@ def _large_weights(model, seed):
     rng = np.random.default_rng(seed)
     for p in model.parameters().values():
         if p.requires_grad:
-            p.data[:] = rng.uniform(-0.5, 0.5, p.shape)
+            p.data[:] = ad._uniform(rng, -0.5, 0.5, p.shape)
 
 
 def unrolled_represent(model, batch):

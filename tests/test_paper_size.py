@@ -1,25 +1,36 @@
-"""Paper-size models: the worker's split GEMMs and a checkpoint round trip
-change no bit.
+"""Paper-size models: the worker's split GEMMs and initial draws, the
+optimizer's split step and a checkpoint round trip change no bit.
 
 Every other model-level test runs at tiny dimensions, where no GEMM is
 large enough to split (``autodiff._SPLIT_MIN_WEIGHT``).  Here the context
 BiLSTM, the attention scorer and the 2000-wide MLP split whenever the
-worker runs.  The pairs have the benchmark's sentence lengths, plus one
-pair of two 1-token sentences: alone, its attention GEMM at 300 units per
-direction is [1200 x 600] against 2 columns.
+worker runs, and so do the initial draws of every weight above
+``autodiff._UNIFORM_SPLIT_MIN`` values.  The pairs have the benchmark's
+sentence lengths, plus one pair of two 1-token sentences: alone, its
+attention GEMM at 300 units per direction is [1200 x 600] against 2
+columns.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nliattn import autodiff as ad
-from nliattn.data import CharVocabulary, NLIExample, Vocabulary, make_batches, random_embeddings
+from nliattn.classifier import N_CLASSES
+from nliattn.data import (
+    EMBEDDING_SCALE,
+    CharVocabulary,
+    NLIExample,
+    Vocabulary,
+    make_batches,
+    random_embeddings,
+)
 from nliattn.encoder import EncoderConfig
 from nliattn.model import ModelConfig, NLIModel
-from nliattn.training import load_checkpoint, save_checkpoint
+from nliattn.training import RMSProp, load_checkpoint, save_checkpoint
 
 from test_classifier import _large_weights
 
@@ -38,9 +49,10 @@ def _bench_pairs(seed: int) -> list[NLIExample]:
 
 
 @pytest.fixture(scope="module", params=[(True, 350), (False, 300)], ids=["chars", "words"])
-def paper_model(request):
-    """A paper-size model with weights of unit scale, a batch of the bench
-    pairs and the 1-token pair, and that pair alone."""
+def paper_setup(request):
+    """The config of a workload (chars on at 350 per direction, or off at
+    300), the vocabularies of the bench pairs, the pairs, and the 1-token
+    pair."""
     use_chars, hidden = request.param
     examples = _bench_pairs(seed=3)
     first = examples[0]
@@ -50,7 +62,6 @@ def paper_model(request):
     examples.append(tiny)
     vocab = Vocabulary.from_examples(examples, dim=300)
     chars = CharVocabulary.from_examples(examples, dim=20)
-    rng = np.random.default_rng(4)
     config = ModelConfig(
         encoder=EncoderConfig(
             use_chars=use_chars, word_dim=300, char_dim=20, char_hidden=50, hidden_per_dir=hidden
@@ -58,7 +69,21 @@ def paper_model(request):
         pooling="mean",
         mlp_widths=(2000, 2000, 2000),
     )
-    model = NLIModel(config, vocab, chars, random_embeddings(vocab, rng), rng)
+    return config, vocab, chars, examples, tiny
+
+
+def _built(config, vocab, chars, seed):
+    """A model built as the benchmark builds one, and its generator."""
+    rng = np.random.default_rng(seed)
+    return NLIModel(config, vocab, chars, random_embeddings(vocab, rng), rng), rng
+
+
+@pytest.fixture(scope="module")
+def paper_model(paper_setup):
+    """A paper-size model with weights of unit scale, a batch of the bench
+    pairs and the 1-token pair, and that pair alone."""
+    config, vocab, chars, examples, tiny = paper_setup
+    model, _ = _built(config, vocab, chars, seed=4)
     _large_weights(model, seed=5)
     batch = make_batches(examples, len(examples), "dev", vocab, chars)[0]
     alone = make_batches([tiny], 1, "dev", vocab, chars)[0]
@@ -111,3 +136,125 @@ def test_checkpoint_round_trip_bit_exact(paper_model, tmp_path, worker):
     params = model.parameters()
     for name, p in loaded.model.parameters().items():
         np.testing.assert_array_equal(p.data, params[name].data, err_msg=name)
+
+
+def _replayed(config, vocab, chars, seed):
+    """Every parameter a build from ``default_rng(seed)`` should hold, drawn
+    as whole-size ``rng.uniform`` calls in the order of the constructors,
+    each cast by ``Tensor``; and the generator's state after the last draw."""
+    rng = np.random.default_rng(seed)
+    enc = config.encoder
+    words = rng.uniform(-EMBEDDING_SCALE, EMBEDDING_SCALE, (len(vocab), vocab.dim))
+    words = words.astype(np.float32)
+    words[vocab.pad] = 0.0
+    params = {"word_embeddings": words}
+
+    def uniform(bound, shape):
+        return rng.uniform(-bound, bound, shape)
+
+    def cell(prefix, input_dim, hidden):
+        bound = 1.0 / math.sqrt(hidden)
+        params[f"{prefix}.w_ih"] = uniform(bound, (4 * hidden, input_dim))
+        params[f"{prefix}.w_hh"] = uniform(bound, (4 * hidden, hidden))
+        params[f"{prefix}.bias"] = np.zeros(4 * hidden)
+        params[f"{prefix}.bias"][hidden : 2 * hidden] = 1.0
+
+    if enc.use_chars:
+        params["char_embeddings"] = uniform(0.05, (len(chars), enc.char_dim))
+        params["char_embeddings"][0] = 0.0
+        cell("char_lstm", enc.char_dim, enc.char_hidden)
+    cell("context_forward", enc.input_dim, enc.context_hidden)
+    cell("context_backward", enc.input_dim, enc.context_hidden)
+    params["attention.w"] = uniform(0.005, (enc.attention_dim, enc.attention_dim))
+    params["attention.v"] = uniform(0.005, enc.attention_dim)
+    fan_in = 4 * enc.rep_dim
+    for i, width in enumerate((*config.mlp_widths, N_CLASSES)):
+        params[f"mlp.{i}.w"] = uniform(1.0 / math.sqrt(fan_in), (width, fan_in))
+        params[f"mlp.{i}.b"] = np.zeros(width)
+        fan_in = width
+    return {name: ad.Tensor(p).data for name, p in params.items()}, rng.bit_generator.state
+
+
+@pytest.fixture(scope="module")
+def replayed(paper_setup):
+    """``_replayed`` from seed 8, by dtype: drawn at float64, then cast.
+    ``Tensor`` casts a draw once in either mode, and the word vectors are
+    float32 values in both, so a float32 build holds the cast values."""
+    config, vocab, chars, _, _ = paper_setup
+    with ad.precision("float64"):
+        params, state = _replayed(config, vocab, chars, seed=8)
+    float32 = {name: p.astype(np.float32) for name, p in params.items()}
+    return {np.float64: params, np.float32: float32}, state
+
+
+def _check_build(model, rng, replayed):
+    """The built model holds the replayed values at its dtype, and its
+    generator is where the replay's is."""
+    expected, state = replayed[0][ad.default_dtype()], replayed[1]
+    params = model.parameters()
+    assert list(params) == list(expected)
+    for name, p in params.items():
+        assert p.data.dtype == expected[name].dtype, name
+        assert np.array_equal(p.data, expected[name]), name
+    assert rng.bit_generator.state == state
+
+
+def test_build_draws_the_whole_size_uniform_stream(paper_setup, replayed, worker):
+    _check_build(*_built(*paper_setup[:3], seed=8), replayed)
+
+
+def _after_steps(model, examples, worker: bool):
+    """Every parameter after three RMSProp steps on a dropout-on batch of
+    two pairs, with the worker on or off; the model's own values are put
+    back."""
+    params = model.parameters()
+    saved = {name: p.data.copy() for name, p in params.items()}
+    batch = make_batches(examples[:2], 2, "dev", model.vocab, model.char_vocab)[0]
+    optimizer = RMSProp(params, learning_rate=1e-3)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ad, "_use_worker", lambda: worker)
+            for step in range(3):
+                with ad.Tape() as tape:
+                    loss = model.batch_loss(batch, training=True, rng=np.random.default_rng(step))
+                tape.backward(loss)
+                optimizer.step()
+                optimizer.zero_grads()
+        return {name: p.data.copy() for name, p in params.items()}
+    finally:
+        for name, p in params.items():
+            p.data[...] = saved[name]
+
+
+@pytest.mark.parametrize("paper_setup", [(True, 350)], ids=["chars"], indirect=True)
+def test_rmsprop_steps_bit_identical_with_and_without_the_worker(paper_setup, paper_model):
+    model, examples = paper_model[0], paper_setup[3]
+    serial = _after_steps(model, examples, worker=False)
+    stepped = _after_steps(model, examples, worker=True)
+    assert list(stepped) == list(serial)
+    params = model.parameters()
+    for name, value in stepped.items():
+        assert np.array_equal(value, params[name].data) != params[name].requires_grad, name
+        assert np.array_equal(value, serial[name]), name
+
+
+def test_float64_build_and_logits_with_and_without_the_worker(
+    paper_setup, replayed, monkeypatch
+):
+    config, vocab, chars, examples, _ = paper_setup
+    monkeypatch.setattr(ad, "_use_worker", lambda: True)
+    with ad.precision("float64"):
+        model, rng = _built(config, vocab, chars, seed=8)
+        _check_build(model, rng, replayed)
+        _large_weights(model, seed=10)
+        pairs = [*examples[:4], examples[-1]]  # and the 1-token pair
+        batch = make_batches(pairs, len(pairs), "dev", vocab, chars)[0]
+        logits = {}
+        for on in (True, False):
+            monkeypatch.setattr(ad, "_use_worker", lambda: on)
+            logits[on] = model.batch_logits(batch).data
+    assert logits[True].dtype == np.float64
+    # a split GEMM may differ in its last bit at float64; the logits of
+    # these weights reach thousands, so the bound is relative to the largest
+    gap = np.abs(logits[True] - logits[False]).max()
+    assert gap <= 1e-12 * np.abs(logits[False]).max(), gap
