@@ -22,6 +22,11 @@ leaf.
 Gradient arrays have one ownership rule: the walk never writes into an
 array that a backward rule handed back, and a leaf keeps the array it is
 handed only when that array owns its data and no other leaf holds it.
+The gradient gᵀ·x of a large ``affine`` weight is handed back as its two
+factors (``_Factored``), far smaller than the array for a few batch rows.
+A leaf whose only contribution they are keeps them: its ``.grad`` forms
+the array on first read, and ``training.RMSProp.step`` forms it a row
+block at a time, so a training step holds no such array.
 
 Computation defaults to float32.  A global float64 mode (``precision``)
 exists so gradients can be checked against central finite differences,
@@ -40,13 +45,14 @@ passes, the two row halves of a large forward GEMM in ``affine`` and
 ``attention_scores``, the parameter groups (``_size_groups``) of
 ``training.RMSProp.step`` and of ``training.load_checkpoint``'s reads,
 and the two halves of a large initial weight's draws (``_uniform``).
-The weight-gradient GEMMs of ``affine`` and ``attention_scores`` go to
-``_later`` alone: a backward rule hands them back as a ``Future`` while
-the calling thread carries on down the input-gradient chain.  The worker
-reads and writes numpy arrays only and never touches a tape: records are
-made, and Futures resolved, on the calling thread.  Gradients and initial
-weights have the same bits either way, and so do outputs at float32; at
-float64 a split GEMM may differ in its last bit.
+The weight-gradient GEMMs of ``attention_scores`` and of an ``affine``
+weight whose gradient is not factored go to ``_later`` alone: a backward
+rule hands them back as a ``Future`` while the calling thread carries on
+down the input-gradient chain.  The worker reads and writes numpy arrays
+only and never touches a tape: records are made, and Futures resolved, on
+the calling thread.  Gradients and initial weights have the same bits
+either way, and so do outputs at float32; at float64 a split GEMM may
+differ in its last bit.
 """
 
 from __future__ import annotations
@@ -102,18 +108,32 @@ class Tensor:
     an operation's output needs one when any of its inputs does.
     """
 
+    # _grad: the gradient as stored, an array or a ``_Factored`` one
     # _grad_columns: set by ``concat`` when only some of its blocks need a
     # gradient; the column range those blocks span
-    __slots__ = ("data", "grad", "requires_grad", "_grad_columns")
+    __slots__ = ("data", "_grad", "requires_grad", "_grad_columns")
 
     def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data, dtype=_DTYPE)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.grad = None
+        self._grad = None
         self.requires_grad = requires_grad
         self._grad_columns = None
+
+    @property
+    def grad(self):
+        """The accumulated gradient array, or None.  A weight gradient the
+        walk left as its two factors (``_Factored``) is formed on first
+        read and kept, so every read sees the same array."""
+        if isinstance(self._grad, _Factored):
+            self._grad = self._grad.form()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
 
     @property
     def shape(self):
@@ -167,12 +187,16 @@ class Tape:
     (parameters, tensors made off the tape), which become their ``.grad``.
 
     A backward rule returns one gradient per input: an array, None for
-    none, or a ``Future`` of an array (see ``_later``).  The walk sums
-    contributions out of place, so it never writes into an array that a
-    rule handed back, and resolves a Future wherever it reads one, so
-    gradients are summed in the same order either way.  A leaf keeps the
-    array it is handed when that array owns its data and no other leaf
-    already holds it; otherwise it gets a copy.
+    none, a ``Future`` of an array (see ``_later``), or the two factors of
+    a weight gradient (``_Factored``).  The walk sums contributions out of
+    place, so it never writes into an array that a rule handed back, and
+    turns a Future or factors into their array wherever it reads them or
+    sums them with another contribution, so gradients are summed in the
+    same order either way.  Factors that are a leaf's only contribution
+    stay factors: the leaf's ``.grad`` forms them when read, and
+    ``training.RMSProp.step`` a block at a time.  A leaf keeps the array
+    it is handed when that array owns its data and no other leaf already
+    holds it; otherwise it gets a copy.
     """
 
     def __init__(self):
@@ -220,16 +244,19 @@ class Tape:
         given: set[int] = set()  # ids of the arrays leaves keep uncopied
         for tensor, grad in leaves.items():
             if tensor.grad is not None:
-                tensor.grad = tensor.grad + grad
-            elif isinstance(grad, np.ndarray) and grad.base is None and id(grad) not in given:
+                tensor.grad = tensor.grad + _resolved(grad)
+            elif isinstance(grad, _Factored) or (
+                isinstance(grad, np.ndarray) and grad.base is None and id(grad) not in given
+            ):
                 tensor.grad = grad
                 given.add(id(grad))
             else:
                 tensor.grad = np.array(grad, copy=True)
 
-    def _walk(self, loss: Tensor, pending: list[futures.Future]) -> dict[Tensor, np.ndarray]:
-        """The leaves' gradients, keyed on the leaf.  Appends every Future a
-        rule hands back to ``pending`` before it reads any of them."""
+    def _walk(self, loss: Tensor, pending: list[futures.Future]) -> dict[Tensor, object]:
+        """The leaves' gradients, keyed on the leaf: arrays, or factors
+        that were a leaf's only contribution.  Appends every Future a rule
+        hands back to ``pending`` before it reads any of them."""
         grads: dict[Tensor, object] = {loss: np.ones((), dtype=loss.data.dtype)}
         for out, inputs, backward_rule in reversed(self._records):
             gout = grads.pop(out, None)
@@ -243,12 +270,48 @@ class Tape:
                 if tensor in grads:
                     gin = _resolved(grads[tensor]) + _resolved(gin)
                 grads[tensor] = gin
-        return {tensor: _resolved(grad) for tensor, grad in grads.items()}
+        return {
+            tensor: grad if isinstance(grad, _Factored) else _resolved(grad)
+            for tensor, grad in grads.items()
+        }
 
 
 def _resolved(grad):
-    """A gradient from the scratch space, its Future waited for."""
-    return grad.result() if isinstance(grad, futures.Future) else grad
+    """A gradient from the scratch space as an array: its Future waited
+    for, its factors multiplied out."""
+    if isinstance(grad, futures.Future):
+        return grad.result()
+    return grad.form() if isinstance(grad, _Factored) else grad
+
+
+class _Factored:
+    """A weight gradient gᵀ·x kept as its two factors, the output gradient
+    g [B x d_out] and the input x [B x d_in] of ``affine``: for a few rows
+    B, far smaller than the [d_out x d_in] array.  The factors are read,
+    never written."""
+
+    __slots__ = ("g", "x")
+
+    def __init__(self, g: np.ndarray, x: np.ndarray):
+        self.g, self.x = g, x
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.g.shape[1], self.x.shape[1]
+
+    @property
+    def dtype(self):
+        return np.result_type(self.g, self.x)
+
+    def form(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The gradient array as one GEMM, written into ``out`` when given."""
+        if out is None:
+            out = np.empty(self.shape, dtype=self.dtype)
+        return self.form_rows(0, self.shape[0], out)
+
+    def form_rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows ``lo:hi`` of the gradient, written into ``out`` [hi - lo x d_in]."""
+        return np.matmul(self.g[:, lo:hi].T, self.x, out=out)
 
 
 def _emit(out: Tensor, inputs: tuple, backward: Callable) -> Tensor:
@@ -568,8 +631,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     a row-major result in one pass.  ``w`` is read through a transposed
     view in the backward pass, so no weight copy is made in either
     direction.  A large GEMM is split by weight rows (``_row_blocks``),
-    one block on the worker.  The weight gradient gᵀ·x is deferred
-    (``_later``).
+    one block on the worker.  The weight gradient gᵀ·x of a large weight
+    (``_factors_suffice``) is handed back as its two factors
+    (``_Factored``); any other is deferred (``_later``).
     """
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
@@ -585,10 +649,19 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     np.add(wx.T, b.data, out=out.data)
 
     def back(g):
-        dw = np.empty((g.shape[1], xdata.shape[1]), dtype=np.result_type(g, xdata))
-        return g @ wdata, _later(lambda: np.matmul(g.T, xdata, out=dw)), g.sum(axis=0)
+        dw = _Factored(g, xdata)
+        if not _factors_suffice(wdata, g, xdata):
+            dw = _later(functools.partial(dw.form, np.empty(dw.shape, dw.dtype)))
+        return g @ wdata, dw, g.sum(axis=0)
 
     return _emit(out, (x, w, b), back)
+
+
+def _factors_suffice(w: np.ndarray, g: np.ndarray, x: np.ndarray) -> bool:
+    """Whether the gradient of weight ``w`` is kept as its factors ``g`` and
+    ``x``: the weight is large (``_SPLIT_MIN_WEIGHT``) and its gradient
+    has more elements than the two factors together."""
+    return w.size >= _SPLIT_MIN_WEIGHT and w.size > g.size + x.size
 
 
 def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
@@ -779,10 +852,17 @@ def _uniform(
 
 def _fill_uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray) -> None:
     """Fill the 1-D ``out`` with ``rng.uniform(low, high)`` draws, in order,
-    ``_UNIFORM_BLOCK`` at a time."""
+    ``_UNIFORM_BLOCK`` at a time.  Each block is drawn into one reused
+    float64 row by ``random``, scaled there by ``high - low``, and ``low``
+    is added on the way into ``out``: the arithmetic of ``uniform``, so the
+    same values, without a new array per block."""
+    draws = np.empty(min(out.size, _UNIFORM_BLOCK))
     for start in range(0, out.size, _UNIFORM_BLOCK):
         block = out[start : start + _UNIFORM_BLOCK]
-        block[...] = rng.uniform(low, high, block.size)
+        row = draws[: block.size]
+        rng.random(out=row)
+        row *= high - low
+        np.add(row, low, out=block)
 
 
 def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):

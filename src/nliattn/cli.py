@@ -249,15 +249,17 @@ def cmd_train(args) -> int:
 
         model_rng = np.random.default_rng([config.train.seed, 13])
         model = NLIModel(config.model, vocab, char_vocab, embeddings, model_rng)
-        result = train(
-            model,
-            train_examples,
-            dev_load.examples,
-            config.train,
-            checkpoint_path=run_dir / "best.ckpt",
-            log_path=run_dir / "train.log",
-        )
-        remove_standby(run_dir / "best.ckpt")  # the run saves no more
+        try:
+            result = train(
+                model,
+                train_examples,
+                dev_load.examples,
+                config.train,
+                checkpoint_path=run_dir / "best.ckpt",
+                log_path=run_dir / "train.log",
+            )
+        finally:
+            remove_standby(run_dir / "best.ckpt")  # the run saves no more, even after a failure
         for record in result.epochs:
             print(record.format())
         if result.halted:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _size_groups, _split, default_dtype
+from .autodiff import Tape, Tensor, _Factored, _size_groups, _split, default_dtype
 from .data import CharVocabulary, Vocabulary, make_batches
 from .errors import ConfigError, IntegrityError, InvalidInputError, NumericError
 from .evaluation import evaluate
@@ -53,10 +53,16 @@ _STANDBY_SUFFIX = ".standby"
 _AT_FDCWD = -100
 _RENAME_EXCHANGE = 2
 
-# elements per block of an RMSProp update: a block's gradient, average,
-# weights and two work rows (1.25 MB at float32) stay in a core's L2 cache
-# across the update's nine passes, where whole arrays go to memory each pass
-CHUNK = 1 << 16
+# elements per block of an RMSProp update.  Each ufunc call of a step that
+# runs on two threads releases and retakes the GIL, so fewer, larger calls
+# cost less: with the paper models' factored MLP gradients, a step took
+# 36.7 ms on train-paper and 27.3 on infer-paper at 2^17, against 42.3 and
+# 27.9 at 2^16 (medians of 12 and 16 alternating rounds, one BLAS thread,
+# 2-vCPU Xeon host).  A block's gradient, average, weights and two work
+# rows then take 2.5 MB at float32: unlike at 2^16, more than that host's
+# 2 MB L2 cache per core, so a block no longer stays in L2 across the
+# update's nine passes.
+CHUNK = 1 << 17
 
 
 @dataclass
@@ -97,11 +103,25 @@ class RMSProp:
     it: a parameter's first step stores (1-rho)*g*g straight, which has the
     bits of rho*0 + (1-rho)*g*g, since 0 + t is t for every t >= +0.
 
+    A large ``affine`` weight's gradient may still be its two factors g
+    [B x d_out] and x [B x d_in] (``autodiff._Factored``).  The step then
+    forms gᵀ·x a block of whole rows at a time, into a third work row, and
+    updates that block, so no gradient array is made.  A row block of the
+    GEMM has the bits of the same rows of the whole one, so the result is
+    the one a formed ``.grad`` would give.  The step forms the whole array
+    instead (through ``.grad``) when a row does not fit a work row, the
+    factors have another dtype than the group's work rows, or one may
+    share memory with a trainable parameter, which the step overwrites.
+
     Before anything is written, every gradient is checked with one
     ``dot(g, g)``, which is NaN or infinite whenever an entry is; both
     groups are checked, in the same split, before either is updated.  Only
     a non-finite dot falls back to min and max, because a finite float32
-    entry above about 1.8e19 also squares to infinity.
+    entry above about 1.8e19 also squares to infinity.  Factors are
+    checked first, on the calling thread: finite ones with
+    B·max|g|·max|x| <= max/2 of their dtype give a finite product, since
+    each entry sums B products of at most max|g|·max|x|.  Any other
+    factors are formed into the array and checked as one.
     """
 
     def __init__(
@@ -123,15 +143,19 @@ class RMSProp:
         self._unwritten = set(self._square_avg)
         sizes = {name: s.size for name, s in self._square_avg.items()}
         self._groups = _size_groups(sizes)
+        # two rows for the intermediate terms, one for a block formed from factors
         self._work = [
             np.empty(
-                (2, min(CHUNK, max(map(sizes.get, group), default=0))),
+                (3, min(CHUNK, max(map(sizes.get, group), default=0))),
                 dtype=np.result_type(*(self._square_avg[n] for n in group))
                 if group
                 else default_dtype(),
             )
             for group in self._groups
         ]
+        self._work_of = {
+            name: work for group, work in zip(self._groups, self._work) for name in group
+        }
 
     @property
     def square_avg(self) -> dict[str, np.ndarray]:
@@ -145,12 +169,16 @@ class RMSProp:
     def step(self) -> None:
         """Update every trainable parameter; a non-finite gradient raises
         ``NumericError`` naming its parameter before anything changes."""
-        # a parameter that no gradient reached updates as with a zero one
-        grads = {
-            name: (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1)
-            for name, p in self.params.items()
-            if p.requires_grad
-        }
+        trainable = [p.data for p in self.params.values() if p.requires_grad]
+        grads = {}
+        for name, p in self.params.items():
+            if not p.requires_grad:
+                continue
+            grad = p._grad
+            if isinstance(grad, _Factored) and _blockwise(grad, self._work_of[name], trainable):
+                grads[name] = grad
+            else:  # the array; one that no gradient reached updates as with zeros
+                grads[name] = (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1)
         flagged = _split([functools.partial(_first_nonfinite, g, grads) for g in self._groups])
         for name in grads:
             if name in flagged:
@@ -162,17 +190,15 @@ class RMSProp:
             ]
         )
 
-    def _update(self, names: list[str], grads: dict[str, np.ndarray], work: np.ndarray) -> None:
+    def _update(self, names: list[str], grads: dict[str, object], work: np.ndarray) -> None:
         for name in names:
-            g = grads[name]
             # flat views: parameter data and square_avg are C-contiguous
             s = self._square_avg[name].reshape(-1)
             theta = self.params[name].data.reshape(-1)
             first = name in self._unwritten
-            for lo in range(0, g.size, CHUNK):
-                hi = min(lo + CHUNK, g.size)
-                gc, sc = g[lo:hi], s[lo:hi]
-                term, denom = (w[: hi - lo] for w in work)
+            for lo, hi, gc in _gradient_blocks(grads[name], work[2]):
+                sc = s[lo:hi]
+                term, denom = (w[: hi - lo] for w in work[:2])
                 # the operations of s*rho + (1-rho)*g*g and lr*g / (sqrt(s) + eps),
                 # in that order, so the result is the same to the last bit
                 if first:  # from s = 0: 0*rho + t is t for every t >= +0
@@ -195,10 +221,47 @@ class RMSProp:
             p.grad = None
 
 
-def _first_nonfinite(names: list[str], grads: dict[str, np.ndarray]) -> str | None:
-    """The first of ``names`` whose gradient holds a NaN or an infinity."""
+def _blockwise(grad: _Factored, work: np.ndarray, trainable: list[np.ndarray]) -> bool:
+    """Whether a step may form ``grad`` a row block at a time in ``work``
+    (see ``RMSProp``): the factors are finite, their product is too, a
+    gradient row fits a work row, they have the work rows' dtype, and no
+    parameter the step overwrites shares their memory."""
+    if grad.dtype != work.dtype or grad.shape[1] > work.shape[1]:
+        return False
+    if any(np.may_share_memory(f, data) for f in (grad.g, grad.x) for data in trainable):
+        return False
+    bound = float(grad.g.shape[0])
+    for f in (grad.g, grad.x):
+        bound *= float(np.max(np.abs(f), initial=0.0))
+    # a NaN bound fails the comparison too
+    return bound <= np.finfo(work.dtype).max / 2
+
+
+def _gradient_blocks(grad, row: np.ndarray):
+    """(lo, hi, block) over the flat gradient ``grad``: views of ``CHUNK``
+    elements of an array, or for factors, as many whole rows of gᵀ·x as
+    fit ``row``, formed there."""
+    if isinstance(grad, _Factored):
+        rows, width = grad.shape
+        step = row.size // width
+        for r in range(0, rows, step):
+            end = min(r + step, rows)
+            block = row[: (end - r) * width]
+            grad.form_rows(r, end, block.reshape(end - r, width))
+            yield r * width, end * width, block
+    else:
+        for lo in range(0, grad.size, CHUNK):
+            hi = min(lo + CHUNK, grad.size)
+            yield lo, hi, grad[lo:hi]
+
+
+def _first_nonfinite(names: list[str], grads: dict[str, object]) -> str | None:
+    """The first of ``names`` whose gradient array holds a NaN or an
+    infinity; factors were checked before (``_blockwise``)."""
     for name in names:
         g = grads[name]
+        if isinstance(g, _Factored):
+            continue
         with np.errstate(over="ignore"):  # an overflowing square is told apart below
             squared_norm = np.dot(g, g)
         if not np.isfinite(squared_norm) and not (np.isfinite(g.min()) and np.isfinite(g.max())):

@@ -757,6 +757,89 @@ class TestAffine:
         np.testing.assert_allclose(out.data, expected, rtol=tolerance, atol=tolerance)
 
 
+class TestFactoredGradients:
+    """A large ``affine`` weight gets its gradient as the two factors g and
+    x (``_Factored``) when they are its only contribution; every ``.grad``
+    read has the bits of the gradient formed in the walk."""
+
+    @staticmethod
+    def _tensors(seed, rows=4, d_in=600, d_out=512):  # the weight just above the floor
+        rng = np.random.default_rng(seed)
+        x = ad.Tensor(rng.normal(size=(rows, d_in)))
+        w = ad.Tensor(rng.uniform(-0.05, 0.05, size=(d_out, d_in)))
+        b = ad.Tensor(rng.normal(size=d_out))
+        assert ad._factors_suffice(w.data, np.empty((rows, d_out)), x.data)
+        return rng, x, w, b
+
+    @staticmethod
+    def _grads(build, leaves, preset):
+        """Each leaf's ``.grad`` after one backward, starting from ``preset``
+        (leaf index -> array) or None."""
+        for i, leaf in enumerate(leaves):
+            leaf.grad = preset[i].copy() if i in preset else None
+        with ad.Tape() as tape:
+            loss = build()
+        tape.backward(loss)
+        return [leaf.grad for leaf in leaves]
+
+    def _check(self, build, leaves, preset=()):
+        """The gradients equal those with every weight gradient formed in
+        the walk, as below the floor."""
+        preset = dict(preset)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ad, "_factors_suffice", lambda *args: False)
+            formed = self._grads(build, leaves, preset)
+        for got, ref in zip(self._grads(build, leaves, preset), formed):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sole_contribution_stays_factored_until_read(self, worker, dtype):
+        with ad.precision(dtype):
+            _, x, w, b = self._tensors(50)
+            with ad.Tape() as tape:
+                out = ad.affine(x, w, b)
+                loss = ad.sum_all(ad.tanh(out))
+            tape.backward(loss)
+            assert isinstance(w._grad, ad._Factored)
+            g = 1.0 - np.tanh(out.data) ** 2
+            expected = np.matmul(g.T, x.data)
+            assert w.grad is w.grad  # formed once, on the first read
+            assert w.grad.dtype == dtype and np.array_equal(w.grad, expected)
+
+    def test_weight_used_twice_in_one_tape(self, worker):
+        rng, x, w, b = self._tensors(51)
+        x2 = ad.Tensor(rng.normal(size=x.shape))
+
+        def build():
+            return ad.add(ad.sum_all(ad.tanh(ad.affine(x, w, b))), ad.sum_all(ad.affine(x2, w, b)))
+
+        self._check(build, [x, w, b, x2])
+        assert isinstance(w._grad, np.ndarray)  # the two contributions were summed
+
+    def test_added_onto_an_existing_grad(self, worker):
+        rng, x, w, b = self._tensors(52)
+        earlier = rng.normal(size=w.shape).astype(np.float32)
+        self._check(lambda: ad.sum_all(ad.tanh(ad.affine(x, w, b))), [x, w, b], {1: earlier})
+
+    def test_flowing_into_a_non_leaf(self, worker):
+        _, x, raw, b = self._tensors(53)
+
+        def build():  # the weight is tanh(raw), not a leaf
+            return ad.sum_all(ad.tanh(ad.affine(x, ad.tanh(raw), b)))
+
+        self._check(build, [x, raw, b])
+
+    def test_small_or_wide_batch_weight_is_formed_in_the_walk(self):
+        rng = np.random.default_rng(54)
+        for rows, d_out in ((4, 400), (600, 512)):  # below the floor; factors larger
+            x = ad.Tensor(rng.normal(size=(rows, 600)))
+            w = ad.Tensor(rng.normal(size=(d_out, 600)))
+            with ad.Tape() as tape:
+                loss = ad.sum_all(ad.affine(x, w, ad.Tensor(np.zeros(d_out))))
+            tape.backward(loss)
+            assert isinstance(w._grad, np.ndarray), (rows, d_out)
+
+
 class TestLstmSequenceDirections:
     """The two-direction op against two one-direction calls side by side."""
 

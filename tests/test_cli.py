@@ -11,6 +11,7 @@ from nliattn import autodiff as ad
 from nliattn import cli, evaluation, gradcheck, training
 from nliattn.cli import CONFIG_ENV_VAR, main
 from nliattn.data import load_dataset
+from nliattn.errors import InvalidInputError
 from nliattn.encoder import EncoderConfig
 from nliattn.model import ModelConfig, NLIModel
 from nliattn.training import TrainConfig
@@ -139,6 +140,25 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 0
         run_dir = find_run_dir(tmp_path / "runs")
         assert [p.name for p in standbys] == ["best.ckpt.standby"]
+        assert (run_dir / "best.ckpt").exists()
+        assert not list(run_dir.glob("*.standby"))
+
+    def test_standby_removed_when_training_raises(self, tmp_path, monkeypatch):
+        # dev accuracy rises in epochs 1 and 2, so each saves; epoch 3 raises
+        accuracies = iter([0.25, 0.5])
+
+        def dev_accuracy(*args):
+            accuracy = next(accuracies, None)
+            if accuracy is None:
+                raise InvalidInputError("dev set unreadable in epoch 3")
+            return accuracy
+
+        monkeypatch.setattr(training, "_dev_accuracy", dev_accuracy)
+        config = write_tiny_config(tmp_path, max_epochs=3)
+        assert main(["train", "--config", str(config)]) == 2
+        run_dir = find_run_dir(tmp_path / "runs")
+        payload = json.loads((run_dir / "error.json").read_text())
+        assert payload["error"] == "InvalidInputError"
         assert (run_dir / "best.ckpt").exists()
         assert not list(run_dir.glob("*.standby"))
 

@@ -1,5 +1,6 @@
 """Paper-size models: the worker's split GEMMs and initial draws, the
-optimizer's split step and a checkpoint round trip change no bit.
+optimizer's split step and a checkpoint round trip change no bit; a pair's
+prediction depends neither on its place in a batch nor on the code path.
 
 Every other model-level test runs at tiny dimensions, where no GEMM is
 large enough to split (``autodiff._SPLIT_MIN_WEIGHT``).  Here the context
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 from nliattn import autodiff as ad
-from nliattn.classifier import N_CLASSES
+from nliattn import evaluation
+from nliattn.classifier import N_CLASSES, aggregate, classify, softmax
 from nliattn.data import (
     EMBEDDING_SCALE,
     CharVocabulary,
@@ -258,3 +260,72 @@ def test_float64_build_and_logits_with_and_without_the_worker(
     # these weights reach thousands, so the bound is relative to the largest
     gap = np.abs(logits[True] - logits[False]).max()
     assert gap <= 1e-12 * np.abs(logits[False]).max(), gap
+
+
+@pytest.fixture(scope="module")
+def float64_model(paper_setup):
+    """A float64 paper-size model with weights of unit scale, and four bench
+    pairs with the 1-token pair."""
+    config, vocab, chars, examples, _ = paper_setup
+    with ad.precision("float64"):
+        model, _ = _built(config, vocab, chars, seed=11)
+        _large_weights(model, seed=12)
+    return model, [*examples[:4], examples[-1]]
+
+
+def test_float64_pair_alone_matches_its_row_at_every_position(float64_model):
+    model, pairs = float64_model
+    vocab, chars = model.vocab, model.char_vocab
+    with ad.precision("float64"):
+        alone = {
+            ex.pair_id: model.batch_logits(make_batches([ex], 1, "dev", vocab, chars)[0]).data[0]
+            for ex in pairs
+        }
+        for shift in range(len(pairs)):  # every pair at every position once
+            batch = make_batches(pairs[shift:] + pairs[:shift], len(pairs), "dev", vocab, chars)[0]
+            for pair_id, row in zip(batch.pair_ids, model.batch_logits(batch).data):
+                gap = np.abs(row - alone[pair_id]).max()
+                assert gap <= 1e-6, (pair_id, shift, gap)
+
+
+def _exported_distributions(model, path) -> np.ndarray:
+    """The class distributions of the representations an export wrote,
+    pair by pair in file order, through the model's own MLP."""
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    vectors = np.array([[float(v) for v in row[2:]] for row in rows])
+    assert [row[1] for row in rows] == ["premise", "hypothesis"] * (len(rows) // 2)
+    r = aggregate(ad.Tensor(vectors[0::2]), ad.Tensor(vectors[1::2]))
+    return softmax(classify(r, model.mlp).data)
+
+
+def test_predict_eval_export_and_ensemble_give_one_distribution(
+    float64_model, tmp_path, monkeypatch
+):
+    model, pairs = float64_model
+    reported = []  # the probabilities each report is made from
+    report = evaluation._report
+    monkeypatch.setattr(
+        evaluation, "_report", lambda probs, *args: reported.append(probs) or report(probs, *args)
+    )
+    # the output layer scaled down: logits of a few units, where the
+    # distributions are far from one-hot and show any gap between the paths
+    w, b = model.mlp.layers[-1]
+    saved = w.data.copy(), b.data.copy()
+    w.data *= 1e-3
+    b.data *= 1e-3
+    try:
+        with ad.precision("float64"):
+            predicted = np.array(
+                [model.predict_tokens(ex.premise_tokens, ex.hypothesis_tokens).probs for ex in pairs]
+            )
+            evaluation.evaluate(model, pairs, batch_size=len(pairs))
+            evaluation.ensemble_reports([model, model], pairs, batch_size=len(pairs))
+            evaluation.export_representations(model, pairs, tmp_path / "reps.tsv")
+            exported = _exported_distributions(model, tmp_path / "reps.tsv")
+    finally:
+        w.data[...], b.data[...] = saved
+    evaluated, *members, ensembled = reported
+    assert predicted.min() > 1e-3  # no distribution is near one-hot
+    np.testing.assert_array_equal(ensembled, evaluated)  # the members agree: no averaging
+    for probs in (evaluated, *members, exported):
+        np.testing.assert_allclose(probs, predicted, rtol=0, atol=1e-6)

@@ -205,6 +205,144 @@ class TestRMSProp:
         assert after < before
 
 
+class TestFactoredStep:
+    """``RMSProp.step`` on a large weight whose gradient is still its two
+    factors (``autodiff._Factored``): the update forms gᵀ·x a row block at
+    a time, with the bits of an update from the formed ``.grad``."""
+
+    @staticmethod
+    def _model(seed):
+        """A two-layer MLP whose first weight, [512 x 600], gets factors."""
+        rng = np.random.default_rng(seed)
+        params = {
+            "w1": Tensor(rng.uniform(-0.05, 0.05, size=(512, 600))),
+            "b1": Tensor(np.zeros(512)),
+            "w2": Tensor(rng.uniform(-0.05, 0.05, size=(3, 512))),
+            "b2": Tensor(np.zeros(3)),
+        }
+        x = Tensor(rng.normal(size=(8, 600)), requires_grad=False)
+        labels = rng.integers(0, 3, size=8)
+
+        def loss():
+            hidden = autodiff.relu(autodiff.affine(x, params["w1"], params["b1"]))
+            return autodiff.cross_entropy_from_logits(
+                autodiff.affine(hidden, params["w2"], params["b2"]), labels
+            )
+
+        return params, loss
+
+    @staticmethod
+    def _backward(loss):
+        with autodiff.Tape() as tape:
+            value = loss()
+        tape.backward(value)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_twenty_steps_bit_identical_to_the_formed_gradient(self, worker, dtype):
+        with precision(dtype):
+            (factored, loss), (formed, formed_loss) = self._model(60), self._model(60)
+            opt, formed_opt = RMSProp(factored, 1e-3), RMSProp(formed, 1e-3)
+            for _ in range(20):
+                self._backward(loss)
+                self._backward(formed_loss)
+                assert isinstance(factored["w1"]._grad, autodiff._Factored)
+                for p in formed.values():
+                    p.grad  # forms the array: the step takes it as any other
+                opt.step()
+                formed_opt.step()
+                opt.zero_grads()
+                formed_opt.zero_grads()
+        for name, p in factored.items():
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, formed[name].data), name
+            assert np.array_equal(opt.square_avg[name], formed_opt.square_avg[name]), name
+
+    @pytest.mark.parametrize("d_in", [1400, 2000, 2400, 2800])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_blocks_match_the_whole_gemm(self, d_in, dtype):
+        rng = np.random.default_rng(d_in)
+        row = np.empty(CHUNK, dtype=dtype)
+        for rows in (1, 2, 8, 32):
+            g = rng.normal(size=(rows, 2000)).astype(dtype)
+            x = rng.normal(size=(rows, d_in)).astype(dtype)
+            grad = autodiff._Factored(g, x)
+            blocks = [block.copy() for _, _, block in training._gradient_blocks(grad, row)]
+            assert len(blocks) > 1
+            assert np.array_equal(np.concatenate(blocks), grad.form().reshape(-1)), rows
+
+    def _two_params(self, g, x):
+        """A small parameter with a finite gradient and a [512 x 600] one
+        whose gradient is the factors g and x, after one good step."""
+        rng = np.random.default_rng(61)
+        params = {"bias": Tensor(np.ones(4)), "w": Tensor(rng.normal(size=(512, 600)))}
+        opt = RMSProp(params, learning_rate=1e-3)
+        params["bias"].grad = np.ones(4, dtype=np.float32)
+        params["w"].grad = autodiff._Factored(
+            rng.normal(size=g.shape).astype(g.dtype), rng.normal(size=x.shape).astype(x.dtype)
+        )
+        opt.step()
+        params["w"].grad = autodiff._Factored(g, x)
+        return params, opt
+
+    @pytest.mark.parametrize(
+        "bad", [("g", np.nan), ("g", np.inf), ("g", -np.inf), ("x", np.nan), ("x", np.inf),
+                ("x", -np.inf), ("both", 1e20)],
+    )
+    def test_bad_factors_name_the_weight_and_change_nothing(self, worker, bad):
+        rng = np.random.default_rng(62)
+        factors = {"g": rng.normal(size=(8, 512)), "x": rng.normal(size=(8, 600))}
+        factors = {k: v.astype(np.float32) for k, v in factors.items()}
+        which, value = bad
+        for name in ("g", "x") if which == "both" else (which,):
+            # "both": finite factors, one product of 1e40, past float32's max
+            factors[name][3, 7] = value
+        params, opt = self._two_params(factors["g"], factors["x"])
+        before = {name: p.data.copy() for name, p in params.items()}
+        averages = {name: s.copy() for name, s in opt.square_avg.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="'w'"):
+                opt.step()
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name])
+            np.testing.assert_array_equal(opt.square_avg[name], averages[name])
+
+    def test_factors_past_the_bound_with_a_finite_product_step_as_the_array(self, worker):
+        # B·max|g|·max|x| overflows, but the large entries sit in different
+        # rows b, so no product does: the step forms the array and goes on
+        with precision("float64"):
+            rng = np.random.default_rng(63)
+            g, x = rng.normal(size=(8, 512)), rng.normal(size=(8, 600))
+            g[0, 5] = x[1, 9] = 1e200
+            steps = []
+            for form in (False, True):
+                params, opt = self._two_params(g, x)
+                if form:
+                    params["w"].grad  # forms the array
+                with np.errstate(over="ignore"):
+                    opt.step()
+                assert isinstance(params["w"]._grad, np.ndarray)
+                steps.append((params["w"].data.copy(), opt.square_avg["w"]))
+        assert np.isfinite(steps[0][0]).all()
+        for got, ref in zip(*steps):
+            assert np.array_equal(got, ref)
+
+    def test_factor_sharing_a_parameter_is_formed_before_the_update(self, worker):
+        # x is itself trained: a block formed after x's update would differ
+        results = []
+        for form in (False, True):
+            rng = np.random.default_rng(64)
+            x = Tensor(rng.normal(size=(8, 600)))
+            w = Tensor(rng.normal(size=(512, 600)))
+            opt = RMSProp({"x": x, "w": w}, learning_rate=1e-2)
+            self._backward(lambda: autodiff.sum_all(autodiff.affine(x, w, Tensor(np.zeros(512)))))
+            assert isinstance(w._grad, autodiff._Factored)
+            if form:
+                w.grad  # forms the array
+            opt.step()
+            results.append(w.data)
+        assert np.array_equal(*results)
+
+
 class TestTrainLoop:
     def test_equal_seeds_reproduce_epoch_one_loss(self):
         examples = synth.synthetic_examples(12, seed=5)
