@@ -37,22 +37,20 @@ own stack of entered tapes, so an operation records on the innermost tape
 of the thread that runs it.  Independent models (own tapes, own
 parameters) may run in parallel; frozen tensors may be shared read-only.
 ``precision`` is process-wide.  The library starts one thread of its own,
-the worker, and hands it work through ``_later`` only.  ``_split`` runs
+the worker, and hands it work through ``_split`` only.  ``_split`` runs
 a few calls at once: the first on the calling thread, the rest on the
-worker, and it takes back any call the worker has not started.  It runs
-the two directions of ``lstm_sequence`` in its forward and backward
-passes, the two row halves of a large forward GEMM in ``affine`` and
-``attention_scores``, the parameter groups (``_size_groups``) of
-``training.RMSProp.step`` and of ``training.load_checkpoint``'s reads,
-and the two halves of a large initial weight's draws (``_uniform``).
-The weight-gradient GEMMs of ``attention_scores`` and of an ``affine``
-weight whose gradient is not factored go to ``_later`` alone: a backward
-rule hands them back as a ``Future`` while the calling thread carries on
-down the input-gradient chain.  The worker reads and writes numpy arrays
-only and never touches a tape: records are made, and Futures resolved, on
-the calling thread.  Gradients and initial weights have the same bits
-either way, and so do outputs at float32; at float64 a split GEMM may
-differ in its last bit.
+worker, and it takes back any call the worker has not started; it
+returns once every call is done.  It runs the two directions of
+``lstm_sequence`` in its forward and backward passes, the two row halves
+of a large forward GEMM in ``affine`` and ``attention_scores``, the
+``dW`` fill of ``attention_scores`` beside its input gradients, the
+parameter groups (``_size_groups``) of ``training.RMSProp.step`` and of
+``training.load_checkpoint``'s reads, and the two halves of a large
+initial weight's draws (``_uniform``).  The worker reads and writes numpy
+arrays only and never touches a tape: records are made on the calling
+thread, and every backward rule hands back arrays.  Gradients and initial
+weights have the same bits either way, and so do outputs at float32; at
+float64 a split GEMM may differ in its last bit.
 """
 
 from __future__ import annotations
@@ -187,16 +185,16 @@ class Tape:
     (parameters, tensors made off the tape), which become their ``.grad``.
 
     A backward rule returns one gradient per input: an array, None for
-    none, a ``Future`` of an array (see ``_later``), or the two factors of
-    a weight gradient (``_Factored``).  The walk sums contributions out of
-    place, so it never writes into an array that a rule handed back, and
-    turns a Future or factors into their array wherever it reads them or
-    sums them with another contribution, so gradients are summed in the
-    same order either way.  Factors that are a leaf's only contribution
-    stay factors: the leaf's ``.grad`` forms them when read, and
-    ``training.RMSProp.step`` a block at a time.  A leaf keeps the array
-    it is handed when that array owns its data and no other leaf already
-    holds it; otherwise it gets a copy.
+    none, or the two factors of a weight gradient (``_Factored``).  A rule
+    that hands work to the worker (``_split``) has it back before it
+    returns.  The walk sums contributions out of place, so it never writes
+    into an array that a rule handed back, and forms factors into their
+    array wherever it reads them or sums them with another contribution,
+    so gradients are summed in the same order either way.  Factors that
+    are a leaf's only contribution stay factors: the leaf's ``.grad``
+    forms them when read, and ``training.RMSProp.step`` a block at a
+    time.  A leaf keeps the array it is handed when that array owns its
+    data and no other leaf already holds it; otherwise it gets a copy.
     """
 
     def __init__(self):
@@ -233,16 +231,8 @@ class Tape:
         if not any(out is loss for out, _, _ in self._records):
             raise UsageError("loss was not produced on this tape")
         self._consumed = True
-
-        pending: list[futures.Future] = []  # every Future a rule handed back
-        try:
-            leaves = self._walk(loss, pending)
-        except BaseException:
-            # let no deferred GEMM run on past the failed walk
-            futures.wait(pending)
-            raise
         given: set[int] = set()  # ids of the arrays leaves keep uncopied
-        for tensor, grad in leaves.items():
+        for tensor, grad in self._walk(loss).items():
             if tensor.grad is not None:
                 tensor.grad = tensor.grad + _resolved(grad)
             elif isinstance(grad, _Factored) or (
@@ -253,10 +243,9 @@ class Tape:
             else:
                 tensor.grad = np.array(grad, copy=True)
 
-    def _walk(self, loss: Tensor, pending: list[futures.Future]) -> dict[Tensor, object]:
+    def _walk(self, loss: Tensor) -> dict[Tensor, object]:
         """The leaves' gradients, keyed on the leaf: arrays, or factors
-        that were a leaf's only contribution.  Appends every Future a rule
-        hands back to ``pending`` before it reads any of them."""
+        that were a leaf's only contribution."""
         grads: dict[Tensor, object] = {loss: np.ones((), dtype=loss.data.dtype)}
         for out, inputs, backward_rule in reversed(self._records):
             gout = grads.pop(out, None)
@@ -265,22 +254,15 @@ class Tape:
             for tensor, gin in zip(inputs, backward_rule(_resolved(gout))):
                 if gin is None or not tensor.requires_grad:
                     continue
-                if isinstance(gin, futures.Future):
-                    pending.append(gin)
                 if tensor in grads:
                     gin = _resolved(grads[tensor]) + _resolved(gin)
                 grads[tensor] = gin
-        return {
-            tensor: grad if isinstance(grad, _Factored) else _resolved(grad)
-            for tensor, grad in grads.items()
-        }
+        return grads
 
 
 def _resolved(grad):
-    """A gradient from the scratch space as an array: its Future waited
-    for, its factors multiplied out."""
-    if isinstance(grad, futures.Future):
-        return grad.result()
+    """A gradient from the scratch space as an array: its factors
+    multiplied out."""
     return grad.form() if isinstance(grad, _Factored) else grad
 
 
@@ -633,7 +615,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     direction.  A large GEMM is split by weight rows (``_row_blocks``),
     one block on the worker.  The weight gradient gᵀ·x of a large weight
     (``_factors_suffice``) is handed back as its two factors
-    (``_Factored``); any other is deferred (``_later``).
+    (``_Factored``); any other is formed in the rule, one GEMM.
     """
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
@@ -650,9 +632,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         dw = _Factored(g, xdata)
-        if not _factors_suffice(wdata, g, xdata):
-            dw = _later(functools.partial(dw.form, np.empty(dw.shape, dw.dtype)))
-        return g @ wdata, dw, g.sum(axis=0)
+        return g @ wdata, dw if _factors_suffice(wdata, g, xdata) else dw.form(), g.sum(axis=0)
 
     return _emit(out, (x, w, b), back)
 
@@ -682,8 +662,7 @@ def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
     return starts[seq] + pos, sizes, offsets
 
 
-# The worker, which runs the second half of a split (``_split``) and the
-# deferred weight gradients
+# The worker, which runs the second half of a split (``_split``)
 
 
 @functools.cache
@@ -693,11 +672,14 @@ def _use_worker() -> bool:
     threads that each run a multi-threaded BLAS fight over the same cores
     and are slower side by side than in turn, so everything runs on the
     calling thread then, and when the thread count cannot be read."""
+    return _usable_cpus() >= 2 and _blas_threads() == 1
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return cpus >= 2 and _blas_threads() == 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _blas_threads() -> int | None:
@@ -730,38 +712,33 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_worker)
 
 
-def _later(fill: Callable[[], object]):
-    """``fill()``, or a Future of it from the worker when ``_use_worker``
-    holds.  The fill runs in a copy of the caller's context, so numpy's
-    error state (``np.errstate``) holds on the worker too.  A fill that
-    writes into an array should get that array made on the calling
-    thread: one the worker's own malloc arena made would go back to the
-    system when freed, and the calling thread's next passes would fault
-    its pages in again."""
-    if not _use_worker():
-        return fill()
-    return _worker.submit(contextvars.copy_context().run, fill)
-
-
 def _split(calls: Sequence[Callable[[], object]]) -> list:
-    """Results of zero-argument calls, in order.  The first runs on the
-    calling thread and the rest go through ``_later``.  When the calling
-    thread is done, it takes back every call the worker has not started
-    and runs it itself, so a split never waits behind work queued before
-    it.  An exception reaches the caller only once none of the calls is
-    still running."""
+    """Results of zero-argument calls, in order, once every call is done.
+
+    Without ``_use_worker`` the calls run in turn on the calling thread.
+    With it, the first runs on the calling thread and the rest go to the
+    worker, each in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) holds there too.  When the calling thread is
+    done, it takes back every call the worker has not started and runs it
+    itself, so a split never waits behind work queued before it, such as
+    a split of an independent model on another thread.  An exception
+    reaches the caller only once none of the calls is still running.  A
+    call that writes into an array should get that array made on the
+    calling thread: one the worker's own malloc arena made would go back
+    to the system when freed, and the calling thread's next passes would
+    fault its pages in again."""
+    if not _use_worker():
+        return [call() for call in calls]
     first, *rest = calls
-    handed = [_later(call) for call in rest]
+    handed = [_worker.submit(contextvars.copy_context().run, call) for call in rest]
     try:
         results = [first()]
-        for call, result in zip(rest, handed):
-            if isinstance(result, futures.Future) and result.cancel():
-                result = call()  # the worker had not started it
-            results.append(result)
+        for call, future in zip(rest, handed):
+            results.append(call() if future.cancel() else future)  # take back an unstarted call
     finally:
         # after a failure, cancel what has not started and wait for the rest
-        futures.wait([f for f in handed if isinstance(f, futures.Future) and not f.cancel()])
-    return [_resolved(result) for result in results]
+        futures.wait([f for f in handed if not f.cancel()])
+    return [r.result() if isinstance(r, futures.Future) else r for r in results]
 
 
 # A weight GEMM is split in two by weight rows when both hold: the weight
@@ -1022,8 +999,9 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
     all L rows, neither copying a weight block.  A large H·w_hᵀ is split
     by the rows of w_h (``_row_blocks``), and each block adds its columns
     of the query term and applies tanh, one block on the worker.  The
-    backward pass forms the gradient of ``w`` once per batch, deferred
-    (``_later``).
+    backward pass forms the gradient of ``w`` once per batch, on the
+    worker, while the calling thread forms the input gradients
+    (``_split``).
     """
     lengths, starts = _segments(lengths, H.shape[0], "attention_scores")
     q = query.shape[-1]
@@ -1062,10 +1040,9 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
             np.matmul(dpre.T, hdata, out=dw[:, q:])
             return dw
 
-        # handed off before this thread's own GEMMs, which it does not need:
-        # the worker is free now, and the context BiLSTM's backward, next
-        # in the walk, queues its second direction behind it
-        dw_later = _later(fill)
-        return dpre @ w_h, dquery_term @ w_q, dw_later, g @ u
+        # g @ u too runs beside the fill: after the join, a train-paper
+        # backward took 152.7 against 148.3 ms (medians, one BLAS thread)
+        (dh, dq, dv), dw = _split([lambda: (dpre @ w_h, dquery_term @ w_q, g @ u), fill])
+        return dh, dq, dw, dv
 
     return _emit(out, (H, query, w, v), back)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import evaluation, gradcheck
 from .data import (
     EMBEDDING_SCALE,
@@ -198,6 +199,11 @@ def _run_dir(config: RunConfig, command: str):
     run_dir = make_run_dir(config)
     print(f"run directory: {run_dir}")
     print(f"effective seed: {config.train.seed}")
+    blas = ad._blas_threads()
+    print(
+        f"worker: {'on' if ad._use_worker() else 'off'}, usable CPUs: {ad._usable_cpus()}, "
+        f"BLAS threads per call: {'unknown' if blas is None else blas}"
+    )
     try:
         yield run_dir
     except Exception as exc:

@@ -291,7 +291,9 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
     File rows are copied verbatim; vocabulary tokens absent from the file
     (UNK and NUM included) keep their uniform(-EMBEDDING_SCALE,
     EMBEDDING_SCALE) initialization; the PAD row stays zero.  Malformed
-    lines are skipped and counted; a file whose vector width disagrees
+    lines, and lines with a value that is not finite at float32 (nan, inf,
+    or past its range, such as 1e39), are skipped and counted; their
+    tokens keep their initialization.  A file whose vector width disagrees
     with the vocabulary dimension is rejected.  A first line of exactly two
     integers is the ``count dim`` header of the word2vec and fastText
     ``.vec`` format, whose vector lines end with a space: trailing
@@ -328,8 +330,11 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
             if token not in vocab or token == PAD_TOKEN:
                 continue
             try:
-                vector = np.array([float(v) for v in parts[1:]], dtype=np.float32)
+                with np.errstate(over="ignore"):  # a value past float32's range is inf
+                    vector = np.array([float(v) for v in parts[1:]], dtype=np.float32)
             except ValueError:
+                vector = None
+            if vector is None or not np.isfinite(vector).all():
                 skipped += 1
                 continue
             matrix[vocab.lookup(token)] = vector

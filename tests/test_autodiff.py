@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import weakref
-from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -445,7 +444,7 @@ class TestRequiresGrad:
 
 
 class TestDeferredGradients:
-    """Weight gradients handed back as Futures of the worker."""
+    """Weight gradients formed on the worker, and failures there."""
 
     @staticmethod
     def _grads(build, leaves, concurrent, monkeypatch):
@@ -456,19 +455,6 @@ class TestDeferredGradients:
             loss = build()
         tape.backward(loss)
         return [leaf.grad for leaf in leaves]
-
-    def test_affine_and_attention_defer_on_the_worker(self, monkeypatch):
-        monkeypatch.setattr(ad, "_use_worker", lambda: True)
-        rng = np.random.default_rng(44)
-        x, w, b = (ad.Tensor(rng.normal(size=s)) for s in ((4, 3), (5, 3), (5,)))
-        H, q = ad.Tensor(rng.normal(size=(5, 2))), ad.Tensor(rng.normal(size=(2, 3)))
-        wa, va = ad.Tensor(rng.normal(size=(4, 5))), ad.Tensor(rng.normal(size=4))
-        with ad.Tape() as tape:
-            ad.affine(x, w, b)
-            ad.attention_scores(H, [2, 3], q, wa, va)
-        (out, _, affine_rule), (scores, _, attention_rule) = tape._records
-        assert isinstance(affine_rule(np.ones(out.shape, np.float32))[1], futures.Future)
-        assert isinstance(attention_rule(np.ones(scores.shape, np.float32))[2], futures.Future)
 
     def test_deferred_weight_of_an_op_output_gets_its_gradient(self, monkeypatch):
         rng = np.random.default_rng(45)
@@ -492,9 +478,12 @@ class TestDeferredGradients:
         def boom():
             raise FloatingPointError("deferred GEMM failed")
 
+        def ok():
+            return np.ones(3)
+
         with ad.Tape() as tape:
             y = ad._emit(
-                ad.Tensor(2.0 * theta.data), (theta,), lambda g: (ad._later(boom),)
+                ad.Tensor(2.0 * theta.data), (theta,), lambda g: (ad._split([ok, boom])[1],)
             )
             loss = ad.sum_all(y)
         with pytest.raises(FloatingPointError, match="deferred GEMM failed"):
@@ -502,33 +491,6 @@ class TestDeferredGradients:
         assert theta.grad is None
         # the worker is free again
         assert ad._worker.submit(lambda: 7).result(timeout=10) == 7
-
-    def test_failed_walk_waits_for_every_deferred_fill(self, monkeypatch):
-        # two deferred contributions to one tensor: resolving the first
-        # raises while the second is still running on the worker
-        monkeypatch.setattr(ad, "_use_worker", lambda: True)
-        theta = ad.Tensor(np.ones(3))
-        slow_done = threading.Event()
-
-        def boom():
-            raise FloatingPointError("deferred GEMM failed")
-
-        def slow():
-            time.sleep(0.3)
-            slow_done.set()
-            return np.ones(3)
-
-        with ad.Tape() as tape:
-            y = ad._emit(
-                ad.Tensor(2.0 * theta.data),
-                (theta, theta),
-                lambda g: (ad._later(boom), ad._later(slow)),
-            )
-            loss = ad.sum_all(y)
-        with pytest.raises(FloatingPointError, match="deferred GEMM failed"):
-            tape.backward(loss)
-        assert slow_done.is_set()
-        assert theta.grad is None
 
 
 class TestSplit:
@@ -594,7 +556,7 @@ class TestSplit:
             release.wait(10)
             return "slow"
 
-        queued = ad._later(slow)
+        queued = ad._worker.submit(slow)
         try:
             assert started.wait(10)
             threads = []
@@ -635,10 +597,21 @@ class TestSplit:
     def test_worker_keeps_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(ad, "_use_worker", lambda: True)
         big = np.full(4, 1e30, dtype=np.float32)
+        started = threading.Event()
+        threads = []
+
+        def wait():  # keeps the other call from being taken back
+            assert started.wait(10)
+
+        def overflow():
+            threads.append(threading.get_ident())
+            started.set()
+            return big * big
+
         with np.errstate(over="raise"):
-            handed = ad._later(lambda: big * big)
             with pytest.raises(FloatingPointError):
-                handed.result(timeout=10)
+                ad._split([wait, overflow])
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
 
 
 class TestUniform:

@@ -192,6 +192,28 @@ class TestTrain:
         payload = json.loads((run_dir / "error.json").read_text())
         assert payload["error"] == error
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("blas", [1, None], ids=["one-blas-thread", "blas-unknown"])
+    def test_worker_regime_printed_once_after_the_seed(
+        self, tmp_path, capsys, monkeypatch, worker, command, blas
+    ):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(ad, "_blas_threads", lambda: blas)
+        if command == "train":
+            config, code = write_tiny_config(tmp_path, max_epochs=1), 0
+        else:  # the regime is printed before the sweep reads its data
+            bad_dev = tmp_path / "dev.jsonl"
+            bad_dev.write_text("{not a record\n")
+            config, code = write_tiny_config(tmp_path, dev_file=bad_dev), 2
+        assert main([command, "--config", str(config)]) == code
+        lines = capsys.readouterr().out.splitlines()
+        seed = next(i for i, line in enumerate(lines) if line.startswith("effective seed:"))
+        assert lines[seed + 1] == (
+            f"worker: {'on' if worker else 'off'}, usable CPUs: 2, "
+            f"BLAS threads per call: {'unknown' if blas is None else blas}"
+        )
+        assert sum(line.startswith("worker:") for line in lines) == 1
+
     def test_nothing_to_train_on_exits_2_with_error_log(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path, max_premise_len=1)
         assert main(["train", "--config", str(config)]) == 2

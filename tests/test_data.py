@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ class TestEmbeddings:
         load = data.load_embeddings(path, vocab, np.random.default_rng(0))
         assert load.found == 1
         assert load.skipped_lines == 2
+
+    def test_non_finite_lines_skipped(self, tmp_path):
+        exs = [data.NLIExample("1", "g", ["cat", "dog"], ["eel"], "neutral")]
+        vocab = data.Vocabulary.from_examples(exs, dim=3)
+        initial = tmp_path / "none.vec"
+        initial.write_text("")
+        expected = data.load_embeddings(initial, vocab, np.random.default_rng(0)).parameter.data
+        path = tmp_path / "emb.vec"
+        path.write_text("cat nan 0 0\ndog 1e39 0 0\neel inf -inf 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1e39 must not overflow into the matrix
+            load = data.load_embeddings(path, vocab, np.random.default_rng(0))
+        assert load.found == 0 and load.skipped_lines == 3
+        assert np.isfinite(load.parameter.data).all()
+        np.testing.assert_array_equal(load.parameter.data, expected)
 
     def test_vec_header_skipped(self, tmp_path):
         vocab = self._vocab(dim=4)

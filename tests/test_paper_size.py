@@ -128,6 +128,31 @@ def test_logits_and_gradients_bit_identical_with_and_without_the_worker(
         np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
 
 
+def test_every_backward_rule_hands_back_arrays_none_or_factors(paper_model, worker):
+    """The walk meets no gradient it has to wait for: whatever a rule
+    hands to the worker, it has back before it returns.  The 1-token pair
+    runs every rule of the batch, the worker's included, at little cost."""
+    model, _, alone = paper_model
+    with ad.Tape() as tape:
+        loss = model.batch_loss(alone, training=True, rng=np.random.default_rng(6))
+    kinds = set()
+
+    def checked(rule):
+        def run(g):
+            grads = tuple(rule(g))
+            kinds.update(type(grad) for grad in grads)
+            return grads
+
+        return run
+
+    tape._records = [(out, inputs, checked(rule)) for out, inputs, rule in tape._records]
+    tape.backward(loss)
+    for p in model.parameters().values():
+        p.grad = None
+    assert kinds <= {np.ndarray, type(None), ad._Factored}, kinds
+    assert {np.ndarray, ad._Factored} <= kinds
+
+
 def test_checkpoint_round_trip_bit_exact(paper_model, tmp_path, worker):
     model = paper_model[0]
     path = tmp_path / "paper.ckpt"
