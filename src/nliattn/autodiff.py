@@ -25,8 +25,8 @@ handed only when that array owns its data and no other leaf holds it.
 The gradient gᵀ·x of a large ``affine`` weight is handed back as its two
 factors (``_Factored``), far smaller than the array for a few batch rows.
 A leaf whose only contribution they are keeps them: its ``.grad`` forms
-the array on first read, and ``training.RMSProp.step`` forms it a row
-block at a time, so a training step holds no such array.
+the array on first read, and ``training.RMSProp.step`` forms it one row
+block at a time, the same blocks, so a training step holds no such array.
 
 Computation defaults to float32.  A global float64 mode (``precision``)
 exists so gradients can be checked against central finite differences,
@@ -37,20 +37,12 @@ own stack of entered tapes, so an operation records on the innermost tape
 of the thread that runs it.  Independent models (own tapes, own
 parameters) may run in parallel; frozen tensors may be shared read-only.
 ``precision`` is process-wide.  The library starts one thread of its own,
-the worker, and hands it work through ``_split`` only.  ``_split`` runs
-a few calls at once: the first on the calling thread, the rest on the
-worker, and it takes back any call the worker has not started; it
-returns once every call is done.  It runs the two directions of
-``lstm_sequence`` in its forward and backward passes, the two row halves
-of a large forward GEMM in ``affine`` and ``attention_scores``, the
-``dW`` fill of ``attention_scores`` beside its input gradients, the
-parameter groups (``_size_groups``) of ``training.RMSProp.step`` and of
-``training.load_checkpoint``'s reads, and the two halves of a large
-initial weight's draws (``_uniform``).  The worker reads and writes numpy
-arrays only and never touches a tape: records are made on the calling
-thread, and every backward rule hands back arrays.  Gradients and initial
-weights have the same bits either way, and so do outputs at float32; at
-float64 a split GEMM may differ in its last bit.
+the worker, and hands it work through ``_split`` only (in
+``lstm_sequence``, ``affine``, ``attention_scores``, ``_uniform`` and for
+``_size_groups``).  The worker reads and writes numpy arrays only and
+never touches a tape.  Which calls a split makes depends on shapes alone,
+and ``_use_worker`` decides only where they run, so outputs, gradients
+and initial weights have the same bits either way, on any BLAS kernels.
 """
 
 from __future__ import annotations
@@ -185,16 +177,13 @@ class Tape:
     (parameters, tensors made off the tape), which become their ``.grad``.
 
     A backward rule returns one gradient per input: an array, None for
-    none, or the two factors of a weight gradient (``_Factored``).  A rule
-    that hands work to the worker (``_split``) has it back before it
-    returns.  The walk sums contributions out of place, so it never writes
-    into an array that a rule handed back, and forms factors into their
-    array wherever it reads them or sums them with another contribution,
-    so gradients are summed in the same order either way.  Factors that
-    are a leaf's only contribution stay factors: the leaf's ``.grad``
-    forms them when read, and ``training.RMSProp.step`` a block at a
-    time.  A leaf keeps the array it is handed when that array owns its
-    data and no other leaf already holds it; otherwise it gets a copy.
+    none, or the two factors of a weight gradient (``_Factored``).  The
+    walk sums contributions out of place, so it never writes into an array
+    that a rule handed back, and forms factors into their array wherever
+    it reads them or sums them with another contribution.  Factors that
+    are a leaf's only contribution stay factors.  A leaf keeps the array
+    it is handed when that array owns its data and no other leaf already
+    holds it; otherwise it gets a copy.
     """
 
     def __init__(self):
@@ -266,11 +255,22 @@ def _resolved(grad):
     return grad.form() if isinstance(grad, _Factored) else grad
 
 
+# elements per block of an RMSProp update (``training.RMSProp``) and of a
+# formed factored gradient's row blocks.  Each ufunc call of a step on two
+# threads retakes the GIL, so fewer, larger calls cost less: with the paper
+# models' factored MLP gradients, a step took 36.7 ms on train-paper and
+# 27.3 on infer-paper at 2^17, against 42.3 and 27.9 at 2^16 (medians of
+# alternating rounds, one BLAS thread, 2-vCPU Xeon host).
+CHUNK = 1 << 17
+
+
 class _Factored:
     """A weight gradient gᵀ·x kept as its two factors, the output gradient
     g [B x d_out] and the input x [B x d_in] of ``affine``: for a few rows
     B, far smaller than the [d_out x d_in] array.  The factors are read,
-    never written."""
+    never written.  Every reader forms the array in the same row blocks
+    (``row_blocks``): with some BLAS kernels (OpenBLAS's Haswell ones)
+    rows formed apart differ from the same rows of one GEMM."""
 
     __slots__ = ("g", "x")
 
@@ -285,15 +285,22 @@ class _Factored:
     def dtype(self):
         return np.result_type(self.g, self.x)
 
-    def form(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The gradient array as one GEMM, written into ``out`` when given."""
-        if out is None:
-            out = np.empty(self.shape, dtype=self.dtype)
-        return self.form_rows(0, self.shape[0], out)
+    def row_blocks(self) -> list[slice]:
+        """As many whole rows as fit ``CHUNK`` elements, block after block."""
+        rows, width = self.shape
+        step = max(1, CHUNK // width)
+        return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
-    def form_rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Rows ``lo:hi`` of the gradient, written into ``out`` [hi - lo x d_in]."""
-        return np.matmul(self.g[:, lo:hi].T, self.x, out=out)
+    def form(self) -> np.ndarray:
+        """The gradient array, formed block by block."""
+        out = np.empty(self.shape, dtype=self.dtype)
+        for rows in self.row_blocks():
+            self.form_rows(rows, out[rows])
+        return out
+
+    def form_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """The gradient's ``rows``, written into ``out`` [rows x d_in]."""
+        return np.matmul(self.g[:, rows].T, self.x, out=out)
 
 
 def _emit(out: Tensor, inputs: tuple, backward: Callable) -> Tensor:
@@ -615,7 +622,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     direction.  A large GEMM is split by weight rows (``_row_blocks``),
     one block on the worker.  The weight gradient gᵀ·x of a large weight
     (``_factors_suffice``) is handed back as its two factors
-    (``_Factored``); any other is formed in the rule, one GEMM.
+    (``_Factored``); any other is formed from them in the rule.
     """
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
@@ -682,22 +689,40 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads() -> int | None:
-    """Threads per call of the OpenBLAS bundled with numpy, or None when
-    numpy bundles no OpenBLAS that says."""
+@functools.cache
+def _openblas() -> tuple[ctypes.CDLL, str] | None:
+    """numpy's bundled OpenBLAS and its symbol names' pattern, or None."""
     root = Path(np.__file__).resolve().parent
     for path in (*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))  # numpy has it loaded: the same handle
         except OSError:
             continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                if get is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    return get()
+        for name in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}"):
+            if hasattr(lib, name.format("get_num_threads")):
+                return lib, name
     return None
+
+
+def _blas_get(what: str, restype):
+    """numpy's OpenBLAS's ``get_<what>()``, or None when it cannot be read."""
+    lib, name = _openblas() or (None, "")
+    get = getattr(lib, name.format(f"get_{what}"), None)
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], restype
+    return get()
+
+
+def _blas_threads() -> int | None:
+    """Threads per call of numpy's OpenBLAS, or None when unknown."""
+    return _blas_get("num_threads", ctypes.c_int)
+
+
+def _blas_kernels() -> str | None:
+    """The name of numpy's OpenBLAS's kernels (``Haswell``), or None."""
+    name = _blas_get("corename", ctypes.c_char_p)
+    return name.decode() if name else None
 
 
 def _new_worker() -> None:
@@ -715,9 +740,10 @@ if hasattr(os, "register_at_fork"):
 def _split(calls: Sequence[Callable[[], object]]) -> list:
     """Results of zero-argument calls, in order, once every call is done.
 
-    Without ``_use_worker`` the calls run in turn on the calling thread.
-    With it, the first runs on the calling thread and the rest go to the
-    worker, each in a copy of the caller's context, so numpy's error
+    ``_use_worker``, read here only, decides where the calls run, never
+    which: without it they run in turn on the calling thread.  With it,
+    the first runs on the calling thread and the rest go to the worker,
+    each in a copy of the caller's context, so numpy's error
     state (``np.errstate``) holds there too.  When the calling thread is
     done, it takes back every call the worker has not started and runs it
     itself, so a split never waits behind work queued before it, such as
@@ -743,28 +769,25 @@ def _split(calls: Sequence[Callable[[], object]]) -> list:
 
 # A weight GEMM is split in two by weight rows when both hold: the weight
 # has at least _SPLIT_MIN_WEIGHT elements, and the GEMM at least
-# _SPLIT_MIN_WORK multiply-adds, so each half outweighs the hand-off.
-# Below these, a half may also take another OpenBLAS kernel than the
-# whole GEMM: the 3-row output layer split as 1 + 2 rows, and [1200 x 600]
-# against 2 columns, were not bit-identical to the whole GEMM at float32.
+# _SPLIT_MIN_WORK multiply-adds, so that each half, on the worker,
+# outweighs the hand-off.
 _SPLIT_MIN_WEIGHT = 1 << 18
 _SPLIT_MIN_WORK = 1 << 21
 
 
 def _row_blocks(w: np.ndarray, n: int) -> list[slice]:
-    """The row blocks of weight ``w`` for a GEMM against ``n`` columns:
-    two halves when ``_use_worker`` holds and the GEMM is large, else one."""
+    """The row blocks of weight ``w`` for a GEMM against ``n`` columns."""
     rows = w.shape[0]
-    if _use_worker() and w.size >= _SPLIT_MIN_WEIGHT and w.size * n >= _SPLIT_MIN_WORK:
+    if w.size >= _SPLIT_MIN_WEIGHT and w.size * n >= _SPLIT_MIN_WORK:
         return [slice(0, rows // 2), slice(rows // 2, rows)]
     return [slice(0, rows)]
 
 
 def _size_groups(sizes: dict[str, int]) -> list[list[str]]:
     """The names of ``sizes`` in groups for ``_split``, each group in the
-    order of ``sizes``: two of about equal total size when ``_use_worker``
-    holds and there are two names or more, else one holding them all."""
-    if not _use_worker() or len(sizes) < 2:
+    order of ``sizes``: two of about equal total size when there are two
+    names or more, else one holding them all."""
+    if len(sizes) < 2:
         return [list(sizes)]
     groups: list[list[str]] = [[], []]
     # largest first into the lighter group; on a tie the shorter, so
@@ -776,14 +799,14 @@ def _size_groups(sizes: dict[str, int]) -> list[list[str]]:
 
 
 # An initial weight of at least _UNIFORM_SPLIT_MIN values is drawn in two
-# halves, one on the worker; every array is drawn _UNIFORM_BLOCK values at
-# a time, so the float64 draws stay in cache and no whole-size temporary
-# is made.  A train-paper build took 86 ms with these two (one BLAS
-# thread, 2-vCPU host), 92 with a floor of 2^20 and 118-136 with blocks of
-# 2^12, against 168 ms for whole-size draws on one thread.  Only these bit
-# generators jump ahead by a number of draws and then give the serial
-# stream: Philox's ``advance`` did not reproduce it, and SFC64 and MT19937
-# have no ``advance``.
+# halves, one on the worker when it runs; every array is drawn
+# _UNIFORM_BLOCK values at a time, so the float64 draws stay in cache and
+# no whole-size temporary is made.  A train-paper build took 86 ms with
+# these two (one BLAS thread, 2-vCPU host), 92 with a floor of 2^20 and
+# 118-136 with blocks of 2^12, against 168 ms for whole-size draws on one
+# thread.  Only these bit generators jump ahead by a number of draws and
+# then give the serial stream: Philox's ``advance`` did not reproduce it,
+# and SFC64 and MT19937 have no ``advance``.
 _UNIFORM_SPLIT_MIN = 1 << 18
 _UNIFORM_BLOCK = 1 << 16
 _JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
@@ -796,18 +819,18 @@ def _uniform(
     ``rng.uniform(low, high, shape)``, with the same values and the same
     generator state afterwards; an unfilled one when ``rng`` is None.
 
-    With ``_use_worker``, a large array drawn from a PCG64 or PCG64DXSM
-    generator is filled in two halves through ``_split``.  The worker's
-    half draws from a copy of the bit generator advanced past the first
-    half.  Afterwards the caller's generator takes the copy's state, with
-    its own buffered 32-bit half (``has_uint32``, ``uinteger``), which
-    ``advance`` drops and no double draw touches."""
+    A large array drawn from a PCG64 or PCG64DXSM generator is filled in
+    two halves through ``_split``.  The second half draws from a copy of
+    the bit generator advanced past the first half.  Afterwards the
+    caller's generator takes the copy's state, with its own buffered
+    32-bit half (``has_uint32``, ``uinteger``), which ``advance`` drops
+    and no double draw touches."""
     out = np.empty(shape, dtype=dtype or _DTYPE)
     if rng is None:
         return out
     flat = out.reshape(-1)
     bitgen = rng.bit_generator
-    if not (_use_worker() and flat.size >= _UNIFORM_SPLIT_MIN and type(bitgen) in _JUMPABLE):
+    if not (flat.size >= _UNIFORM_SPLIT_MIN and type(bitgen) in _JUMPABLE):
         _fill_uniform(rng, low, high, flat)
         return out
     half = flat.size // 2
@@ -939,10 +962,8 @@ def lstm_sequence(
     formed only for the columns of ``x`` that need one: none for a
     constant, the blocks that ``concat`` recorded otherwise.
 
-    With both directions, ``_split`` hands the backward one to the worker
-    while the calling thread runs the forward one, in the forward and in
-    the backward pass.  Either way the op is one tape record with the same
-    bits.
+    With both directions, ``_split`` runs the backward one beside the
+    forward one, in the forward and in the backward pass.
     """
     if x.ndim != 2:
         raise DimensionError(f"lstm_sequence needs an [L x d] input, got {x.shape}")

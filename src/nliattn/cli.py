@@ -202,7 +202,8 @@ def _run_dir(config: RunConfig, command: str):
     blas = ad._blas_threads()
     print(
         f"worker: {'on' if ad._use_worker() else 'off'}, usable CPUs: {ad._usable_cpus()}, "
-        f"BLAS threads per call: {'unknown' if blas is None else blas}"
+        f"BLAS threads per call: {'unknown' if blas is None else blas}, "
+        f"BLAS kernels: {ad._blas_kernels() or 'unknown'}"
     )
     try:
         yield run_dir

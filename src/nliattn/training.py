@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, _Factored, _size_groups, _split, default_dtype
+from .autodiff import CHUNK, Tape, Tensor, _Factored, _size_groups, _split, default_dtype
 from .data import CharVocabulary, Vocabulary, make_batches
 from .errors import ConfigError, IntegrityError, InvalidInputError, NumericError
 from .evaluation import evaluate
@@ -52,17 +52,6 @@ _STANDBY_SUFFIX = ".standby"
 # renameat2's arguments for "relative to the working directory" and "swap"
 _AT_FDCWD = -100
 _RENAME_EXCHANGE = 2
-
-# elements per block of an RMSProp update.  Each ufunc call of a step that
-# runs on two threads releases and retakes the GIL, so fewer, larger calls
-# cost less: with the paper models' factored MLP gradients, a step took
-# 36.7 ms on train-paper and 27.3 on infer-paper at 2^17, against 42.3 and
-# 27.9 at 2^16 (medians of 12 and 16 alternating rounds, one BLAS thread,
-# 2-vCPU Xeon host).  A block's gradient, average, weights and two work
-# rows then take 2.5 MB at float32: unlike at 2^16, more than that host's
-# 2 MB L2 cache per core, so a block no longer stays in L2 across the
-# update's nine passes.
-CHUNK = 1 << 17
 
 
 @dataclass
@@ -89,15 +78,11 @@ class RMSProp:
     """Plain RMSProp: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s)+eps).
 
     No momentum, no centering.  Frozen parameters are never updated.  A
-    step works in place, over each parameter in flat blocks of ``CHUNK``
-    elements.  The trainable parameters form the groups of
-    ``autodiff._size_groups``: with the worker, two of about equal size,
-    and ``autodiff._split`` runs one group on the calling thread and the
-    other on the worker.  Each group has its own two work rows of one
-    block, made here, which hold the intermediate terms, so a step
-    allocates nothing.  Every element sees the same operations in the same
-    order as a whole-array update, on either thread, so the result is the
-    same to the last bit.
+    step works in place, in flat blocks of ``CHUNK`` elements, on the
+    parameter groups of ``autodiff._size_groups`` through ``_split``, each
+    with its own work rows made here, so a step allocates nothing.  Every
+    element sees the operations of a whole-array update in the same order,
+    so the result has its bits.
 
     ``square_avg`` is made unfilled and reads as zeros until a step writes
     it: a parameter's first step stores (1-rho)*g*g straight, which has the
@@ -105,13 +90,13 @@ class RMSProp:
 
     A large ``affine`` weight's gradient may still be its two factors g
     [B x d_out] and x [B x d_in] (``autodiff._Factored``).  The step then
-    forms gᵀ·x a block of whole rows at a time, into a third work row, and
-    updates that block, so no gradient array is made.  A row block of the
-    GEMM has the bits of the same rows of the whole one, so the result is
-    the one a formed ``.grad`` would give.  The step forms the whole array
-    instead (through ``.grad``) when a row does not fit a work row, the
-    factors have another dtype than the group's work rows, or one may
-    share memory with a trainable parameter, which the step overwrites.
+    forms gᵀ·x one of its row blocks at a time, into a third work row, and
+    updates that block, so no gradient array is made.  A formed ``.grad``
+    is made of the same blocks, so the result is the one it would give.
+    The step forms the whole array instead (through ``.grad``) when a row
+    does not fit a work row, the factors have another dtype than the
+    group's work rows, or one may share memory with a trainable parameter,
+    which the step overwrites.
 
     Before anything is written, every gradient is checked with one
     ``dot(g, g)``, which is NaN or infinite whenever an entry is; both
@@ -153,9 +138,6 @@ class RMSProp:
             )
             for group in self._groups
         ]
-        self._work_of = {
-            name: work for group, work in zip(self._groups, self._work) for name in group
-        }
 
     @property
     def square_avg(self) -> dict[str, np.ndarray]:
@@ -171,16 +153,15 @@ class RMSProp:
         ``NumericError`` naming its parameter before anything changes."""
         trainable = [p.data for p in self.params.values() if p.requires_grad]
         grads = {}
-        for name, p in self.params.items():
-            if not p.requires_grad:
-                continue
-            grad = p._grad
-            if isinstance(grad, _Factored) and _blockwise(grad, self._work_of[name], trainable):
-                grads[name] = grad
-            else:  # the array; one that no gradient reached updates as with zeros
-                grads[name] = (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1)
+        for group, work in zip(self._groups, self._work):
+            for name in group:
+                p = self.params[name]
+                if isinstance(p._grad, _Factored) and _blockwise(p._grad, work, trainable):
+                    grads[name] = p._grad
+                else:  # the array; one that no gradient reached updates as with zeros
+                    grads[name] = (np.zeros_like(p.data) if p.grad is None else p.grad).reshape(-1)
         flagged = _split([functools.partial(_first_nonfinite, g, grads) for g in self._groups])
-        for name in grads:
+        for name in self._square_avg:  # in registry order
             if name in flagged:
                 raise NumericError(f"non-finite gradient in parameter {name!r}")
         _split(
@@ -239,16 +220,15 @@ def _blockwise(grad: _Factored, work: np.ndarray, trainable: list[np.ndarray]) -
 
 def _gradient_blocks(grad, row: np.ndarray):
     """(lo, hi, block) over the flat gradient ``grad``: views of ``CHUNK``
-    elements of an array, or for factors, as many whole rows of gᵀ·x as
-    fit ``row``, formed there."""
+    elements of an array, or for factors, each of their row blocks
+    (``_Factored.row_blocks``), formed in ``row``."""
     if isinstance(grad, _Factored):
-        rows, width = grad.shape
-        step = row.size // width
-        for r in range(0, rows, step):
-            end = min(r + step, rows)
-            block = row[: (end - r) * width]
-            grad.form_rows(r, end, block.reshape(end - r, width))
-            yield r * width, end * width, block
+        width = grad.shape[1]
+        for rows in grad.row_blocks():
+            lo, hi = rows.start * width, rows.stop * width
+            block = row[: hi - lo]
+            grad.form_rows(rows, block.reshape(-1, width))
+            yield lo, hi, block
     else:
         for lo in range(0, grad.size, CHUNK):
             hi = min(lo + CHUNK, grad.size)
@@ -540,12 +520,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     its array, with no copy of the whole blob.  A manifest entry that is
     missing or of the wrong kind raises ``IntegrityError`` too.
 
-    The parameters are read in the groups of ``autodiff._size_groups``
-    through ``autodiff._split``.  With the worker that is two groups of
-    about equal size, each through its own handle on the file, each
-    parameter with one ``readinto`` at its offset into the array made
-    here; without it, one group in registry order through the handle that
-    read the manifest.
+    The parameters are read in the two groups of about equal size of
+    ``autodiff._size_groups`` through ``autodiff._split``, each through its
+    own handle on the file, each parameter with one ``readinto`` at its
+    offset into the array made here.
     """
     with open(path, "rb") as fh:
         try:

@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -497,9 +498,8 @@ class TestSplit:
     """``_split`` and the forward GEMMs it splits by weight rows."""
 
     @staticmethod
-    def _halves_on_the_worker(worker, w, n):
-        blocks = ad._row_blocks(w, n)
-        assert len(blocks) == (2 if worker else 1)
+    def _in_halves(w, n):
+        assert len(ad._row_blocks(w, n)) == 2
 
     @pytest.mark.parametrize("d_in", [2000, 2400, 2800])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -511,10 +511,10 @@ class TestSplit:
             x = rng.normal(size=(rows, d_in))
             with ad.precision(dtype):
                 xt, wt, bt = (ad.Tensor(a) for a in (x, w, b))
-                self._halves_on_the_worker(worker, wt.data, rows)
+                self._in_halves(wt.data, rows)
                 out = ad.affine(xt, wt, bt).data
             whole = (wt.data @ xt.data.T).T + bt.data
-            if dtype == "float32" or not worker:
+            if dtype == "float32":
                 assert np.array_equal(out, whole), rows
             np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
 
@@ -530,19 +530,18 @@ class TestSplit:
             H, query = rng.normal(size=(lengths.sum(), d)), rng.normal(size=(sentences, d))
             with ad.precision(dtype):
                 H, query, w_t, v_t = (ad.Tensor(x) for x in (H, query, w, v))
-                self._halves_on_the_worker(worker, w_t.data[:, d:], H.shape[0])
+                self._in_halves(w_t.data[:, d:], H.shape[0])
                 out = ad.attention_scores(H, lengths, query, w_t, v_t).data
             w_q, w_h = w_t.data[:, :d], w_t.data[:, d:]
             u = np.tanh(
                 (w_h @ H.data.T).T + np.repeat((w_q @ query.data.T).T, lengths, axis=0)
             )
             whole = u @ v_t.data
-            if dtype == "float32" or not worker:
+            if dtype == "float32":
                 assert np.array_equal(out, whole), sentences
             np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
 
-    def test_small_gemms_stay_whole(self, monkeypatch):
-        monkeypatch.setattr(ad, "_use_worker", lambda: True)
+    def test_small_gemms_stay_whole(self):
         # the 3-row output layer, and a GEMM whose halves would not pay
         assert len(ad._row_blocks(np.zeros((3, 2000)), 10_000)) == 1
         assert len(ad._row_blocks(np.zeros((1200, 600)), 2)) == 1
@@ -614,6 +613,48 @@ class TestSplit:
         assert len(threads) == 1 and threads[0] != threading.get_ident()
 
 
+class TestLayout:
+    """Every block layout is a function of shapes alone, so the worker on
+    and off run the same GEMMs and draws, and give the same bits on any
+    BLAS kernels: a GEMM over part of a weight need not have the bits of
+    the same part of the whole GEMM (OpenBLAS's Haswell kernels)."""
+
+    # the MLP's weights, and w_h of the attention at 300 and 350 per direction
+    SHAPES = [(2000, 2000), (2000, 2800), (1200, 600), (1400, 700)]
+    BELOW = (3, 2000)  # the output layer: below every floor
+
+    @classmethod
+    def _layouts(cls, draws: list) -> dict:
+        layouts = {}
+        for rows, cols in [*cls.SHAPES, cls.BELOW]:
+            for n in (2, 32, 1025):
+                layouts[rows, cols, n] = ad._row_blocks(np.zeros((rows, cols)), n)
+            factors = ad._Factored(np.zeros((32, rows)), np.zeros((32, cols)))
+            layouts[rows, cols, "factored"] = factors.row_blocks()
+            draws.clear()
+            ad._uniform(np.random.default_rng(0), -1.0, 1.0, (rows, cols))
+            layouts[rows, cols, "uniform"] = list(draws)
+        sizes = {f"w{i}": rows * cols for i, (rows, cols) in enumerate(cls.SHAPES)}
+        layouts["groups"] = ad._size_groups(sizes)
+        layouts["one name"] = ad._size_groups({"w": 1})
+        return layouts
+
+    def test_layouts_equal_with_and_without_the_worker(self, monkeypatch):
+        draws, split = [], ad._split
+        monkeypatch.setattr(ad, "_split", lambda calls: draws.append(len(calls)) or split(calls))
+        layouts = {}
+        for on in (True, False):
+            monkeypatch.setattr(ad, "_use_worker", lambda: on)
+            layouts[on] = self._layouts(draws)
+        assert layouts[True] == layouts[False]
+        got = layouts[False]
+        assert len(got[2000, 2800, 32]) == len(got[1200, 600, 1025]) == 2
+        assert len(got[1200, 600, 2]) == len(got[3, 2000, 1025]) == 1
+        assert len(got[2000, 2800, "factored"]) > 1 and len(got[3, 2000, "factored"]) == 1
+        assert got[2000, 2800, "uniform"] == [2] and got[3, 2000, "uniform"] == []
+        assert len(got["groups"]) == 2 and got["one name"] == [["w"]]
+
+
 class TestUniform:
     """``_uniform`` against ``rng.uniform``: the same values, and the same
     next draws from the generator."""
@@ -656,7 +697,7 @@ class TestUniform:
         assert values.dtype == expected.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(values, expected)
         np.testing.assert_array_equal(rng.uniform(size=5), reference.uniform(size=5))
-        halves = worker and n >= ad._UNIFORM_SPLIT_MIN and bit_generator in ad._JUMPABLE
+        halves = n >= ad._UNIFORM_SPLIT_MIN and bit_generator in ad._JUMPABLE
         assert splits == ([2] if halves else [])
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
@@ -692,7 +733,8 @@ class TestUniform:
 class TestWorkerRegime:
     def test_blas_thread_count_is_read_and_decides_the_worker(self):
         # a numpy whose bundled OpenBLAS renames its thread-count symbol would
-        # leave _blas_threads() None and the worker silently off
+        # leave _blas_threads() None and the worker silently off; the
+        # kernels' name is read through the same library lookup
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         if "openblas" not in blas.lower():
             pytest.skip(f"numpy is built against {blas}, not OpenBLAS")
@@ -703,10 +745,15 @@ class TestWorkerRegime:
             "from nliattn import autodiff as ad\n"
             "assert ad._blas_threads() == 1, ad._blas_threads()\n"
             "assert ad._use_worker() == (len(os.sched_getaffinity(0)) >= 2)\n"
+            "kernels = ad._blas_kernels()\n"
+            "assert kernels and kernels == os.environ.get('OPENBLAS_CORETYPE', kernels), kernels\n"
         )
+        env = {"PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        if platform.machine() == "x86_64":  # kernels that every x86-64 CPU since 2008 runs
+            env["OPENBLAS_CORETYPE"] = "Nehalem"
         result = subprocess.run(
             [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+            env={**os.environ, **env},
             capture_output=True,
             text=True,
             timeout=120,

@@ -193,12 +193,15 @@ class TestTrain:
         assert payload["error"] == error
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
-    @pytest.mark.parametrize("blas", [1, None], ids=["one-blas-thread", "blas-unknown"])
+    @pytest.mark.parametrize(
+        "blas,kernels", [(1, "Haswell"), (None, None)], ids=["one-blas-thread", "blas-unknown"]
+    )
     def test_worker_regime_printed_once_after_the_seed(
-        self, tmp_path, capsys, monkeypatch, worker, command, blas
+        self, tmp_path, capsys, monkeypatch, worker, command, blas, kernels
     ):
         monkeypatch.setattr(ad, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(ad, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(ad, "_blas_kernels", lambda: kernels)
         if command == "train":
             config, code = write_tiny_config(tmp_path, max_epochs=1), 0
         else:  # the regime is printed before the sweep reads its data
@@ -210,7 +213,8 @@ class TestTrain:
         seed = next(i for i, line in enumerate(lines) if line.startswith("effective seed:"))
         assert lines[seed + 1] == (
             f"worker: {'on' if worker else 'off'}, usable CPUs: 2, "
-            f"BLAS threads per call: {'unknown' if blas is None else blas}"
+            f"BLAS threads per call: {'unknown' if blas is None else blas}, "
+            f"BLAS kernels: {kernels or 'unknown'}"
         )
         assert sum(line.startswith("worker:") for line in lines) == 1
 

@@ -570,7 +570,7 @@ class TestCheckpoint:
         self._wrap_open(monkeypatch, lambda fh: opened.append(fh) or fh)
         with precision(dtype):
             loaded = load_checkpoint(path)
-        assert len(opened) == (2 if worker else 1)
+        assert len(opened) == 2
         assert all(fh.closed for fh in opened)
         for name, p in loaded.model.parameters().items():
             expected = np.frombuffer(
