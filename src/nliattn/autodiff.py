@@ -22,11 +22,12 @@ leaf.
 Gradient arrays have one ownership rule: the walk never writes into an
 array that a backward rule handed back, and a leaf keeps the array it is
 handed only when that array owns its data and no other leaf holds it.
-The gradient gᵀ·x of a large ``affine`` weight is handed back as its two
-factors (``_Factored``), far smaller than the array for a few batch rows.
-A leaf whose only contribution they are keeps them: its ``.grad`` forms
-the array on first read, and ``training.RMSProp.step`` forms it one row
-block at a time, the same blocks, so a training step holds no such array.
+The gradient gᵀ·x of an ``affine`` weight is handed back as its two
+factors (``_Factored``): x is held for the backward pass anyway, and for
+a few batch rows g is far smaller than the array.  A leaf whose only
+contribution they are keeps them: its ``.grad`` forms the array on first
+read, and ``training.RMSProp.step`` forms it one row block at a time, the
+same blocks, so a training step holds no such array.
 
 Computation defaults to float32.  A global float64 mode (``precision``)
 exists so gradients can be checked against central finite differences,
@@ -266,11 +267,11 @@ CHUNK = 1 << 17
 
 class _Factored:
     """A weight gradient gᵀ·x kept as its two factors, the output gradient
-    g [B x d_out] and the input x [B x d_in] of ``affine``: for a few rows
-    B, far smaller than the [d_out x d_in] array.  The factors are read,
-    never written.  Every reader forms the array in the same row blocks
-    (``row_blocks``): with some BLAS kernels (OpenBLAS's Haswell ones)
-    rows formed apart differ from the same rows of one GEMM."""
+    g [B x d_out] and the input x [B x d_in] of ``affine``, which holds x
+    for its backward pass anyway.  The factors are read, never written.
+    Every reader forms the array in the same row blocks (``row_blocks``):
+    with some BLAS kernels (OpenBLAS's Haswell ones) rows formed apart
+    differ from the same rows of one GEMM."""
 
     __slots__ = ("g", "x")
 
@@ -620,9 +621,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     a row-major result in one pass.  ``w`` is read through a transposed
     view in the backward pass, so no weight copy is made in either
     direction.  A large GEMM is split by weight rows (``_row_blocks``),
-    one block on the worker.  The weight gradient gᵀ·x of a large weight
-    (``_factors_suffice``) is handed back as its two factors
-    (``_Factored``); any other is formed from them in the rule.
+    one block on the worker.  The weight gradient gᵀ·x is handed back as
+    its two factors (``_Factored``).
     """
     if x.ndim != 2 or w.ndim != 2 or b.shape != (w.shape[0],) or x.shape[1] != w.shape[1]:
         raise DimensionError(f"affine: shapes disagree: x {x.shape}, w {w.shape}, b {b.shape}")
@@ -631,24 +631,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _split(
         [
             functools.partial(np.matmul, wdata[rows], xdata.T, out=wx[rows])
-            for rows in _row_blocks(wdata, x.shape[0])
+            for rows in _row_blocks(wdata)
         ]
     )
     out = Tensor(np.empty((x.shape[0], w.shape[0]), dtype=np.result_type(xdata, wdata, b.data)))
     np.add(wx.T, b.data, out=out.data)
 
     def back(g):
-        dw = _Factored(g, xdata)
-        return g @ wdata, dw if _factors_suffice(wdata, g, xdata) else dw.form(), g.sum(axis=0)
+        return g @ wdata, _Factored(g, xdata), g.sum(axis=0)
 
     return _emit(out, (x, w, b), back)
-
-
-def _factors_suffice(w: np.ndarray, g: np.ndarray, x: np.ndarray) -> bool:
-    """Whether the gradient of weight ``w`` is kept as its factors ``g`` and
-    ``x``: the weight is large (``_SPLIT_MIN_WEIGHT``) and its gradient
-    has more elements than the two factors together."""
-    return w.size >= _SPLIT_MIN_WEIGHT and w.size > g.size + x.size
 
 
 def _time_major(lengths: np.ndarray, starts: np.ndarray, reverse: bool):
@@ -767,18 +759,17 @@ def _split(calls: Sequence[Callable[[], object]]) -> list:
     return [r.result() if isinstance(r, futures.Future) else r for r in results]
 
 
-# A weight GEMM is split in two by weight rows when both hold: the weight
-# has at least _SPLIT_MIN_WEIGHT elements, and the GEMM at least
-# _SPLIT_MIN_WORK multiply-adds, so that each half, on the worker,
-# outweighs the hand-off.
+# A weight of at least _SPLIT_MIN_WEIGHT elements is split in two, one half
+# on the worker when it runs: its GEMMs by weight rows (``_row_blocks``)
+# and its initial draw (``_uniform``).  The weight's shape alone decides.
 _SPLIT_MIN_WEIGHT = 1 << 18
-_SPLIT_MIN_WORK = 1 << 21
 
 
-def _row_blocks(w: np.ndarray, n: int) -> list[slice]:
-    """The row blocks of weight ``w`` for a GEMM against ``n`` columns."""
+def _row_blocks(w: np.ndarray) -> list[slice]:
+    """The row blocks of a GEMM with weight ``w``: two halves of a large
+    weight, else the whole."""
     rows = w.shape[0]
-    if w.size >= _SPLIT_MIN_WEIGHT and w.size * n >= _SPLIT_MIN_WORK:
+    if w.size >= _SPLIT_MIN_WEIGHT:
         return [slice(0, rows // 2), slice(rows // 2, rows)]
     return [slice(0, rows)]
 
@@ -798,16 +789,14 @@ def _size_groups(sizes: dict[str, int]) -> list[list[str]]:
     return [sorted(group, key=order.get) for group in groups]
 
 
-# An initial weight of at least _UNIFORM_SPLIT_MIN values is drawn in two
-# halves, one on the worker when it runs; every array is drawn
-# _UNIFORM_BLOCK values at a time, so the float64 draws stay in cache and
-# no whole-size temporary is made.  A train-paper build took 86 ms with
-# these two (one BLAS thread, 2-vCPU host), 92 with a floor of 2^20 and
-# 118-136 with blocks of 2^12, against 168 ms for whole-size draws on one
-# thread.  Only these bit generators jump ahead by a number of draws and
-# then give the serial stream: Philox's ``advance`` did not reproduce it,
-# and SFC64 and MT19937 have no ``advance``.
-_UNIFORM_SPLIT_MIN = 1 << 18
+# Every initial array is drawn _UNIFORM_BLOCK values at a time, so the
+# float64 draws stay in cache and no whole-size temporary is made.  A
+# train-paper build took 86 ms with these blocks and halves from
+# _SPLIT_MIN_WEIGHT = 2^18 (one BLAS thread, 2-vCPU host), 92 with a floor
+# of 2^20 and 118-136 with blocks of 2^12, against 168 ms for whole-size
+# draws on one thread.  Only these bit generators jump ahead by a number
+# of draws and then give the serial stream: Philox's ``advance`` did not
+# reproduce it, and SFC64 and MT19937 have no ``advance``.
 _UNIFORM_BLOCK = 1 << 16
 _JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
@@ -830,7 +819,7 @@ def _uniform(
         return out
     flat = out.reshape(-1)
     bitgen = rng.bit_generator
-    if not (flat.size >= _UNIFORM_SPLIT_MIN and type(bitgen) in _JUMPABLE):
+    if not (flat.size >= _SPLIT_MIN_WEIGHT and type(bitgen) in _JUMPABLE):
         _fill_uniform(rng, low, high, flat)
         return out
     half = flat.size // 2
@@ -1048,7 +1037,7 @@ def attention_scores(H: Tensor, lengths, query: Tensor, w: Tensor, v: Tensor) ->
         np.add(u[:, rows], hw[rows].T, out=u[:, rows])
         np.tanh(u[:, rows], out=u[:, rows])
 
-    _split([functools.partial(block, rows) for rows in _row_blocks(w_h, hdata.shape[0])])
+    _split([functools.partial(block, rows) for rows in _row_blocks(w_h)])
     out = Tensor(u @ vdata)
 
     def back(g):

@@ -226,8 +226,11 @@ def cmd_train(args) -> int:
         train_load = load_dataset(config.train_file)
         dev_load = load_dataset(config.dev_file)
         print(
-            f"train: kept {len(train_load)} (dropped {train_load.dropped_no_label} unlabeled); "
-            f"dev: kept {len(dev_load)}"
+            "; ".join(
+                f"{name}: kept {len(load)} (dropped {load.dropped_no_label} unlabeled, "
+                f"{load.skipped_empty} with an empty sentence)"
+                for name, load in (("train", train_load), ("dev", dev_load))
+            )
         )
         train_examples = train_load.examples
         if config.snli_file:

@@ -290,11 +290,13 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
 
     File rows are copied verbatim; vocabulary tokens absent from the file
     (UNK and NUM included) keep their uniform(-EMBEDDING_SCALE,
-    EMBEDDING_SCALE) initialization; the PAD row stays zero.  Malformed
-    lines, and lines with a value that is not finite at float32 (nan, inf,
-    or past its range, such as 1e39), are skipped and counted; their
-    tokens keep their initialization.  A file whose vector width disagrees
-    with the vocabulary dimension is rejected.  A first line of exactly two
+    EMBEDDING_SCALE) initialization; the PAD row stays zero.  Only a line
+    whose token is in the vocabulary is checked: one of another width, or
+    with a value that does not parse or is not finite at float32 (nan, inf,
+    or past its range, such as 1e39), is skipped and counted, and its token
+    keeps its initialization.  Any other line is passed over unparsed.  A
+    file whose first vector line, whatever its token, has another width
+    than the vocabulary dimension is rejected.  A first line of exactly two
     integers is the ``count dim`` header of the word2vec and fastText
     ``.vec`` format, whose vector lines end with a space: trailing
     whitespace is dropped before a line is split on single spaces.
@@ -303,7 +305,7 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
     matrix = _init_embedding_matrix(vocab, rng)
     found = 0
     skipped = 0
-    file_dim = None
+    width_checked = False
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh):
             parts = line.rstrip().split(" ")
@@ -314,26 +316,23 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
                         f"!= vocabulary dimension {vocab.dim}"
                     )
                 continue
-            if len(parts) < 2:
-                skipped += 1
-                continue
-            if file_dim is None:
-                file_dim = len(parts) - 1
-                if file_dim != vocab.dim:
+            token, values = parts[0], parts[1:]
+            if values and not width_checked:
+                if len(values) != vocab.dim:
                     raise ConfigError(
-                        f"{path}: embedding width {file_dim} != vocabulary dimension {vocab.dim}"
+                        f"{path}: embedding width {len(values)} "
+                        f"!= vocabulary dimension {vocab.dim}"
                     )
-            if len(parts) - 1 != file_dim:
-                skipped += 1
-                continue
-            token = parts[0]
+                width_checked = True
             if token not in vocab or token == PAD_TOKEN:
                 continue
-            try:
-                with np.errstate(over="ignore"):  # a value past float32's range is inf
-                    vector = np.array([float(v) for v in parts[1:]], dtype=np.float32)
-            except ValueError:
-                vector = None
+            vector = None
+            if len(values) == vocab.dim:
+                try:
+                    with np.errstate(over="ignore"):  # a value past float32's range is inf
+                        vector = np.array([float(v) for v in values], dtype=np.float32)
+                except ValueError:
+                    pass
             if vector is None or not np.isfinite(vector).all():
                 skipped += 1
                 continue

@@ -88,7 +88,7 @@ class RMSProp:
     it: a parameter's first step stores (1-rho)*g*g straight, which has the
     bits of rho*0 + (1-rho)*g*g, since 0 + t is t for every t >= +0.
 
-    A large ``affine`` weight's gradient may still be its two factors g
+    An ``affine`` weight's gradient may still be its two factors g
     [B x d_out] and x [B x d_in] (``autodiff._Factored``).  The step then
     forms gᵀ·x one of its row blocks at a time, into a third work row, and
     updates that block, so no gradient array is made.  A formed ``.grad``

@@ -498,8 +498,8 @@ class TestSplit:
     """``_split`` and the forward GEMMs it splits by weight rows."""
 
     @staticmethod
-    def _in_halves(w, n):
-        assert len(ad._row_blocks(w, n)) == 2
+    def _in_halves(w):
+        assert len(ad._row_blocks(w)) == 2
 
     @pytest.mark.parametrize("d_in", [2000, 2400, 2800])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -511,7 +511,7 @@ class TestSplit:
             x = rng.normal(size=(rows, d_in))
             with ad.precision(dtype):
                 xt, wt, bt = (ad.Tensor(a) for a in (x, w, b))
-                self._in_halves(wt.data, rows)
+                self._in_halves(wt.data)
                 out = ad.affine(xt, wt, bt).data
             whole = (wt.data @ xt.data.T).T + bt.data
             if dtype == "float32":
@@ -530,7 +530,7 @@ class TestSplit:
             H, query = rng.normal(size=(lengths.sum(), d)), rng.normal(size=(sentences, d))
             with ad.precision(dtype):
                 H, query, w_t, v_t = (ad.Tensor(x) for x in (H, query, w, v))
-                self._in_halves(w_t.data[:, d:], H.shape[0])
+                self._in_halves(w_t.data[:, d:])
                 out = ad.attention_scores(H, lengths, query, w_t, v_t).data
             w_q, w_h = w_t.data[:, :d], w_t.data[:, d:]
             u = np.tanh(
@@ -542,9 +542,8 @@ class TestSplit:
             np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
 
     def test_small_gemms_stay_whole(self):
-        # the 3-row output layer, and a GEMM whose halves would not pay
-        assert len(ad._row_blocks(np.zeros((3, 2000)), 10_000)) == 1
-        assert len(ad._row_blocks(np.zeros((1200, 600)), 2)) == 1
+        # the 3-row output layer
+        assert len(ad._row_blocks(np.zeros((3, 2000)))) == 1
 
     def test_a_call_the_worker_has_not_started_is_taken_back(self, monkeypatch):
         monkeypatch.setattr(ad, "_use_worker", lambda: True)
@@ -627,13 +626,20 @@ class TestLayout:
     def _layouts(cls, draws: list) -> dict:
         layouts = {}
         for rows, cols in [*cls.SHAPES, cls.BELOW]:
-            for n in (2, 32, 1025):
-                layouts[rows, cols, n] = ad._row_blocks(np.zeros((rows, cols)), n)
+            layouts[rows, cols, "rows"] = ad._row_blocks(np.zeros((rows, cols)))
             factors = ad._Factored(np.zeros((32, rows)), np.zeros((32, cols)))
             layouts[rows, cols, "factored"] = factors.row_blocks()
             draws.clear()
             ad._uniform(np.random.default_rng(0), -1.0, 1.0, (rows, cols))
             layouts[rows, cols, "uniform"] = list(draws)
+        # the scorer at 300 units per direction, over a pair of two 1-token
+        # sentences scored alone and over a batch
+        w, v = ad.Tensor(np.zeros((1200, 1200))), ad.Tensor(np.zeros(1200))
+        for lengths in ((1, 1), (16,) * 64):
+            H = ad.Tensor(np.zeros((sum(lengths), 600)))
+            draws.clear()
+            ad.attention_scores(H, lengths, ad.Tensor(np.zeros((len(lengths), 600))), w, v)
+            layouts["scores", lengths] = list(draws)
         sizes = {f"w{i}": rows * cols for i, (rows, cols) in enumerate(cls.SHAPES)}
         layouts["groups"] = ad._size_groups(sizes)
         layouts["one name"] = ad._size_groups({"w": 1})
@@ -648,8 +654,9 @@ class TestLayout:
             layouts[on] = self._layouts(draws)
         assert layouts[True] == layouts[False]
         got = layouts[False]
-        assert len(got[2000, 2800, 32]) == len(got[1200, 600, 1025]) == 2
-        assert len(got[1200, 600, 2]) == len(got[3, 2000, 1025]) == 1
+        assert len(got[2000, 2800, "rows"]) == len(got[1200, 600, "rows"]) == 2
+        assert len(got[3, 2000, "rows"]) == 1
+        assert got["scores", (1, 1)] == got["scores", (16,) * 64] == [2]
         assert len(got[2000, 2800, "factored"]) > 1 and len(got[3, 2000, "factored"]) == 1
         assert got[2000, 2800, "uniform"] == [2] and got[3, 2000, "uniform"] == []
         assert len(got["groups"]) == 2 and got["one name"] == [["w"]]
@@ -662,8 +669,8 @@ class TestUniform:
     SIZES = [
         1,
         1000,  # below the split floor
-        ad._UNIFORM_SPLIT_MIN + 1,
-        2 * ad._UNIFORM_SPLIT_MIN + ad._UNIFORM_BLOCK + 7,
+        ad._SPLIT_MIN_WEIGHT + 1,
+        2 * ad._SPLIT_MIN_WEIGHT + ad._UNIFORM_BLOCK + 7,
     ]
     BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937]
 
@@ -697,7 +704,7 @@ class TestUniform:
         assert values.dtype == expected.dtype == np.dtype(dtype)
         np.testing.assert_array_equal(values, expected)
         np.testing.assert_array_equal(rng.uniform(size=5), reference.uniform(size=5))
-        halves = n >= ad._UNIFORM_SPLIT_MIN and bit_generator in ad._JUMPABLE
+        halves = n >= ad._SPLIT_MIN_WEIGHT and bit_generator in ad._JUMPABLE
         assert splits == ([2] if halves else [])
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
@@ -705,7 +712,7 @@ class TestUniform:
         rng, reference = self._pair(bit_generator, 11)
         for generator in (rng, reference):
             generator.integers(0, 2**32, dtype=np.uint32)  # leaves half of a 64-bit draw
-        n = ad._UNIFORM_SPLIT_MIN + 3
+        n = ad._SPLIT_MIN_WEIGHT + 3
         np.testing.assert_array_equal(
             ad._uniform(rng, -1.0, 1.0, n), reference.uniform(-1.0, 1.0, n).astype(np.float32)
         )
@@ -778,17 +785,16 @@ class TestAffine:
 
 
 class TestFactoredGradients:
-    """A large ``affine`` weight gets its gradient as the two factors g and
-    x (``_Factored``) when they are its only contribution; every ``.grad``
-    read has the bits of the gradient formed in the walk."""
+    """An ``affine`` weight gets its gradient as the two factors g and x
+    (``_Factored``) when they are its only contribution; every ``.grad``
+    read has the bits of the gradient formed in the rule."""
 
     @staticmethod
-    def _tensors(seed, rows=4, d_in=600, d_out=512):  # the weight just above the floor
+    def _tensors(seed, rows=4, d_in=600, d_out=512):
         rng = np.random.default_rng(seed)
         x = ad.Tensor(rng.normal(size=(rows, d_in)))
         w = ad.Tensor(rng.uniform(-0.05, 0.05, size=(d_out, d_in)))
         b = ad.Tensor(rng.normal(size=d_out))
-        assert ad._factors_suffice(w.data, np.empty((rows, d_out)), x.data)
         return rng, x, w, b
 
     @staticmethod
@@ -803,19 +809,32 @@ class TestFactoredGradients:
         return [leaf.grad for leaf in leaves]
 
     def _check(self, build, leaves, preset=()):
-        """The gradients equal those with every weight gradient formed in
-        the walk, as below the floor."""
+        """The gradients equal those of a walk in which every weight
+        gradient is formed in its rule (``_Factored.form()``), and each
+        formed one is gᵀ·x at float64 to float32's rounding."""
         preset = dict(preset)
+        factored, made = ad._Factored, []
+
+        class Formed(factored):  # hands back the array in place of the factors
+            def __new__(cls, g, x):
+                made.append((g, x))
+                return factored(g, x).form()
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ad, "_factors_suffice", lambda *args: False)
+            patch.setattr(ad, "_Factored", Formed)
             formed = self._grads(build, leaves, preset)
+        assert made
+        for g, x in made:
+            expected = g.astype(np.float64).T @ x.astype(np.float64)
+            np.testing.assert_allclose(factored(g, x).form(), expected, rtol=1e-5, atol=1e-6)
         for got, ref in zip(self._grads(build, leaves, preset), formed):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("d_out,d_in", [(512, 600), (3, 2000)])  # (3, 2000): the output layer
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_sole_contribution_stays_factored_until_read(self, worker, dtype):
+    def test_sole_contribution_stays_factored_until_read(self, worker, dtype, d_out, d_in):
         with ad.precision(dtype):
-            _, x, w, b = self._tensors(50)
+            _, x, w, b = self._tensors(50, d_in=d_in, d_out=d_out)
             with ad.Tape() as tape:
                 out = ad.affine(x, w, b)
                 loss = ad.sum_all(ad.tanh(out))
@@ -848,16 +867,6 @@ class TestFactoredGradients:
             return ad.sum_all(ad.tanh(ad.affine(x, ad.tanh(raw), b)))
 
         self._check(build, [x, raw, b])
-
-    def test_small_or_wide_batch_weight_is_formed_in_the_walk(self):
-        rng = np.random.default_rng(54)
-        for rows, d_out in ((4, 400), (600, 512)):  # below the floor; factors larger
-            x = ad.Tensor(rng.normal(size=(rows, 600)))
-            w = ad.Tensor(rng.normal(size=(d_out, 600)))
-            with ad.Tape() as tape:
-                loss = ad.sum_all(ad.affine(x, w, ad.Tensor(np.zeros(d_out))))
-            tape.backward(loss)
-            assert isinstance(w._grad, np.ndarray), (rows, d_out)
 
 
 class TestLstmSequenceDirections:

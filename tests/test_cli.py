@@ -218,6 +218,18 @@ class TestTrain:
         )
         assert sum(line.startswith("worker:") for line in lines) == 1
 
+    def test_every_dropped_pair_is_reported(self, tmp_path, capsys):
+        # the fixture corpus holds one pair labeled "-"; add one with an empty hypothesis
+        train = tmp_path / "train.jsonl"
+        empty = {"gold_label": "neutral", "sentence1": "a dog runs .", "sentence2": ""}
+        train.write_text((FIXTURES / "train.jsonl").read_text() + json.dumps(empty) + "\n")
+        config = write_tiny_config(tmp_path, train_file=train, max_epochs=1)
+        assert main(["train", "--config", str(config)]) == 0
+        assert (
+            "train: kept 25 (dropped 1 unlabeled, 1 with an empty sentence); "
+            "dev: kept 12 (dropped 0 unlabeled, 0 with an empty sentence)"
+        ) in capsys.readouterr().out.splitlines()
+
     def test_nothing_to_train_on_exits_2_with_error_log(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path, max_premise_len=1)
         assert main(["train", "--config", str(config)]) == 2

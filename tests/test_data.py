@@ -235,6 +235,14 @@ class TestEmbeddings:
         assert load.found == 1
         assert load.skipped_lines == 2
 
+    def test_only_vocabulary_lines_are_checked_and_counted(self, tmp_path):
+        exs = [data.NLIExample("1", "g", ["cat", "dog"], ["eel"], "neutral")]
+        vocab = data.Vocabulary.from_examples(exs, dim=3)
+        path = tmp_path / "emb.vec"
+        path.write_text("cat 1 2 3\ndog 1 2\neel a b c\nzzz 1 2\nyyy a b c\n")
+        load = data.load_embeddings(path, vocab, np.random.default_rng(0))
+        assert load.found == 1 and load.skipped_lines == 2
+
     def test_non_finite_lines_skipped(self, tmp_path):
         exs = [data.NLIExample("1", "g", ["cat", "dog"], ["eel"], "neutral")]
         vocab = data.Vocabulary.from_examples(exs, dim=3)

@@ -2,14 +2,14 @@
 optimizer's split step and a checkpoint round trip change no bit; a pair's
 prediction depends neither on its place in a batch nor on the code path.
 
-Every other model-level test runs at tiny dimensions, where no GEMM is
+Every other model-level test runs at tiny dimensions, where no weight is
 large enough to split (``autodiff._SPLIT_MIN_WEIGHT``).  Here the context
 BiLSTM, the attention scorer and the 2000-wide MLP split, on the worker
 when it runs and in turn when not, and so do the initial draws of every
-weight above ``autodiff._UNIFORM_SPLIT_MIN`` values.  The pairs have the benchmark's
-sentence lengths, plus one pair of two 1-token sentences: alone, its
-attention GEMM at 300 units per direction is [1200 x 600] against 2
-columns.
+weight above that floor.  The pairs have the benchmark's sentence
+lengths, plus one pair of two 1-token sentences: alone, its attention
+GEMM at 300 units per direction is [1200 x 600] against 2 columns, split
+as a batch's is.
 """
 
 import importlib.util

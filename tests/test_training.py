@@ -206,18 +206,19 @@ class TestRMSProp:
 
 
 class TestFactoredStep:
-    """``RMSProp.step`` on a large weight whose gradient is still its two
+    """``RMSProp.step`` on a weight whose gradient is still its two
     factors (``autodiff._Factored``): the update forms gᵀ·x a row block at
     a time, with the bits of an update from the formed ``.grad``."""
 
     @staticmethod
-    def _model(seed):
-        """A two-layer MLP whose first weight, [512 x 600], gets factors."""
+    def _model(seed, hidden=512):
+        """A two-layer MLP, [hidden x 600] and [3 x hidden]: both weights
+        get factors."""
         rng = np.random.default_rng(seed)
         params = {
-            "w1": Tensor(rng.uniform(-0.05, 0.05, size=(512, 600))),
-            "b1": Tensor(np.zeros(512)),
-            "w2": Tensor(rng.uniform(-0.05, 0.05, size=(3, 512))),
+            "w1": Tensor(rng.uniform(-0.05, 0.05, size=(hidden, 600))),
+            "b1": Tensor(np.zeros(hidden)),
+            "w2": Tensor(rng.uniform(-0.05, 0.05, size=(3, hidden))),
             "b2": Tensor(np.zeros(3)),
         }
         x = Tensor(rng.normal(size=(8, 600)), requires_grad=False)
@@ -237,15 +238,18 @@ class TestFactoredStep:
             value = loss()
         tape.backward(value)
 
+    # [3 x 2000] and [3 x 2800]: the output layer after the MLP's 2000-wide layers
+    @pytest.mark.parametrize("hidden", [512, 2000, 2800])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_twenty_steps_bit_identical_to_the_formed_gradient(self, worker, dtype):
+    def test_twenty_steps_bit_identical_to_the_formed_gradient(self, worker, dtype, hidden):
         with precision(dtype):
-            (factored, loss), (formed, formed_loss) = self._model(60), self._model(60)
+            (factored, loss), (formed, formed_loss) = (self._model(60, hidden) for _ in range(2))
             opt, formed_opt = RMSProp(factored, 1e-3), RMSProp(formed, 1e-3)
             for _ in range(20):
                 self._backward(loss)
                 self._backward(formed_loss)
-                assert isinstance(factored["w1"]._grad, autodiff._Factored)
+                for name in ("w1", "w2"):
+                    assert isinstance(factored[name]._grad, autodiff._Factored), name
                 for p in formed.values():
                     p.grad  # forms the array: the step takes it as any other
                 opt.step()
