@@ -36,7 +36,8 @@ print(f"\n{len(lengths)} sentences of lengths {lengths.tolist()}: {len(batch.wor
       f"W = {len(batch.char_lengths)} distinct words")
 
 x = encoder.embed_tokens(batch.word_ids, *words)
-print(f"embedded input: {x.shape}  (word {config.word_dim} + char {config.char_hidden} per token)")
+print(f"embedded input: blocks {' + '.join(str(block.shape) for block in x)}  "
+      f"(frozen word {config.word_dim}, learned char {config.char_hidden} per token)")
 
 seq = bilstm(x, lengths, encoder.forward_cell, encoder.backward_cell)
 print(f"context vectors: {seq.H.shape}  (2 x {config.hidden_per_dir} per token)")

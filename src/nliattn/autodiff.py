@@ -10,8 +10,8 @@ finite-difference evaluation use.
 made with ``requires_grad=False`` is a constant, such as the frozen word
 embeddings: it gets no ``.grad``, an operation none of whose inputs needs
 a gradient is not taped, and its output is a constant too.
-``lstm_sequence`` forms its input gradient only for the columns that need
-one (``concat`` records which those are).
+``lstm_sequence`` takes its input as column blocks side by side and forms
+an input gradient only for the blocks that need one.
 
 There is one tensor class.  A model's parameters are plain tensors; the
 model names them in its ``parameters()`` registry, whose names key
@@ -100,9 +100,7 @@ class Tensor:
     """
 
     # _grad: the gradient as stored, an array or a ``_Factored`` one
-    # _grad_columns: set by ``concat`` when only some of its blocks need a
-    # gradient; the column range those blocks span
-    __slots__ = ("data", "_grad", "requires_grad", "_grad_columns")
+    __slots__ = ("data", "_grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = True):
         arr = np.asarray(data, dtype=_DTYPE)
@@ -111,7 +109,6 @@ class Tensor:
         self.data = arr
         self._grad = None
         self.requires_grad = requires_grad
-        self._grad_columns = None
 
     @property
     def grad(self):
@@ -410,18 +407,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along ``axis``.  Joined along the columns of 2-D
-    blocks, some of them constants, the output records the column range
-    that the blocks needing a gradient span."""
+    """Join tensors along ``axis``."""
     parts = list(parts)
     if not parts:
         raise InvalidInputError("concat needs at least one tensor")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
-    needing = [i for i, p in enumerate(parts) if p.requires_grad]
-    if out.ndim == 2 and axis == 1 and needing:
-        bounds = np.cumsum([0, *sizes]).tolist()
-        out._grad_columns = slice(bounds[needing[0]], bounds[needing[-1] + 1])
 
     def back(g):
         grads = []
@@ -859,10 +850,10 @@ def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: n
 
     Writes the hidden states into ``dest`` [L x h] in packed row order and
     returns the direction's backward pass, which maps the gradient of
-    ``dest`` and the columns of x that need a gradient (a slice, or None)
-    to (dx, dw_ih, dw_hh, dbias); dx is None without columns and zero
-    outside them.  Reads and writes numpy arrays only, so it may run on the
-    worker.
+    ``dest`` and the column ranges of x's blocks (a slice for a block that
+    needs a gradient, else None) to (dxs, dw_ih, dw_hh, dbias); dxs holds
+    each block's input gradient, None for a None.  Reads and writes numpy
+    arrays only, so it may run on the worker.
     """
     n = xdata.shape[0]
     h = wh.shape[1]
@@ -893,7 +884,7 @@ def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: n
         hidden[lo:hi] *= o[lo:hi]
     dest[perm] = hidden
 
-    def back(gout, x_columns: slice | None):
+    def back(gout, x_blocks: Sequence[slice | None]):
         gout = gout[perm]
         first = bounds[1]  # from here on, row r continues row prev_rows[r - first]
         prev_rows = np.arange(first, n) - np.repeat(sizes[:-1], sizes[1:])
@@ -920,23 +911,23 @@ def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: n
                 np.matmul(dgates[lo:hi].reshape(k, -1), wh, out=dh_next[:k])
                 np.multiply(dc, f[lo:hi], out=dc_next[:k])
         dg = dgates.reshape(n, 4 * h)
-        dx = None
-        if x_columns is not None:
-            dx = np.zeros_like(xdata)
-            dx[perm, x_columns] = dg @ wi[:, x_columns]
-        return dx, dg.T @ xp, dg[first:].T @ hidden[prev_rows], dg.sum(axis=0)
+        unperm = np.argsort(perm)  # packed row order back to x's
+        dxs = [None if cols is None else (dg @ wi[:, cols])[unperm] for cols in x_blocks]
+        return dxs, dg.T @ xp, dg[first:].T @ hidden[prev_rows], dg.sum(axis=0)
 
     return back
 
 
 def lstm_sequence(
-    x: Tensor,
+    x: Tensor | Sequence[Tensor],
     lengths,
     forward: Sequence[Tensor] | None = None,
     backward: Sequence[Tensor] | None = None,
 ) -> Tensor:
     """One or two LSTM directions over every packed sequence of ``x``
-    [L x d], each from zero state.
+    [L x d], each from zero state.  ``x`` is one tensor or a list of its
+    column blocks side by side, such as constant word vectors beside
+    learned char features.
 
     ``forward`` and ``backward`` are each a (w_ih, w_hh, bias) triple or
     None, and at least one is given.  The result is [L x Σh]: row i holds
@@ -944,23 +935,26 @@ def lstm_sequence(
     the forward direction's columns first.  The backward direction runs
     each sequence from its last row to its first.  Gate order is input,
     forget, cell, output.  The input projection x·w_ihᵀ + bias of every row
-    is one GEMM; each time step is then one GEMM against a contiguous copy
-    of w_hhᵀ over the sequences still running, plus the cell update.  The
-    backward pass is BPTT over the stacked gate gradients dG [L x 4h]; the
-    weight and input gradients are GEMMs on dG.  The input gradient is
-    formed only for the columns of ``x`` that need one: none for a
-    constant, the blocks that ``concat`` recorded otherwise.
+    is one GEMM over the blocks' joined columns; each time step is then one
+    GEMM against a contiguous copy of w_hhᵀ over the sequences still
+    running, plus the cell update.  The backward pass is BPTT over the
+    stacked gate gradients dG [L x 4h]; the weight gradients are GEMMs on
+    dG.  A block that needs a gradient gets one GEMM of dG against its
+    columns of w_ih per direction; a constant block gets none.
 
     With both directions, ``_split`` runs the backward one beside the
     forward one, in the forward and in the backward pass.
     """
-    if x.ndim != 2:
-        raise DimensionError(f"lstm_sequence needs an [L x d] input, got {x.shape}")
-    lengths, starts = _segments(lengths, x.shape[0], "lstm_sequence")
+    blocks = [x] if isinstance(x, Tensor) else list(x)
+    if not blocks or any(b.ndim != 2 or b.shape[0] != blocks[0].shape[0] for b in blocks):
+        raise DimensionError(f"lstm_sequence needs [L x d] blocks, got {[b.shape for b in blocks]}")
+    bounds = np.cumsum([0, *(b.shape[1] for b in blocks)]).tolist()
+    n, d = blocks[0].shape[0], bounds[-1]
+    lengths, starts = _segments(lengths, n, "lstm_sequence")
     directions = [(w, rev) for w, rev in ((forward, False), (backward, True)) if w is not None]
     if not directions:
         raise UsageError("lstm_sequence needs a forward or a backward direction")
-    n, d = x.shape
+    xdata = blocks[0].data if len(blocks) == 1 else np.concatenate([b.data for b in blocks], 1)
     columns = []
     width = 0
     for (w_ih, w_hh, bias), _ in directions:
@@ -976,26 +970,28 @@ def lstm_sequence(
     backs = _split(
         [
             functools.partial(
-                _lstm_direction, x.data, lengths, starts, *(w.data for w in weights), rev,
+                _lstm_direction, xdata, lengths, starts, *(w.data for w in weights), rev,
                 out.data[:, cols],
             )
             for (weights, rev), cols in zip(directions, columns)
         ]
     )
 
-    x_columns = (x._grad_columns or slice(0, d)) if x.requires_grad else None
+    spans = zip(bounds, bounds[1:])
+    x_blocks = [slice(*span) if b.requires_grad else None for b, span in zip(blocks, spans)]
 
     def back(gout):
         grads = _split(
-            [functools.partial(b, gout[:, cols], x_columns) for b, cols in zip(backs, columns)]
+            [functools.partial(b, gout[:, cols], x_blocks) for b, cols in zip(backs, columns)]
         )
-        dx = grads[0][0]
-        if dx is not None:
-            for other in grads[1:]:
-                dx += other[0]
-        return (dx, *(g for direction in grads for g in direction[1:]))
+        dxs = grads[0][0]
+        for other in grads[1:]:
+            for dx, more in zip(dxs, other[0]):
+                if dx is not None:
+                    dx += more
+        return (*dxs, *(g for direction in grads for g in direction[1:]))
 
-    inputs = (x, *(w for weights, _ in directions for w in weights))
+    inputs = (*blocks, *(w for weights, _ in directions for w in weights))
     return _emit(out, inputs, back)
 
 

@@ -250,7 +250,9 @@ def cmd_train(args) -> int:
 
         emb_rng = np.random.default_rng([config.train.seed, 14])
         if config.embeddings_file:
-            emb_load = load_embeddings(config.embeddings_file, vocab, emb_rng)
+            emb_load = load_embeddings(
+                config.embeddings_file, vocab, emb_rng, config.embedding_scale
+            )
             embeddings = emb_load.parameter
             print(f"embeddings: {emb_load.found} from file, {emb_load.skipped_lines} lines skipped")
         else:

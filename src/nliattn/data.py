@@ -285,15 +285,17 @@ class EmbeddingLoad:
     skipped_lines: int
 
 
-def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> EmbeddingLoad:
+def load_embeddings(
+    path, vocab: Vocabulary, rng: np.random.Generator, scale: float = EMBEDDING_SCALE
+) -> EmbeddingLoad:
     """Load pretrained vectors for the vocabulary.
 
     File rows are copied verbatim; vocabulary tokens absent from the file
-    (UNK and NUM included) keep their uniform(-EMBEDDING_SCALE,
-    EMBEDDING_SCALE) initialization; the PAD row stays zero.  Only a line
-    whose token is in the vocabulary is checked: one of another width, or
-    with a value that does not parse or is not finite at float32 (nan, inf,
-    or past its range, such as 1e39), is skipped and counted, and its token
+    (UNK and NUM included) keep their uniform(-scale, scale) initialization,
+    as in ``random_embeddings``; the PAD row stays zero.  Only a line whose
+    token is in the vocabulary is checked: one of another width, or with a
+    value that does not parse or is not finite at float32 (nan, inf, or
+    past its range, such as 1e39), is skipped and counted, and its token
     keeps its initialization.  Any other line is passed over unparsed.  A
     file whose first vector line, whatever its token, has another width
     than the vocabulary dimension is rejected.  A first line of exactly two
@@ -302,7 +304,7 @@ def load_embeddings(path, vocab: Vocabulary, rng: np.random.Generator) -> Embedd
     whitespace is dropped before a line is split on single spaces.
     The resulting parameter is frozen: these vectors are never fine-tuned.
     """
-    matrix = _init_embedding_matrix(vocab, rng)
+    matrix = _init_embedding_matrix(vocab, rng, scale)
     found = 0
     skipped = 0
     width_checked = False

@@ -154,7 +154,7 @@ class SentenceRepresentation:
 
 
 def bilstm(
-    x: Tensor,
+    x: Tensor | list[Tensor],
     lengths,
     forward_cell: LSTMWeights,
     backward_cell: LSTMWeights,
@@ -162,7 +162,8 @@ def bilstm(
     """Run both LSTM directions from zero states over every sentence.
 
     ``x`` holds the input rows of S sentences packed sentence after
-    sentence, and ``lengths`` [S] their token counts.  Row i of the result
+    sentence, one tensor or its column blocks as ``embed_tokens`` returns
+    them, and ``lengths`` [S] their token counts.  Row i of the result
     is [forward_i ; backward_i].  The backward direction starts at each
     sentence's last token.  Both directions are one ``ad.lstm_sequence``
     op, which may run them on two threads.
@@ -250,9 +251,10 @@ class Encoder:
 
     def embed_tokens(
         self, word_ids, word_index=None, char_ids=None, char_lengths=None
-    ) -> Tensor:
-        """Input rows [L x d] of the packed tokens: the frozen word vector,
-        plus the char-LSTM summary when character features are on.
+    ) -> list[Tensor]:
+        """Column blocks of the input rows [L x d] of the packed tokens: the
+        frozen word vectors [L x word_dim], then, when character features
+        are on, the char-LSTM summaries [L x char_hidden], which learn.
 
         ``word_ids`` [L] are the tokens' word ids.  With chars on, token t
         is distinct word ``word_index[t]`` of a table whose characters
@@ -266,7 +268,7 @@ class Encoder:
         # gradient is formed toward it
         words = ad.take_rows(self.word_embeddings, word_ids)
         if not self.config.use_chars:
-            return words
+            return [words]
         if word_index is None or char_ids is None or char_lengths is None:
             raise ConfigError("embed_tokens: chars are on but the distinct-word table is missing")
         if np.shape(word_index) != word_ids.shape:
@@ -274,7 +276,7 @@ class Encoder:
                 f"embed_tokens: word_index {np.shape(word_index)} != word ids {word_ids.shape}"
             )
         char_vecs = char_encode(char_ids, char_lengths, self.char_embeddings, self.char_cell)
-        return ad.concat([words, ad.take_rows(char_vecs, word_index)], axis=1)
+        return [words, ad.take_rows(char_vecs, word_index)]
 
     def encode(
         self,

@@ -84,10 +84,6 @@ class NLIModel:
             dropout=config.dropout,
         )
 
-    @property
-    def rep_dim(self) -> int:
-        return self.config.encoder.rep_dim
-
     def parameters(self) -> dict[str, Tensor]:
         """All parameters in a stable declared order (checkpoint blob order)."""
         params = self.encoder.parameters()

@@ -378,6 +378,7 @@ class TestRequiresGrad:
         theta = ad.Tensor(np.array([2.0, 3.0]))
         with ad.Tape() as tape:
             y = ad.tanh(c)
+            assert not ad.concat([c, y]).requires_grad
             assert len(tape) == 0 and not y.requires_grad
             loss = ad.sum_all(ad.mul(y, theta))
         assert len(tape) == 2 and loss.requires_grad
@@ -392,33 +393,27 @@ class TestRequiresGrad:
         with pytest.raises(UsageError, match="needs a gradient"):
             tape.backward(loss)
 
-    def test_concat_records_the_columns_that_need_a_gradient(self):
-        const = ad.Tensor(np.zeros((2, 3)), requires_grad=False)
-        var = ad.Tensor(np.ones((2, 2)))
-        assert ad.concat([const, var], axis=1)._grad_columns == slice(3, 5)
-        assert ad.concat([var, const, var], axis=1)._grad_columns == slice(0, 7)
-        assert not ad.concat([const, const], axis=1).requires_grad
-        assert ad.concat([const, ad.Tensor(np.ones((1, 3)))])._grad_columns is None  # rows
-
     @staticmethod
-    def _lstm_rule_dx(x, concurrent, monkeypatch):
-        """The input gradient that ``lstm_sequence``'s rule hands back for x."""
+    def _lstm_rule_dxs(x, concurrent, monkeypatch):
+        """The input gradients that ``lstm_sequence``'s rule hands back for
+        the blocks of x."""
         monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
         rng = np.random.default_rng(41)
         lengths = [3, 1, 4]
-        d = x.shape[1]
+        blocks = [x] if isinstance(x, ad.Tensor) else x
+        d = sum(block.shape[1] for block in blocks)
         forward = tuple(ad.Tensor(rng.normal(size=s)) for s in ((12, d), (12, 3), (12,)))
         backward = tuple(ad.Tensor(rng.normal(size=s)) for s in ((16, d), (16, 4), (16,)))
         with ad.Tape() as tape:
             out = ad.lstm_sequence(x, lengths, forward, backward)
         (record_out, _, rule), = tape._records
         assert record_out is out
-        return rule(rng.normal(size=out.shape).astype(out.data.dtype))[0]
+        return rule(rng.normal(size=out.shape).astype(out.data.dtype))[: len(blocks)]
 
     @pytest.mark.parametrize("concurrent", [True, False])
     def test_lstm_forms_no_dx_for_a_constant_input(self, monkeypatch, concurrent):
         x = ad.Tensor(np.random.default_rng(42).normal(size=(8, 5)), requires_grad=False)
-        assert self._lstm_rule_dx(x, concurrent, monkeypatch) is None
+        assert self._lstm_rule_dxs(x, concurrent, monkeypatch) == (None,)
 
     @pytest.mark.parametrize("concurrent", [True, False])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -428,20 +423,38 @@ class TestRequiresGrad:
         rng = np.random.default_rng(43)
         words, chars = rng.normal(size=(8, 6)), rng.normal(size=(8, 3))
         with ad.precision(dtype):
-            full = self._lstm_rule_dx(
-                ad.concat([ad.Tensor(words), ad.Tensor(chars)], axis=1), concurrent, monkeypatch
+            (full,) = self._lstm_rule_dxs(
+                ad.Tensor(np.hstack([words, chars])), concurrent, monkeypatch
             )
-            narrow = self._lstm_rule_dx(
-                ad.concat([ad.Tensor(words, requires_grad=False), ad.Tensor(chars)], axis=1),
-                concurrent,
-                monkeypatch,
+            no_words, narrow = self._lstm_rule_dxs(
+                [ad.Tensor(words, requires_grad=False), ad.Tensor(chars)], concurrent, monkeypatch
             )
         # float32 keeps the bits on the bundled OpenBLAS; at float64 the
         # narrower GEMM may round its last bit differently
         if dtype == "float32":
-            assert np.array_equal(narrow[:, 6:], full[:, 6:])
-        np.testing.assert_allclose(narrow[:, 6:], full[:, 6:], rtol=1e-13, atol=1e-15)
-        assert not narrow[:, :6].any()
+            assert np.array_equal(narrow, full[:, 6:])
+        np.testing.assert_allclose(narrow, full[:, 6:], rtol=1e-13, atol=1e-15)
+        assert no_words is None and narrow.shape == chars.shape
+
+    def test_lstm_gradients_of_a_learned_block_beside_a_constant(self):
+        rng = np.random.default_rng(44)
+
+        def rand(*shape, requires_grad=True):
+            return ad.Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=requires_grad)
+
+        with ad.precision("float64"):
+            words, chars = rand(7, 4, requires_grad=False), rand(7, 2)
+            forward = (rand(12, 6), rand(12, 3), rand(12))
+            backward = (rand(8, 6), rand(8, 2), rand(8))
+            weights = rand(7, 5)
+
+            def loss():
+                out = ad.lstm_sequence([words, chars], [3, 1, 3], forward, backward)
+                return ad.sum_all(ad.mul(out, weights))
+
+            error = gc.check_gradient(loss, [chars, *forward, *backward])
+        assert error <= 1e-6
+        assert chars.grad.shape == chars.shape and words.grad is None
 
 
 class TestDeferredGradients:
@@ -942,6 +955,14 @@ class TestLstmSequenceDirections:
     def test_needs_a_direction(self):
         with pytest.raises(UsageError):
             ad.lstm_sequence(ad.Tensor(np.zeros((2, 3))), [2])
+
+    def test_blocks_are_matrices_with_the_same_rows(self):
+        _, forward, _, _ = self._case()
+        n = self.LENGTHS.sum()
+        for blocks in ([], [ad.Tensor(np.zeros((n, 3))), ad.Tensor(np.zeros((n - 1, 2)))],
+                       [ad.Tensor(np.zeros(n))]):
+            with pytest.raises(DimensionError):
+                ad.lstm_sequence(blocks, self.LENGTHS, forward)
 
 
 class TestOperationSuite:

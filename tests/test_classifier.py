@@ -18,7 +18,7 @@ from nliattn.data import (
 from nliattn.encoder import EncoderConfig
 from nliattn.errors import DataError, DimensionError
 from nliattn.model import ModelConfig, NLIModel
-from test_encoder import unrolled_bilstm, unrolled_embed_tokens
+from test_encoder import joined, unrolled_bilstm, unrolled_embed_tokens
 
 
 class TestAggregate:
@@ -177,7 +177,7 @@ class TestModel:
 
     def test_matching_vector_width(self):
         model, *_ = tiny_model()
-        assert model.mlp.input_dim == 4 * model.rep_dim
+        assert model.mlp.input_dim == 4 * model.config.encoder.rep_dim
 
     def test_batch_loss_and_prediction(self):
         model, examples, vocab, chars = tiny_model()
@@ -219,25 +219,48 @@ class TestModel:
     def test_word_lookup_is_a_constant_without_grad(self, monkeypatch, use_chars):
         model, examples, vocab, chars = tiny_model(seed=17, use_chars=use_chars)
         batch = make_batches(examples, 2, "dev", vocab, chars)[0]
-        context_inputs = []
+        context = []
         lstm_sequence = ad.lstm_sequence
 
         def spy(x, lengths, forward=None, backward=None):
+            out = lstm_sequence(x, lengths, forward, backward)
             if forward is not None and backward is not None:
-                context_inputs.append(x)
-            return lstm_sequence(x, lengths, forward, backward)
+                context.append((x, out))
+            return out
 
         monkeypatch.setattr(ad, "lstm_sequence", spy)
         with ad.Tape() as tape:
             loss = model.batch_loss(batch)
+        ((blocks, out),) = context
+        # the word block is a constant, the char block (chars on) learns
+        assert [block.requires_grad for block in blocks] == [False] + [True] * use_chars
+        (rule,) = [rule for record_out, _, rule in tape._records if record_out is out]
+        grads = rule(np.ones_like(out.data))
+        assert grads[0] is None
+        if use_chars:
+            assert grads[1].shape == blocks[1].shape
         tape.backward(loss)
-        (x,) = context_inputs
-        word_dim = model.config.encoder.word_dim
-        if use_chars:  # the char block needs a gradient, the word block does not
-            assert x.requires_grad and x._grad_columns == slice(word_dim, x.shape[1])
-        else:
-            assert not x.requires_grad and x.grad is None
-        assert model.encoder.word_embeddings.grad is None
+        assert blocks[0].grad is None and model.encoder.word_embeddings.grad is None
+
+    def test_context_lstm_record_takes_the_word_and_char_blocks(self):
+        model, examples, vocab, chars = tiny_model(seed=18, use_chars=True)
+        batch = make_batches(examples, 2, "dev", vocab, chars)[0]
+        with ad.Tape() as tape:
+            model.batch_loss(batch)
+        encoder = model.encoder
+        (inputs,) = [
+            inputs for _, inputs, _ in tape._records
+            if any(t is encoder.forward_cell.w_ih for t in inputs)
+        ]
+        words, char_block, *weights = inputs
+        assert weights == [*encoder.forward_cell, *encoder.backward_cell]
+        config = model.config.encoder
+        assert words.shape == (len(batch.word_ids), config.word_dim)
+        assert char_block.shape == (len(batch.word_ids), config.char_hidden)
+        made_by = {id(out): rule.__qualname__ for out, _, rule in tape._records}
+        assert id(words) not in made_by  # a frozen lookup is not taped
+        assert made_by[id(char_block)].startswith("take_rows.")
+        assert not any(made_by.get(id(t), "").startswith("concat.") for t in inputs)
 
     def test_full_pipeline_gradient_check(self):
         with ad.precision("float64"):
@@ -421,7 +444,7 @@ class TestCharHalf:
             _large_weights(model, seed=51)
             batch = self._batch(model)
             inputs = batch.word_ids, batch.word_index, batch.char_ids, batch.char_lengths
-            fast = model.encoder.embed_tokens(*inputs).data
+            fast = joined(model.encoder.embed_tokens(*inputs))
             slow = unrolled_embed_tokens(model.encoder, *inputs).data
 
             def char_grads():
@@ -456,9 +479,10 @@ class TestCharHalf:
 
             def char_half(premises, hypotheses):
                 batch = self._batch(model, premises, hypotheses)
-                return model.encoder.embed_tokens(
+                _, char_block = model.encoder.embed_tokens(
                     batch.word_ids, batch.word_index, batch.char_ids, batch.char_lengths
-                ).data[:, 4:]
+                )
+                return char_block.data
 
             full = char_half(self.PREMISES, self.HYPOTHESES)
             tokens = [t for sentence in self.PREMISES + self.HYPOTHESES for t in sentence]

@@ -230,6 +230,28 @@ class TestTrain:
             "dev: kept 12 (dropped 0 unlabeled, 0 with an empty sentence)"
         ) in capsys.readouterr().out.splitlines()
 
+    def test_rows_missing_from_the_embeddings_file_follow_embedding_scale(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        vec = tmp_path / "emb.vec"
+        vec.write_text("1 12\nthe " + "0.25 " * 12 + "\n")  # .vec: header, trailing space
+        models = []
+
+        def capture(model, *args, **kwargs):
+            models.append(model)
+            return training.train(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", capture)
+        config = write_tiny_config(tmp_path, embeddings_file=vec, max_epochs=1)
+        assert "embedding_scale=0.5" in config.read_text()
+        assert main(["train", "--config", str(config)]) == 0
+        assert "embeddings: 1 from file" in capsys.readouterr().out
+        (model,) = models
+        vocab, matrix = model.vocab, model.encoder.word_embeddings.data
+        np.testing.assert_array_equal(matrix[vocab.lookup("the")], 0.25)
+        missing = np.abs(np.delete(matrix, [vocab.pad, vocab.lookup("the")], axis=0))
+        assert missing.max() > 0.05 and missing.max() <= 0.5
+
     def test_nothing_to_train_on_exits_2_with_error_log(self, tmp_path, capsys):
         config = write_tiny_config(tmp_path, max_premise_len=1)
         assert main(["train", "--config", str(config)]) == 2
@@ -526,7 +548,8 @@ class TestSweepAndExport:
         seen = {}
 
         def fake_train(model, *args, **kwargs):
-            seen.setdefault(model.config.encoder.use_chars, set()).add(model.rep_dim)
+            encoder = model.config.encoder
+            seen.setdefault(encoder.use_chars, set()).add(encoder.rep_dim)
             return training.TrainResult(best_epoch=1, best_dev_accuracy=0.5)
 
         monkeypatch.setattr(training, "train", fake_train)

@@ -65,6 +65,11 @@ def tiny_encoder(use_chars=False, word_dim=5, hidden=3, n_vocab=9, n_chars=7, se
     return enc.Encoder(config, embeddings, n_chars=n_chars, rng=rng)
 
 
+def joined(blocks) -> np.ndarray:
+    """The input rows [L x d] that ``embed_tokens``' column blocks make."""
+    return np.concatenate([block.data for block in blocks], axis=1)
+
+
 class TestLstmStep:
     def test_zero_params_zero_state(self):
         rng = np.random.default_rng(0)
@@ -181,14 +186,14 @@ class TestEmbedTokens:
     def test_lookup_without_chars(self):
         model = tiny_encoder(use_chars=False)
         ids = np.array([2, 5, 2])
-        out = model.embed_tokens(ids)
+        (out,) = model.embed_tokens(ids)
         np.testing.assert_array_equal(out.data, model.word_embeddings.data[ids])
 
     def test_word_half_matches_lookup_with_chars(self):
         model = tiny_encoder(use_chars=True)
         ids = np.array([3, 4])
-        out = model.embed_tokens(ids, [0, 1], [1, 2, 3], [2, 1])
-        np.testing.assert_array_equal(out.data[:, :5], model.word_embeddings.data[ids])
+        out = joined(model.embed_tokens(ids, [0, 1], [1, 2, 3], [2, 1]))
+        np.testing.assert_array_equal(out[:, :5], model.word_embeddings.data[ids])
         assert out.shape == (2, 5 + 2)
 
     def test_rows_follow_word_index(self):
@@ -197,11 +202,13 @@ class TestEmbedTokens:
         model = tiny_encoder(use_chars=True)
         words = [[1, 2], [3], [2, 1]]
         word_index = np.array([0, 2, 0, 1])
-        out = model.embed_tokens([3, 5, 3, 4], word_index, np.concatenate(words), [2, 1, 2])
-        alone = [model.embed_tokens([3], [0], words[w], [len(words[w])]).data[0, 5:]
+        out = joined(
+            model.embed_tokens([3, 5, 3, 4], word_index, np.concatenate(words), [2, 1, 2])
+        )
+        alone = [joined(model.embed_tokens([3], [0], words[w], [len(words[w])]))[0, 5:]
                  for w in word_index]
-        np.testing.assert_array_equal(out.data[0], out.data[2])
-        np.testing.assert_allclose(out.data[:, 5:], np.vstack(alone), atol=1e-6)
+        np.testing.assert_array_equal(out[0], out[2])
+        np.testing.assert_allclose(out[:, 5:], np.vstack(alone), atol=1e-6)
 
     def test_out_of_range_id_rejected(self):
         model = tiny_encoder()

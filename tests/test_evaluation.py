@@ -214,7 +214,7 @@ class TestExport:
         for line in lines:
             fields = line.split("\t")
             assert fields[1] in ("premise", "hypothesis")
-            assert len(fields) == 2 + model.rep_dim
+            assert len(fields) == 2 + model.config.encoder.rep_dim
 
     def test_re_export_byte_identical(self, tmp_path):
         examples = synth.synthetic_examples(4, seed=14)
