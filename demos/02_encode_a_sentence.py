@@ -2,8 +2,9 @@
 vectors, the four pooling strategies, and attention-based refinement.
 
 Every step runs on all sentences at once.  A batch holds no padding: its
-tokens are packed into one [L x d] block, sentence after sentence, and
-``lengths`` says how many belong to each sentence.
+L tokens are packed sentence after sentence, ``lengths`` says how many
+belong to each sentence, and ``word_index`` says which of the batch's W
+distinct words each token is.
 
 Run:  python demos/02_encode_a_sentence.py
 """
@@ -28,18 +29,18 @@ print("hypothesis:", " ".join(pair.hypothesis_tokens))
 
 # the model's one input format is a packed Batch of pairs; its premises and
 # hypotheses form one set of 2B sentences, and its distinct words form a
-# table that the char-LSTM reads once
+# table that is embedded once
 batch = pairs_to_batch([pair.premise_tokens], [pair.hypothesis_tokens], vocab, chars)
 lengths = batch.lengths
-words = batch.word_index, batch.char_ids, batch.char_lengths
-print(f"\n{len(lengths)} sentences of lengths {lengths.tolist()}: {len(batch.word_ids)} tokens, "
-      f"W = {len(batch.char_lengths)} distinct words")
+print(f"\n{len(lengths)} sentences of lengths {lengths.tolist()}: {len(batch.word_index)} tokens, "
+      f"W = {len(batch.word_ids)} distinct words")
 
-x = encoder.embed_tokens(batch.word_ids, *words)
-print(f"embedded input: blocks {' + '.join(str(block.shape) for block in x)}  "
-      f"(frozen word {config.word_dim}, learned char {config.char_hidden} per token)")
+x = encoder.embed_tokens(batch)
+print(f"embedded table: blocks {' + '.join(str(block.shape) for block in x)}  "
+      f"(frozen word {config.word_dim}, learned char {config.char_hidden} per distinct word)")
 
-seq = bilstm(x, lengths, encoder.forward_cell, encoder.backward_cell)
+# each token reads its word's row of the table
+seq = bilstm(x, batch.word_index, lengths, encoder.forward_cell, encoder.backward_cell)
 print(f"context vectors: {seq.H.shape}  (2 x {config.hidden_per_dir} per token)")
 
 starts = np.cumsum(lengths) - lengths
@@ -52,6 +53,6 @@ for method in POOLING_METHODS:
     )
     print(f"{method:>5s} pooling -> refined {refined.shape}, attention [{weights}]")
 
-rep = encoder.encode(batch.word_ids, lengths, "mean", *words)
+rep = encoder.encode(batch, "mean")
 print(f"\nfull encode: refined representations {rep.refined.shape}")
 print("attention sums per sentence:", np.add.reduceat(rep.attention_weights.data, starts))

@@ -10,8 +10,9 @@ finite-difference evaluation use.
 made with ``requires_grad=False`` is a constant, such as the frozen word
 embeddings: it gets no ``.grad``, an operation none of whose inputs needs
 a gradient is not taped, and its output is a constant too.
-``lstm_sequence`` takes its input as column blocks side by side and forms
-an input gradient only for the blocks that need one.
+``lstm_sequence`` reads its input rows from a table given as column
+blocks side by side, and forms an input gradient only for the blocks that
+need one.
 
 There is one tensor class.  A model's parameters are plain tensors; the
 model names them in its ``parameters()`` registry, whose names key
@@ -429,22 +430,30 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _emit(out, tuple(parts), back)
 
 
+def _row_index(indices, n: int, what: str) -> np.ndarray:
+    """Validated 1-D row indices into a table of ``n`` rows."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.ndim != 1:
+        raise DimensionError(f"{what}: row indices must be 1-D, got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise InvalidInputError(f"{what}: index out of range for {n} rows")
+    return idx
+
+
+def _scatter_rows(g: np.ndarray, idx: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Zeros shaped as ``like`` with row j of g added to row ``idx[j]``."""
+    buf = np.zeros_like(like)
+    np.add.at(buf, idx, g)
+    return buf
+
+
 def take_rows(x: Tensor, indices) -> Tensor:
     """Gather rows of a 2-D tensor; backward scatter-adds into the source."""
     if x.ndim != 2:
         raise DimensionError(f"take_rows needs a 2-D tensor, got {x.shape}")
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise InvalidInputError(f"take_rows: index out of range for {x.shape[0]} rows")
+    idx = _row_index(indices, x.shape[0], "take_rows")
     out = Tensor(x.data[idx])
-    xshape, xdtype = x.data.shape, x.data.dtype
-
-    def back(g):
-        buf = np.zeros(xshape, dtype=xdtype)
-        np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _emit(out, (x,), back)
+    return _emit(out, (x,), lambda g: (_scatter_rows(g, idx, x.data),))
 
 
 # ---------------------------------------------------------------------------
@@ -845,22 +854,23 @@ def _fill_uniform(rng: np.random.Generator, low: float, high: float, out: np.nda
         np.add(row, low, out=block)
 
 
-def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
-    """Forward pass of one LSTM direction over packed rows ``xdata`` [L x d].
+def _lstm_direction(xdata, rows, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
+    """Forward pass of one LSTM direction over L packed rows, row i reading
+    row ``rows[i]`` of the table ``xdata`` [R x d].
 
     Writes the hidden states into ``dest`` [L x h] in packed row order and
     returns the direction's backward pass, which maps the gradient of
     ``dest`` and the column ranges of x's blocks (a slice for a block that
     needs a gradient, else None) to (dxs, dw_ih, dw_hh, dbias); dxs holds
-    each block's input gradient, None for a None.  Reads and writes numpy
-    arrays only, so it may run on the worker.
+    each block's gradient of the packed rows [L x ·], None for a None.
+    Reads and writes numpy arrays only, so it may run on the worker.
     """
-    n = xdata.shape[0]
+    n = rows.size
     h = wh.shape[1]
     wh_t = np.ascontiguousarray(wh.T)
     perm, sizes, offsets = _time_major(lengths, starts, reverse)
     bounds = offsets.tolist()
-    xp = xdata[perm]
+    xp = xdata[rows[perm]]
     acts = xp @ wi.T  # pre-activations, overwritten by the gate values
     acts += bias
     cells = np.empty((n, h), dtype=acts.dtype)
@@ -919,15 +929,17 @@ def _lstm_direction(xdata, lengths, starts, wi, wh, bias, reverse: bool, dest: n
 
 
 def lstm_sequence(
-    x: Tensor | Sequence[Tensor],
+    x: Sequence[Tensor],
+    rows,
     lengths,
     forward: Sequence[Tensor] | None = None,
     backward: Sequence[Tensor] | None = None,
 ) -> Tensor:
-    """One or two LSTM directions over every packed sequence of ``x``
-    [L x d], each from zero state.  ``x`` is one tensor or a list of its
-    column blocks side by side, such as constant word vectors beside
-    learned char features.
+    """One or two LSTM directions over packed sequences, each from zero
+    state.  ``x`` is a table [R x d] given as its column blocks side by
+    side, such as constant word vectors beside learned char features;
+    packed row i reads table row ``rows[i]`` [L], and ``lengths`` [S] says
+    how many rows each sequence holds.
 
     ``forward`` and ``backward`` are each a (w_ih, w_hh, bias) triple or
     None, and at least one is given.  The result is [L x Σh]: row i holds
@@ -940,16 +952,18 @@ def lstm_sequence(
     running, plus the cell update.  The backward pass is BPTT over the
     stacked gate gradients dG [L x 4h]; the weight gradients are GEMMs on
     dG.  A block that needs a gradient gets one GEMM of dG against its
-    columns of w_ih per direction; a constant block gets none.
+    columns of w_ih per direction, and the directions' sum is scatter-added
+    into its table rows in packed row order; a constant block gets none.
 
     With both directions, ``_split`` runs the backward one beside the
     forward one, in the forward and in the backward pass.
     """
-    blocks = [x] if isinstance(x, Tensor) else list(x)
+    blocks = list(x)
     if not blocks or any(b.ndim != 2 or b.shape[0] != blocks[0].shape[0] for b in blocks):
-        raise DimensionError(f"lstm_sequence needs [L x d] blocks, got {[b.shape for b in blocks]}")
+        raise DimensionError(f"lstm_sequence needs [R x d] blocks, got {[b.shape for b in blocks]}")
     bounds = np.cumsum([0, *(b.shape[1] for b in blocks)]).tolist()
-    n, d = blocks[0].shape[0], bounds[-1]
+    rows = _row_index(rows, blocks[0].shape[0], "lstm_sequence")
+    n, d = rows.size, bounds[-1]
     lengths, starts = _segments(lengths, n, "lstm_sequence")
     directions = [(w, rev) for w, rev in ((forward, False), (backward, True)) if w is not None]
     if not directions:
@@ -970,7 +984,7 @@ def lstm_sequence(
     backs = _split(
         [
             functools.partial(
-                _lstm_direction, xdata, lengths, starts, *(w.data for w in weights), rev,
+                _lstm_direction, xdata, rows, lengths, starts, *(w.data for w in weights), rev,
                 out.data[:, cols],
             )
             for (weights, rev), cols in zip(directions, columns)
@@ -989,6 +1003,7 @@ def lstm_sequence(
             for dx, more in zip(dxs, other[0]):
                 if dx is not None:
                     dx += more
+        dxs = [dx if dx is None else _scatter_rows(dx, rows, b.data) for dx, b in zip(dxs, blocks)]
         return (*dxs, *(g for direction in grads for g in direction[1:]))
 
     inputs = (*blocks, *(w for weights, _ in directions for w in weights))

@@ -285,11 +285,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _require_files(args.checkpoint, args.data)
+    out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
     examples = load_dataset(args.data).examples
     loaded = load_checkpoint(args.checkpoint)
     report = evaluation.evaluate(loaded.model, examples, split=args.split)
     print(report.format())
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.checkpoint).parent
     out_path = out_dir / f"eval_{args.split}.json"
     out_path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True), encoding="utf-8")
     print(f"machine-readable report: {out_path}")

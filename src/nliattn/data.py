@@ -92,7 +92,8 @@ def load_dataset(path) -> DatasetLoad:
     """Read a corpus file into NLIExamples.
 
     Pairs labeled "-" are dropped and counted; records that end up with an
-    empty token list on either side are skipped and counted.
+    empty token list on either side are skipped and counted.  A missing
+    field, or a sentence or binary parse that is not a string, raises DataError.
     """
     result = DatasetLoad(examples=[])
     with open(path, "r", encoding="utf-8") as fh:
@@ -107,6 +108,10 @@ def load_dataset(path) -> DatasetLoad:
             for required in ("gold_label", "sentence1", "sentence2"):
                 if required not in record:
                     raise DataError(f"{path}:{lineno}: missing field {required!r}")
+            for side in ("sentence1", "sentence2"):
+                for name in (side, f"{side}_binary_parse"):
+                    if not isinstance(record.get(name, ""), str):
+                        raise DataError(f"{path}:{lineno}: field {name!r} is not a string")
             label = record["gold_label"]
             if label == "-":
                 result.dropped_no_label += 1
@@ -352,13 +357,13 @@ class Batch:
     """B sentence pairs as 2B sentences, premises first, packed token after
     token with no padding.
 
-    Token t of the batch has word id ``word_ids[t]`` and is the distinct
-    word ``word_index[t]``; distinct words are keyed on the token string,
-    in first-seen order, and their characters are packed word after word
-    in ``char_ids`` with ``char_lengths`` per word.
+    Token t is distinct word ``word_index[t]``; the W distinct words are
+    keyed on the token string, in first-seen order, with word ids
+    ``word_ids`` and characters packed word after word in ``char_ids``,
+    ``char_lengths`` per word.  ``pairs_to_batch`` makes every Batch.
     """
 
-    word_ids: np.ndarray  # [L] int64, never PAD
+    word_ids: np.ndarray  # [W] int64, never PAD
     lengths: np.ndarray  # [2B] int64, tokens per sentence
     word_index: np.ndarray  # [L] int64, into the distinct words
     char_ids: np.ndarray  # [C] int64
@@ -411,7 +416,7 @@ def pairs_to_batch(
     word_ids = np.array([vocab.lookup(word) for word in words], dtype=np.int64)
     word_ids[word_ids == vocab.pad] = vocab.unk
     return Batch(
-        word_ids=word_ids[word_index],
+        word_ids=word_ids,
         lengths=np.array([len(s) for s in sentences], dtype=np.int64),
         word_index=word_index,
         char_ids=np.array([char_vocab.lookup(c) for word in words for c in word], dtype=np.int64),

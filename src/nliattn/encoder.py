@@ -4,20 +4,20 @@ and attention-based refinement.
 One encoder instance serves both sentences of a pair: premise and
 hypothesis are encoded independently but with the same weights.  Every
 operation runs on all sentences of a batch at once.  A batch of S
-sentences comes packed, as in ``data.Batch``: the word ids [L] of every
-token, sentence after sentence, and ``lengths`` [S] saying how many tokens
-each sentence holds.  There is no padding, so every row is a real token;
-one sentence is a batch of one.
+sentences comes packed, as in ``data.Batch``: a table of W distinct
+words, ``word_index`` [L] naming each token's word, sentence after
+sentence, and ``lengths`` [S] saying how many tokens each sentence holds.
+There is no padding; one sentence is a batch of one.
 
-The context BiLSTM is one fused ``autodiff.lstm_sequence`` op over the
-packed rows with both directions, stepping every sentence that is still
-running with one GEMM per time step and direction; the op may run the
-two directions on two threads.  The char-LSTM is the same op with one
-direction over the batch's table of distinct words: each word's
-characters are encoded once, all words in one packed call, and
-``word_index`` gathers the results back to the tokens.  The tests hold
-the fused op to a step-by-step unroll of the same cell built from
-elementary taped ops.
+``embed_tokens`` embeds each distinct word once: its frozen word vector
+and, with characters on, its char-LSTM summary.  The context BiLSTM is
+one fused ``autodiff.lstm_sequence`` op with both directions that reads
+each token's row of that table through ``word_index``, stepping every
+sentence still running with one GEMM per time step and direction, the
+directions maybe on two threads.  The char-LSTM is the same op with one
+direction over all distinct words' characters, reading the char
+embedding table through the char ids.  The tests hold the fused op to a
+step-by-step unroll of the same cell built from elementary taped ops.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError, DimensionError
+from .data import Batch
+from .errors import ConfigError, DataError
 
 POOLING_METHODS = ("mean", "sum", "last", "max")
 
@@ -108,13 +109,12 @@ def char_encode(char_ids, lengths, char_embeddings: Tensor, cell: LSTMWeights) -
 
     ``char_ids`` holds the words' character ids packed word after word and
     ``lengths`` [W] each word's character count; all words run in one
-    ``lstm_sequence`` call.
+    ``lstm_sequence`` call, which reads the rows of ``char_embeddings``.
     """
-    char_ids = np.asarray(char_ids, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0 or lengths.min() < 1:
         raise DataError("char_encode: empty character sequence")
-    states = ad.lstm_sequence(ad.take_rows(char_embeddings, char_ids), lengths, cell)
+    states = ad.lstm_sequence([char_embeddings], char_ids, lengths, cell)
     return ad.take_rows(states, np.cumsum(lengths) - 1)
 
 
@@ -154,22 +154,24 @@ class SentenceRepresentation:
 
 
 def bilstm(
-    x: Tensor | list[Tensor],
+    x: list[Tensor],
+    rows,
     lengths,
     forward_cell: LSTMWeights,
     backward_cell: LSTMWeights,
 ) -> ContextualSequence:
     """Run both LSTM directions from zero states over every sentence.
 
-    ``x`` holds the input rows of S sentences packed sentence after
-    sentence, one tensor or its column blocks as ``embed_tokens`` returns
-    them, and ``lengths`` [S] their token counts.  Row i of the result
-    is [forward_i ; backward_i].  The backward direction starts at each
-    sentence's last token.  Both directions are one ``ad.lstm_sequence``
-    op, which may run them on two threads.
+    ``x`` is a table of input rows as column blocks, as ``embed_tokens``
+    returns them; the packed tokens of S sentences read table rows
+    ``rows`` [L], sentence after sentence, and ``lengths`` [S] are their
+    token counts.  Row i of the result is [forward_i ; backward_i].  The
+    backward direction starts at each sentence's last token.  Both
+    directions are one ``ad.lstm_sequence`` op, which may run them on two
+    threads.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    H = ad.lstm_sequence(x, lengths, forward_cell, backward_cell)
+    H = ad.lstm_sequence(x, rows, lengths, forward_cell, backward_cell)
     return ContextualSequence(H=H, lengths=lengths)
 
 
@@ -249,49 +251,26 @@ class Encoder:
         params["attention.v"] = self.attention_v
         return params
 
-    def embed_tokens(
-        self, word_ids, word_index=None, char_ids=None, char_lengths=None
-    ) -> list[Tensor]:
-        """Column blocks of the input rows [L x d] of the packed tokens: the
-        frozen word vectors [L x word_dim], then, when character features
-        are on, the char-LSTM summaries [L x char_hidden], which learn.
-
-        ``word_ids`` [L] are the tokens' word ids.  With chars on, token t
-        is distinct word ``word_index[t]`` of a table whose characters
-        ``char_ids`` are packed word after word, ``char_lengths`` [W] per
-        word; ``char_encode`` runs once over the table.
-        """
-        word_ids = np.asarray(word_ids, dtype=np.int64)
-        if word_ids.ndim != 1:
-            raise DimensionError(f"embed_tokens: word ids must be [L], got {word_ids.shape}")
+    def embed_tokens(self, batch: Batch) -> list[Tensor]:
+        """Column blocks of the input table [W x d] of the batch's W distinct
+        words: their frozen word vectors [W x word_dim], then, when
+        character features are on, their char-LSTM summaries
+        [W x char_hidden], which learn.  Token t reads row
+        ``batch.word_index[t]``."""
         # a lookup in the frozen table is a constant: not taped, and no input
         # gradient is formed toward it
-        words = ad.take_rows(self.word_embeddings, word_ids)
+        words = ad.take_rows(self.word_embeddings, batch.word_ids)
         if not self.config.use_chars:
             return [words]
-        if word_index is None or char_ids is None or char_lengths is None:
-            raise ConfigError("embed_tokens: chars are on but the distinct-word table is missing")
-        if np.shape(word_index) != word_ids.shape:
-            raise DimensionError(
-                f"embed_tokens: word_index {np.shape(word_index)} != word ids {word_ids.shape}"
-            )
-        char_vecs = char_encode(char_ids, char_lengths, self.char_embeddings, self.char_cell)
-        return [words, ad.take_rows(char_vecs, word_index)]
+        return [
+            words,
+            char_encode(batch.char_ids, batch.char_lengths, self.char_embeddings, self.char_cell),
+        ]
 
-    def encode(
-        self,
-        word_ids,
-        lengths,
-        method: str,
-        word_index=None,
-        char_ids=None,
-        char_lengths=None,
-    ) -> SentenceRepresentation:
-        """Embed, contextualize, pool and refine every sentence of a packed
-        batch (token inputs as for ``embed_tokens``, ``lengths`` as for
-        ``bilstm``)."""
-        x = self.embed_tokens(word_ids, word_index, char_ids, char_lengths)
-        seq = bilstm(x, lengths, self.forward_cell, self.backward_cell)
+    def encode(self, batch: Batch, method: str) -> SentenceRepresentation:
+        """Embed, contextualize, pool and refine every sentence of a batch."""
+        x = self.embed_tokens(batch)
+        seq = bilstm(x, batch.word_index, batch.lengths, self.forward_cell, self.backward_cell)
         raw = pool(seq, method)
         refined, alpha = inner_attention(seq, raw, self.attention_w, self.attention_v)
         return SentenceRepresentation(raw=raw, refined=refined, attention_weights=alpha)

@@ -160,9 +160,9 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
     wa = rand(3, 5)
     run("affine", lambda: weighted_sum(ad.affine(x, w_aff, b_aff), wa), [x, w_aff, b_aff])
 
-    # three sequences of unequal lengths, one of them a single step; the two
-    # directions have their own weights and widths
-    seq_x, seq_lengths = rand(6, 3), [1, 3, 2]
+    # three sequences of unequal lengths, one a single step, reading a 4-row
+    # table, rows 0 and 2 twice; the directions have own weights and widths
+    seq_x, seq_rows, seq_lengths = rand(4, 3), [2, 0, 3, 0, 2, 1], [1, 3, 2]
     fwd = (rand(8, 3), rand(8, 2), rand(8))
     bwd = (rand(12, 3), rand(12, 3), rand(12))
     for name, directions, width in (
@@ -174,7 +174,7 @@ def operation_suite(seed: int = 20240, eps: float = 1e-5) -> dict[str, float]:
         run(
             f"lstm_sequence_{name}",
             lambda directions=directions, wl=wl: weighted_sum(
-                ad.lstm_sequence(seq_x, seq_lengths, **directions), wl
+                ad.lstm_sequence([seq_x], seq_rows, seq_lengths, **directions), wl
             ),
             [seq_x, *(w for weights in directions.values() for w in weights)],
         )

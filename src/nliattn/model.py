@@ -95,10 +95,7 @@ class NLIModel:
     def represent(self, batch: Batch) -> tuple[Tensor, Tensor]:
         """Refined premise and hypothesis representations, [B x d] each;
         all 2B sentences of the batch go through the encoder together."""
-        refined = self.encoder.encode(
-            batch.word_ids, batch.lengths, self.config.pooling,
-            batch.word_index, batch.char_ids, batch.char_lengths,
-        ).refined
+        refined = self.encoder.encode(batch, self.config.pooling).refined
         b = len(batch)
         return ad.narrow(refined, 0, 0, b), ad.narrow(refined, 0, b, b)
 

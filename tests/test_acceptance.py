@@ -28,6 +28,7 @@ from nliattn.data import (
 from nliattn.encoder import EncoderConfig
 from nliattn.errors import IntegrityError
 from nliattn.model import ModelConfig, NLIModel
+from test_encoder import batch_bilstm, token_batch
 from nliattn.training import RMSProp, TrainConfig, load_checkpoint, save_checkpoint, train
 
 
@@ -92,8 +93,7 @@ class TestAttentionInvariants:
             n = int(case.integers(1, 31))
             ids = case.integers(3, len(vocab), size=n)
 
-            x = model.embed_tokens(ids)
-            seq = enc.bilstm(x, [n], model.forward_cell, model.backward_cell)
+            seq = batch_bilstm(model, token_batch(ids))
             raw = enc.pool(seq, "mean")
             refined, alpha = enc.inner_attention(
                 seq, raw, model.attention_w, model.attention_v
@@ -107,8 +107,7 @@ class TestAttentionInvariants:
             assert np.all(refined.data <= live.max(axis=0) + 1e-6)
 
             if trial % 20 == 0:  # v = 0 collapses to mean pooling
-                x0 = zero_v.embed_tokens(ids)
-                seq0 = enc.bilstm(x0, [n], zero_v.forward_cell, zero_v.backward_cell)
+                seq0 = batch_bilstm(zero_v, token_batch(ids))
                 raw0 = enc.pool(seq0, "mean")
                 refined0, _ = enc.inner_attention(
                     seq0, raw0, zero_v.attention_w, zero_v.attention_v
@@ -119,9 +118,7 @@ class TestAttentionInvariants:
 
 class TestPoolingDegeneracy:
     def _seq(self, model, ids, lengths=None):
-        x = model.embed_tokens(ids)
-        lengths = [len(ids)] if lengths is None else lengths
-        return enc.bilstm(x, lengths, model.forward_cell, model.backward_cell)
+        return batch_bilstm(model, token_batch(ids, lengths))
 
     def _encoder(self):
         examples = synth.synthetic_examples(30, seed=3)
@@ -185,19 +182,17 @@ class TestDimensionConformance:
         with_chars = enc.Encoder(chars_cfg, embeddings, n_chars=10, rng=rng)
         assert with_chars.attention_w.shape == (1400, 1400)
         assert with_chars.attention_v.shape == (1400,)
-        ids = np.array([3, 4, 5])
-        words = [0, 1, 2], [1, 2, 2, 1, 1, 1], [2, 2, 2]
-        x = with_chars.embed_tokens(ids, *words)
-        seq = enc.bilstm(x, [3], with_chars.forward_cell, with_chars.backward_cell)
+        batch = token_batch([3, 4, 5], None, None, [1, 2, 2, 1, 1, 1], [2, 2, 2])
+        seq = batch_bilstm(with_chars, batch)
         assert seq.H.shape == (3, 700)  # h_i has 700 components
-        rep = with_chars.encode(ids, [3], "mean", *words)
+        rep = with_chars.encode(batch, "mean")
         assert rep.refined.shape == (1, 700)
         r = aggregate(rep.refined, rep.refined)
         assert r.shape == (1, 4 * 700)
 
         plain_cfg = EncoderConfig(use_chars=False)  # 300 per direction
         without = enc.Encoder(plain_cfg, embeddings, n_chars=10, rng=rng)
-        rep = without.encode(ids, [3], "mean")
+        rep = without.encode(batch, "mean")
         assert rep.refined.shape == (1, 600)
         assert aggregate(rep.refined, rep.refined).shape == (1, 4 * 600)
         _pass("dimension conformance: 700/1400x1400/1400 with chars, 600 without, r = 4x")

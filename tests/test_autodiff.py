@@ -396,24 +396,23 @@ class TestRequiresGrad:
     @staticmethod
     def _lstm_rule_dxs(x, concurrent, monkeypatch):
         """The input gradients that ``lstm_sequence``'s rule hands back for
-        the blocks of x."""
+        the blocks of x, each of whose 8 rows is read once."""
         monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
         rng = np.random.default_rng(41)
         lengths = [3, 1, 4]
-        blocks = [x] if isinstance(x, ad.Tensor) else x
-        d = sum(block.shape[1] for block in blocks)
+        d = sum(block.shape[1] for block in x)
         forward = tuple(ad.Tensor(rng.normal(size=s)) for s in ((12, d), (12, 3), (12,)))
         backward = tuple(ad.Tensor(rng.normal(size=s)) for s in ((16, d), (16, 4), (16,)))
         with ad.Tape() as tape:
-            out = ad.lstm_sequence(x, lengths, forward, backward)
+            out = ad.lstm_sequence(x, np.arange(8), lengths, forward, backward)
         (record_out, _, rule), = tape._records
         assert record_out is out
-        return rule(rng.normal(size=out.shape).astype(out.data.dtype))[: len(blocks)]
+        return rule(rng.normal(size=out.shape).astype(out.data.dtype))[: len(x)]
 
     @pytest.mark.parametrize("concurrent", [True, False])
     def test_lstm_forms_no_dx_for_a_constant_input(self, monkeypatch, concurrent):
         x = ad.Tensor(np.random.default_rng(42).normal(size=(8, 5)), requires_grad=False)
-        assert self._lstm_rule_dxs(x, concurrent, monkeypatch) == (None,)
+        assert self._lstm_rule_dxs([x], concurrent, monkeypatch) == (None,)
 
     @pytest.mark.parametrize("concurrent", [True, False])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -424,7 +423,7 @@ class TestRequiresGrad:
         words, chars = rng.normal(size=(8, 6)), rng.normal(size=(8, 3))
         with ad.precision(dtype):
             (full,) = self._lstm_rule_dxs(
-                ad.Tensor(np.hstack([words, chars])), concurrent, monkeypatch
+                [ad.Tensor(np.hstack([words, chars]))], concurrent, monkeypatch
             )
             no_words, narrow = self._lstm_rule_dxs(
                 [ad.Tensor(words, requires_grad=False), ad.Tensor(chars)], concurrent, monkeypatch
@@ -443,13 +442,15 @@ class TestRequiresGrad:
             return ad.Tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=requires_grad)
 
         with ad.precision("float64"):
-            words, chars = rand(7, 4, requires_grad=False), rand(7, 2)
+            # a 5-row table whose rows 0 and 3 are read twice
+            words, chars = rand(5, 4, requires_grad=False), rand(5, 2)
             forward = (rand(12, 6), rand(12, 3), rand(12))
             backward = (rand(8, 6), rand(8, 2), rand(8))
             weights = rand(7, 5)
 
             def loss():
-                out = ad.lstm_sequence([words, chars], [3, 1, 3], forward, backward)
+                rows = [0, 3, 1, 3, 4, 2, 0]
+                out = ad.lstm_sequence([words, chars], rows, [3, 1, 3], forward, backward)
                 return ad.sum_all(ad.mul(out, weights))
 
             error = gc.check_gradient(loss, [chars, *forward, *backward])
@@ -886,6 +887,7 @@ class TestLstmSequenceDirections:
     """The two-direction op against two one-direction calls side by side."""
 
     LENGTHS = np.array([4, 1, 4, 7])
+    ROWS = np.arange(16)  # each table row read once
 
     def _case(self):
         rng = np.random.default_rng(40)
@@ -915,14 +917,14 @@ class TestLstmSequenceDirections:
         x, forward, backward, weights = self._case()
         assert x.data.dtype == np.float32
         out, grads = self._run(
-            lambda: ad.lstm_sequence(x, self.LENGTHS, forward, backward),
+            lambda: ad.lstm_sequence([x], self.ROWS, self.LENGTHS, forward, backward),
             x, forward, backward, weights,
         )
         ref_out, ref_grads = self._run(
             lambda: ad.concat(
                 [
-                    ad.lstm_sequence(x, self.LENGTHS, forward),
-                    ad.lstm_sequence(x, self.LENGTHS, backward=backward),
+                    ad.lstm_sequence([x], self.ROWS, self.LENGTHS, forward),
+                    ad.lstm_sequence([x], self.ROWS, self.LENGTHS, backward=backward),
                 ],
                 axis=1,
             ),
@@ -946,15 +948,15 @@ class TestLstmSequenceDirections:
 
         monkeypatch.setattr(ad, "_lstm_direction", failing)
         with pytest.raises(FloatingPointError, match="worker failed"):
-            ad.lstm_sequence(x, self.LENGTHS, forward, backward)
+            ad.lstm_sequence([x], self.ROWS, self.LENGTHS, forward, backward)
         monkeypatch.setattr(ad, "_lstm_direction", run_direction)
-        out = ad.lstm_sequence(x, self.LENGTHS, forward, backward)
-        ref = ad.lstm_sequence(x, self.LENGTHS, backward=backward)
+        out = ad.lstm_sequence([x], self.ROWS, self.LENGTHS, forward, backward)
+        ref = ad.lstm_sequence([x], self.ROWS, self.LENGTHS, backward=backward)
         assert np.array_equal(out.data[:, 3:], ref.data)
 
     def test_needs_a_direction(self):
         with pytest.raises(UsageError):
-            ad.lstm_sequence(ad.Tensor(np.zeros((2, 3))), [2])
+            ad.lstm_sequence([ad.Tensor(np.zeros((2, 3)))], [0, 1], [2])
 
     def test_blocks_are_matrices_with_the_same_rows(self):
         _, forward, _, _ = self._case()
@@ -962,7 +964,19 @@ class TestLstmSequenceDirections:
         for blocks in ([], [ad.Tensor(np.zeros((n, 3))), ad.Tensor(np.zeros((n - 1, 2)))],
                        [ad.Tensor(np.zeros(n))]):
             with pytest.raises(DimensionError):
-                ad.lstm_sequence(blocks, self.LENGTHS, forward)
+                ad.lstm_sequence(blocks, self.ROWS, self.LENGTHS, forward)
+
+    def test_rows_index_the_table_once_per_packed_row(self):
+        x, forward, _, _ = self._case()
+        with pytest.raises(DimensionError):  # not 1-D
+            ad.lstm_sequence([x], self.ROWS.reshape(2, 8), self.LENGTHS, forward)
+        with pytest.raises(DimensionError):  # fewer rows than the lengths hold
+            ad.lstm_sequence([x], self.ROWS[:-1], self.LENGTHS, forward)
+        for bad in (-1, x.shape[0]):
+            rows = self.ROWS.copy()
+            rows[3] = bad
+            with pytest.raises(InvalidInputError):
+                ad.lstm_sequence([x], rows, self.LENGTHS, forward)
 
 
 class TestOperationSuite:

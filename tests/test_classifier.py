@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from nliattn.data import (
 from nliattn.encoder import EncoderConfig
 from nliattn.errors import DataError, DimensionError
 from nliattn.model import ModelConfig, NLIModel
-from test_encoder import joined, unrolled_bilstm, unrolled_embed_tokens
+from test_encoder import joined, per_token, unrolled_bilstm, unrolled_embed_tokens
 
 
 class TestAggregate:
@@ -222,8 +224,8 @@ class TestModel:
         context = []
         lstm_sequence = ad.lstm_sequence
 
-        def spy(x, lengths, forward=None, backward=None):
-            out = lstm_sequence(x, lengths, forward, backward)
+        def spy(x, rows, lengths, forward=None, backward=None):
+            out = lstm_sequence(x, rows, lengths, forward, backward)
             if forward is not None and backward is not None:
                 context.append((x, out))
             return out
@@ -255,12 +257,21 @@ class TestModel:
         words, char_block, *weights = inputs
         assert weights == [*encoder.forward_cell, *encoder.backward_cell]
         config = model.config.encoder
-        assert words.shape == (len(batch.word_ids), config.word_dim)
-        assert char_block.shape == (len(batch.word_ids), config.char_hidden)
-        made_by = {id(out): rule.__qualname__ for out, _, rule in tape._records}
-        assert id(words) not in made_by  # a frozen lookup is not taped
-        assert made_by[id(char_block)].startswith("take_rows.")
-        assert not any(made_by.get(id(t), "").startswith("concat.") for t in inputs)
+        # one row per distinct word, read by the tokens through word_index
+        assert words.shape == (len(batch.char_lengths), config.word_dim)
+        assert char_block.shape == (len(batch.char_lengths), config.char_hidden)
+        records = {id(out): (inputs, rule.__qualname__) for out, inputs, rule in tape._records}
+        assert id(words) not in records  # a frozen lookup is not taped
+        assert not any(records.get(id(t), ((), ""))[1].startswith("concat.") for t in inputs)
+        # the char block is the char-LSTM's final states, and that LSTM reads
+        # the char embedding table itself: the one take_rows on the tape picks
+        # those states, and no gathered rows feed either LSTM
+        (states,), pick = records[id(char_block)]
+        assert pick.startswith("take_rows.")
+        char_inputs, lstm = records[id(states)]
+        assert lstm.startswith("lstm_sequence.")
+        assert char_inputs[0] is encoder.char_embeddings
+        assert [name for _, name in records.values()].count(pick) == 1
 
     def test_full_pipeline_gradient_check(self):
         with ad.precision("float64"):
@@ -294,14 +305,11 @@ def unrolled_represent(model, batch):
     encoded on its own: a per-token char unroll, an ``lstm_step`` unroll of
     both directions, then pooling and attention over that one sentence."""
     encoder = model.encoder
+    tokens = ad.concat(unrolled_embed_tokens(encoder, per_token(batch)), axis=1)
     rows = []
     ends = np.cumsum(batch.lengths)
     for start, end in zip(ends - batch.lengths, ends):
-        tokens = slice(start, end)
-        x = unrolled_embed_tokens(
-            encoder, batch.word_ids[tokens], batch.word_index[tokens],
-            batch.char_ids, batch.char_lengths,
-        )
+        x = ad.narrow(tokens, 0, start, end - start)
         H, _ = unrolled_bilstm(encoder, x, [end - start])
         seq = enc.ContextualSequence(H, np.array([end - start]))
         raw = enc.pool(seq, model.config.pooling)
@@ -426,7 +434,8 @@ class TestBatchPaths:
 
 class TestCharHalf:
     """The char half of ``embed_tokens`` (each distinct word encoded once,
-    gathered back to its tokens) against a per-token ``lstm_step`` unroll."""
+    read by its tokens through ``word_index``) against a per-token
+    ``lstm_step`` unroll."""
 
     # "dog" repeats inside a premise and across premise and hypothesis;
     # "dog"/"dogs" and "a"/"at" are prefix pairs; "a" has one character
@@ -443,11 +452,10 @@ class TestCharHalf:
             model, *_ = tiny_model(seed=50)
             _large_weights(model, seed=51)
             batch = self._batch(model)
-            inputs = batch.word_ids, batch.word_index, batch.char_ids, batch.char_lengths
-            fast = joined(model.encoder.embed_tokens(*inputs))
-            slow = unrolled_embed_tokens(model.encoder, *inputs).data
+            fast = joined(model.encoder.embed_tokens(batch))
+            slow = joined(unrolled_embed_tokens(model.encoder, batch))
 
-            def char_grads():
+            def char_grads(batch):
                 for p in model.parameters().values():
                     p.grad = None
                 with ad.Tape() as tape:
@@ -456,13 +464,15 @@ class TestCharHalf:
                 return {name: p.grad.copy() for name, p in model.parameters().items()
                         if name.startswith("char_")}
 
-            batched = char_grads()
+            batched = char_grads(batch)
+            # every token its own word, so repeated words are unrolled apart
             monkeypatch.setattr(
                 model.encoder, "embed_tokens",
-                lambda *inputs: unrolled_embed_tokens(model.encoder, *inputs),
+                lambda batch: unrolled_embed_tokens(model.encoder, batch),
             )
-            unrolled = char_grads()
-        assert fast.shape == (sum(map(len, self.PREMISES + self.HYPOTHESES)), 4 + 2)
+            unrolled = char_grads(per_token(batch))
+        words = {t for sentence in self.PREMISES + self.HYPOTHESES for t in sentence}
+        assert fast.shape == (len(words), 4 + 2)
         np.testing.assert_allclose(fast, slow, atol=1e-6)
         assert sorted(batched) == [
             "char_embeddings", "char_lstm.bias", "char_lstm.w_hh", "char_lstm.w_ih"
@@ -478,16 +488,15 @@ class TestCharHalf:
             _large_weights(model, seed=53)
 
             def char_half(premises, hypotheses):
-                batch = self._batch(model, premises, hypotheses)
-                _, char_block = model.encoder.embed_tokens(
-                    batch.word_ids, batch.word_index, batch.char_ids, batch.char_lengths
-                )
+                _, char_block = model.encoder.embed_tokens(self._batch(model, premises, hypotheses))
                 return char_block.data
 
             full = char_half(self.PREMISES, self.HYPOTHESES)
             tokens = [t for sentence in self.PREMISES + self.HYPOTHESES for t in sentence]
-            alone = {word: char_half([[word]], [[word]])[0] for word in set(tokens)}
-        for row, word in zip(full, tokens):
+            words = list(dict.fromkeys(tokens))
+            alone = {word: char_half([[word]], [[word]])[0] for word in words}
+        assert len(full) == len(words)
+        for row, word in zip(full, words):
             np.testing.assert_allclose(row, alone[word], rtol=0, atol=1e-12, err_msg=word)
 
     def test_distinct_word_table(self, monkeypatch):
@@ -519,4 +528,4 @@ class TestCharHalf:
         lengths = batch.char_lengths.copy()
         lengths[1] = 0  # "dogs" keeps its word id only
         with pytest.raises(DataError):
-            model.encoder.embed_tokens(batch.word_ids, batch.word_index, batch.char_ids, lengths)
+            model.encoder.embed_tokens(dataclasses.replace(batch, char_lengths=lengths))

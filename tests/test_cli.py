@@ -354,6 +354,19 @@ class TestEval:
         assert payload["total"] == 12
         assert 0.0 <= payload["overall_accuracy"] <= 1.0
 
+    def test_out_dir_made_before_evaluating(self, trained_run, capsys, tmp_path):
+        argv = ["eval", "--checkpoint", str(trained_run["checkpoint"]),
+                "--data", str(trained_run["dev"]), "--out-dir"]
+        out_dir = tmp_path / "new" / "reports"
+        assert main([*argv, str(out_dir)]) == 0
+        assert json.loads((out_dir / "eval_matched.json").read_text())["total"] == 12
+        capsys.readouterr()
+        # an out-dir that cannot be made fails before any evaluation is printed
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert main([*argv, str(blocker / "reports")]) == 2
+        assert "MultiNLI Overall" not in capsys.readouterr().out
+
     def test_evaluating_twice_is_identical(self, trained_run, capsys, tmp_path):
         argv = [
             "eval",

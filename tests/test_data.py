@@ -91,6 +91,17 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=":2"):
             data.load_dataset(path)
 
+    @pytest.mark.parametrize("value", [None, 3])
+    @pytest.mark.parametrize(
+        "name", ["sentence1", "sentence2", "sentence1_binary_parse", "sentence2_binary_parse"]
+    )
+    def test_sentence_that_is_not_a_string_names_line(self, tmp_path, name, value):
+        # a JSON null would otherwise read as the token "none", a number as "<num>"
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, [record(), {**record(), name: value}])
+        with pytest.raises(DataError, match=f"bad.jsonl:2: field '{name}' is not a string"):
+            data.load_dataset(path)
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [record(label="maybe")])
@@ -323,7 +334,8 @@ class TestMakeBatches:
             counts = [len(ex.premise_tokens) for ex in chunk]
             counts += [len(ex.hypothesis_tokens) for ex in chunk]
             np.testing.assert_array_equal(batch.lengths, counts)
-            assert len(batch.word_ids) == sum(counts)
+            assert len(batch.word_index) == sum(counts)
+            assert len(batch.word_ids) == len(batch.char_lengths)
             assert vocab.pad not in batch.word_ids
 
     def test_shuffle_is_permutation(self):
@@ -363,7 +375,7 @@ class TestMakeBatches:
         np.testing.assert_array_equal(
             batch.char_ids, [chars.lookup(c) for c in "tokxy"]
         )
-        assert len(batch.word_index) == len(batch.word_ids)
+        np.testing.assert_array_equal(batch.word_ids, [vocab.lookup(w) for w in ("tok", "x", "y")])
 
     def test_bad_batch_size(self):
         exs, vocab, chars = self._fixtures()

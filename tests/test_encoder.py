@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import signal
@@ -11,7 +12,8 @@ from nliattn import autodiff as ad
 from nliattn import encoder as enc
 from nliattn import gradcheck as gc
 from nliattn.autodiff import Tensor
-from nliattn.errors import ConfigError, DataError, DimensionError, InvalidInputError
+from nliattn.data import Batch
+from nliattn.errors import ConfigError, DataError, InvalidInputError
 
 
 # -- independent oracle: the gate formulas evaluated directly in float64 ----
@@ -66,8 +68,36 @@ def tiny_encoder(use_chars=False, word_dim=5, hidden=3, n_vocab=9, n_chars=7, se
 
 
 def joined(blocks) -> np.ndarray:
-    """The input rows [L x d] that ``embed_tokens``' column blocks make."""
+    """The input table [W x d] that ``embed_tokens``' column blocks make."""
     return np.concatenate([block.data for block in blocks], axis=1)
+
+
+def token_batch(word_ids, lengths=None, word_index=None, char_ids=(), char_lengths=()) -> Batch:
+    """A Batch built by hand: distinct-word ids ``word_ids`` [W], which the
+    tokens read through ``word_index`` (each word once, in order, when
+    None), packed into sentences of ``lengths`` (one sentence when None)."""
+    word_ids = np.asarray(word_ids, dtype=np.int64)
+    word_index = np.arange(word_ids.size) if word_index is None else np.asarray(word_index)
+    return Batch(
+        word_ids=word_ids,
+        lengths=np.asarray([word_index.size] if lengths is None else lengths, dtype=np.int64),
+        word_index=word_index.astype(np.int64),
+        char_ids=np.asarray(char_ids, dtype=np.int64),
+        char_lengths=np.asarray(char_lengths, dtype=np.int64),
+        labels=np.zeros(0, dtype=np.int64),
+    )
+
+
+def packed_bilstm(model, x, lengths) -> enc.ContextualSequence:
+    """``enc.bilstm`` over packed input rows x [L x d], each row read once."""
+    rows = np.arange(x.shape[0])
+    return enc.bilstm([x], rows, lengths, model.forward_cell, model.backward_cell)
+
+
+def batch_bilstm(model, batch: Batch) -> enc.ContextualSequence:
+    """``enc.bilstm`` over a batch's embedded tokens, as ``encode`` runs it."""
+    x = model.embed_tokens(batch)
+    return enc.bilstm(x, batch.word_index, batch.lengths, model.forward_cell, model.backward_cell)
 
 
 class TestLstmStep:
@@ -185,55 +215,47 @@ class TestCharEncode:
 class TestEmbedTokens:
     def test_lookup_without_chars(self):
         model = tiny_encoder(use_chars=False)
-        ids = np.array([2, 5, 2])
-        (out,) = model.embed_tokens(ids)
+        ids = np.array([2, 5, 3])
+        (out,) = model.embed_tokens(token_batch(ids, word_index=[0, 1, 0, 2]))
         np.testing.assert_array_equal(out.data, model.word_embeddings.data[ids])
 
     def test_word_half_matches_lookup_with_chars(self):
         model = tiny_encoder(use_chars=True)
         ids = np.array([3, 4])
-        out = joined(model.embed_tokens(ids, [0, 1], [1, 2, 3], [2, 1]))
+        out = joined(model.embed_tokens(token_batch(ids, None, None, [1, 2, 3], [2, 1])))
         np.testing.assert_array_equal(out[:, :5], model.word_embeddings.data[ids])
         assert out.shape == (2, 5 + 2)
 
-    def test_rows_follow_word_index(self):
-        # token t gets the char row of its distinct word, whatever the
-        # other words of the table
+    def test_char_rows_independent_of_the_other_words(self):
+        # distinct word w gets the char row it gets alone, whatever the other
+        # words of the table
         model = tiny_encoder(use_chars=True)
         words = [[1, 2], [3], [2, 1]]
-        word_index = np.array([0, 2, 0, 1])
         out = joined(
-            model.embed_tokens([3, 5, 3, 4], word_index, np.concatenate(words), [2, 1, 2])
+            model.embed_tokens(token_batch([3, 4, 5], None, None, np.concatenate(words), [2, 1, 2]))
         )
-        alone = [joined(model.embed_tokens([3], [0], words[w], [len(words[w])]))[0, 5:]
-                 for w in word_index]
-        np.testing.assert_array_equal(out[0], out[2])
+        alone = [joined(model.embed_tokens(token_batch([3], None, None, w, [len(w)])))[0, 5:]
+                 for w in words]
+        assert out.shape == (3, 7)
         np.testing.assert_allclose(out[:, 5:], np.vstack(alone), atol=1e-6)
 
     def test_out_of_range_id_rejected(self):
         model = tiny_encoder()
         with pytest.raises(InvalidInputError):
-            model.embed_tokens(np.array([99]))
+            model.embed_tokens(token_batch([99]))
         model = tiny_encoder(use_chars=True)
         for bad in (-1, -2, 7):  # character ids outside the 7-char vocabulary
             with pytest.raises(InvalidInputError):
-                model.embed_tokens(np.array([3, 4]), [0, 1], [1, bad, 3], [2, 1])
+                model.embed_tokens(token_batch([3, 4], None, None, [1, bad, 3], [2, 1]))
         with pytest.raises(InvalidInputError):  # a word index outside the table
-            model.embed_tokens(np.array([3, 4]), [0, 2], [1, 2, 3], [2, 1])
-
-    def test_word_table_required_with_chars(self):
-        model = tiny_encoder(use_chars=True)
-        with pytest.raises(ConfigError):
-            model.embed_tokens(np.array([3, 4]))
-        with pytest.raises(DimensionError):  # one word index per token
-            model.embed_tokens(np.array([3, 4]), [0], [1, 2, 3], [2, 1])
+            model.encode(token_batch([3, 4], None, [0, 2], [1, 2, 3], [2, 1]), "mean")
 
 
 class TestBilstm:
     def test_single_position(self):
         model = tiny_encoder()
         x = Tensor(np.random.default_rng(8).normal(size=(1, 5)))
-        seq = enc.bilstm(x, [1], model.forward_cell, model.backward_cell)
+        seq = packed_bilstm(model, x, [1])
         zero = Tensor(np.zeros((1, 3)))
         fh, _ = lstm_step(model.forward_cell, x, zero, zero)
         bh, _ = lstm_step(model.backward_cell, x, zero, zero)
@@ -246,8 +268,8 @@ class TestBilstm:
         for name in ("w_ih", "w_hh", "bias"):
             getattr(model.backward_cell, name).data[:] = getattr(model.forward_cell, name).data
         x = np.random.default_rng(10).normal(size=(3, 5)).astype(np.float32)
-        seq = enc.bilstm(Tensor(x), [3], model.forward_cell, model.backward_cell)
-        seq_rev = enc.bilstm(Tensor(x[::-1]), [3], model.forward_cell, model.backward_cell)
+        seq = packed_bilstm(model, Tensor(x), [3])
+        seq_rev = packed_bilstm(model, Tensor(x[::-1]), [3])
         h = model.forward_cell.w_hh.shape[1]
         for i in range(3):
             np.testing.assert_allclose(
@@ -261,10 +283,8 @@ class TestBilstm:
         rng = np.random.default_rng(12)
         x_real = rng.normal(size=(3, 5)).astype(np.float32)
         x_mate = rng.normal(size=(5, 5)).astype(np.float32)
-        plain = enc.bilstm(Tensor(x_real), [3], model.forward_cell, model.backward_cell)
-        packed = enc.bilstm(
-            Tensor(np.vstack([x_real, x_mate])), [3, 5], model.forward_cell, model.backward_cell
-        )
+        plain = packed_bilstm(model, Tensor(x_real), [3])
+        packed = packed_bilstm(model, Tensor(np.vstack([x_real, x_mate])), [3, 5])
         np.testing.assert_allclose(plain.H.data, packed.H.data[:3], atol=1e-6)
         for final in ("final_forward", "final_backward"):
             np.testing.assert_allclose(
@@ -276,14 +296,14 @@ class TestBilstm:
         # a sentence of no tokens
         model = tiny_encoder()
         with pytest.raises(InvalidInputError):
-            enc.bilstm(Tensor(np.zeros((2, 5))), [2, 0], model.forward_cell, model.backward_cell)
+            packed_bilstm(model, Tensor(np.zeros((2, 5))), [2, 0])
 
 
 def _bilstm_after_fork(x):
     # a hang here ends the process, which the parent sees as a broken pool
     signal.alarm(60)
     model = tiny_encoder(seed=13)
-    return enc.bilstm(Tensor(x), [2, 3], model.forward_cell, model.backward_cell).H.data
+    return packed_bilstm(model, Tensor(x), [2, 3]).H.data
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -292,7 +312,7 @@ def test_bilstm_runs_in_forked_child(monkeypatch):
     monkeypatch.setattr(ad, "_use_worker", lambda: True)
     x = np.random.default_rng(14).normal(size=(5, 5)).astype(np.float32)
     model = tiny_encoder(seed=13)
-    expected = enc.bilstm(Tensor(x), [2, 3], model.forward_cell, model.backward_cell).H.data
+    expected = packed_bilstm(model, Tensor(x), [2, 3]).H.data
     assert any(t.name.startswith("nliattn-worker") for t in threading.enumerate())
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
@@ -329,21 +349,34 @@ def unrolled_bilstm(model, x: Tensor, lengths):
     return ad.concat(H), finals
 
 
-def unrolled_embed_tokens(model, word_ids, word_index, char_ids, char_lengths):
-    """Input rows [L x d] of the packed tokens with the char half run token
-    by token: every token's characters, read from the distinct-word table,
-    through its own ``lstm_step`` unroll, repeated words included."""
-    words = Tensor(model.word_embeddings.data[np.asarray(word_ids)])
-    ends = np.cumsum(char_lengths)
+def unrolled_embed_tokens(model, batch: Batch) -> list[Tensor]:
+    """Column blocks of the input table [W x d] of a batch's distinct words
+    with the char half run word by word: every word's characters through
+    its own ``lstm_step`` unroll."""
+    words = Tensor(model.word_embeddings.data[batch.word_ids])
+    ends = np.cumsum(batch.char_lengths)
     cell = model.char_cell
     hidden = cell.w_hh.shape[1]
     rows = []
-    for w in word_index:
+    for end, n in zip(ends, batch.char_lengths):
         h, c = Tensor(np.zeros((1, hidden))), Tensor(np.zeros((1, hidden)))
-        for i in char_ids[ends[w] - char_lengths[w] : ends[w]]:
+        for i in batch.char_ids[end - n : end]:
             h, c = lstm_step(cell, ad.take_rows(model.char_embeddings, [i]), h, c)
         rows.append(h)
-    return ad.concat([words, ad.concat(rows)], axis=1)
+    return [words, ad.concat(rows)]
+
+
+def per_token(batch: Batch) -> Batch:
+    """The batch with every token its own distinct word, repeats included."""
+    ends = np.cumsum(batch.char_lengths)
+    spelled = [batch.char_ids[end - n : end] for end, n in zip(ends, batch.char_lengths)]
+    return dataclasses.replace(
+        batch,
+        word_ids=batch.word_ids[batch.word_index],
+        word_index=np.arange(batch.word_index.size),
+        char_ids=np.concatenate([spelled[w] for w in batch.word_index]),
+        char_lengths=batch.char_lengths[batch.word_index],
+    )
 
 
 class TestFusedBilstm:
@@ -354,7 +387,7 @@ class TestFusedBilstm:
     LENGTHS = np.array([4, 1, 4, 7])
 
     def _fused(self, model, x):
-        seq = enc.bilstm(x, self.LENGTHS, model.forward_cell, model.backward_cell)
+        seq = packed_bilstm(model, x, self.LENGTHS)
         return seq.H, enc.pool(seq, "last")
 
     def _unroll(self, model, x):
@@ -426,7 +459,7 @@ class TestPool:
     def _seq(self, n=4, seed=13):
         model = tiny_encoder(seed=seed)
         x = Tensor(np.random.default_rng(seed).normal(size=(n, 5)).astype(np.float32))
-        return enc.bilstm(x, [n], model.forward_cell, model.backward_cell)
+        return packed_bilstm(model, x, [n])
 
     def test_length_one_all_methods_agree(self):
         seq = self._seq(n=1)
@@ -448,10 +481,8 @@ class TestPool:
         rng = np.random.default_rng(15)
         x_real = rng.normal(size=(3, 5)).astype(np.float32)
         x_mate = rng.normal(size=(4, 5)).astype(np.float32)
-        seq_full = enc.bilstm(
-            Tensor(np.vstack([x_real, x_mate])), [3, 4], model.forward_cell, model.backward_cell
-        )
-        seq_trunc = enc.bilstm(Tensor(x_real), [3], model.forward_cell, model.backward_cell)
+        seq_full = packed_bilstm(model, Tensor(np.vstack([x_real, x_mate])), [3, 4])
+        seq_trunc = packed_bilstm(model, Tensor(x_real), [3])
         for method in enc.POOLING_METHODS:
             np.testing.assert_allclose(
                 enc.pool(seq_full, method).data[:1],
@@ -530,15 +561,15 @@ class TestInnerAttention:
         x = Tensor(
             np.random.default_rng(seed + n).normal(size=(n, 5)).astype(np.float32)
         )
-        return enc.bilstm(x, [n], model.forward_cell, model.backward_cell)
+        return packed_bilstm(model, x, [n])
 
 
 class TestEncodeSentence:
     def test_purity(self):
         model = tiny_encoder(use_chars=False)
         ids = np.array([2, 3, 4])
-        a = model.encode(ids, [3], "mean")
-        b = model.encode(ids, [3], "mean")
+        a = model.encode(token_batch(ids), "mean")
+        b = model.encode(token_batch(ids), "mean")
         np.testing.assert_array_equal(a.refined.data, b.refined.data)
         np.testing.assert_array_equal(a.raw.data, b.raw.data)
 
@@ -546,10 +577,10 @@ class TestEncodeSentence:
         model = tiny_encoder()
         p = np.array([2, 3])
         h = np.array([4, 5, 6])
-        first = (model.encode(p, [2], "mean").refined.data,
-                 model.encode(h, [3], "mean").refined.data)
-        swapped = (model.encode(h, [3], "mean").refined.data,
-                   model.encode(p, [2], "mean").refined.data)
+        first = (model.encode(token_batch(p), "mean").refined.data,
+                 model.encode(token_batch(h), "mean").refined.data)
+        swapped = (model.encode(token_batch(h), "mean").refined.data,
+                   model.encode(token_batch(p), "mean").refined.data)
         np.testing.assert_array_equal(first[0], swapped[1])
         np.testing.assert_array_equal(first[1], swapped[0])
 
@@ -558,8 +589,10 @@ class TestEncodeSentence:
         # batch-mate is encoded as it is alone
         model = tiny_encoder(seed=23)
         ids = np.array([2, 3, 4])
-        plain = model.encode(ids, [3], "mean")
-        packed = model.encode(np.array([2, 3, 4, 5, 6, 7, 8, 2]), [3, 5], "mean")
+        plain = model.encode(token_batch(ids), "mean")
+        packed = model.encode(
+            token_batch([2, 3, 4, 5, 6, 7, 8], [3, 5], [0, 1, 2, 3, 4, 5, 6, 0]), "mean"
+        )
         np.testing.assert_allclose(plain.raw.data, packed.raw.data[:1], atol=1e-6)
         np.testing.assert_allclose(plain.refined.data, packed.refined.data[:1], atol=1e-6)
         # one attention weight per token, each sentence's own
@@ -580,11 +613,11 @@ class TestEncodeSentence:
         model = enc.Encoder(with_chars, emb, n_chars=8, rng=rng)
         assert model.attention_w.shape == (1400, 1400)
         assert model.attention_v.shape == (1400,)
-        rep = model.encode(np.array([2, 3]), [2], "mean", [0, 1], [1, 2, 3], [2, 1])
+        rep = model.encode(token_batch([2, 3], None, None, [1, 2, 3], [2, 1]), "mean")
         assert rep.refined.shape == (1, 700)
 
         model_nc = enc.Encoder(without, emb, n_chars=8, rng=rng)
-        rep = model_nc.encode(np.array([2, 3, 4]), [2, 1], "mean")
+        rep = model_nc.encode(token_batch([2, 3, 4], [2, 1]), "mean")
         assert rep.refined.shape == (2, 600)
 
 
@@ -597,11 +630,11 @@ class TestEncoderGradients:
             trainable = {name: p for name, p in model.parameters().items() if p.requires_grad}
             for p in trainable.values():
                 p.data[:] = rng.uniform(-0.6, 0.6, p.shape)
-            ids = np.array([2, 3, 4])
+            batch = token_batch([2, 3, 4], None, None, [1, 2, 3, 2, 2], [2, 1, 2])
             weights = ad.Tensor(rng.normal(size=(1, 4)))
 
             def loss():
-                rep = model.encode(ids, [3], "mean", [0, 1, 2], [1, 2, 3, 2, 2], [2, 1, 2])
+                rep = model.encode(batch, "mean")
                 return ad.sum_all(ad.mul(rep.refined, weights))
 
             errors = gc.gradient_errors(loss, trainable)
