@@ -854,23 +854,25 @@ def _fill_uniform(rng: np.random.Generator, low: float, high: float, out: np.nda
         np.add(row, low, out=block)
 
 
-def _lstm_direction(xdata, rows, lengths, starts, wi, wh, bias, reverse: bool, dest: np.ndarray):
+def _lstm_direction(xdata, rows, lengths, starts, learned, wi, wh, bias, reverse: bool, dest):
     """Forward pass of one LSTM direction over L packed rows, row i reading
     row ``rows[i]`` of the table ``xdata`` [R x d].
 
     Writes the hidden states into ``dest`` [L x h] in packed row order and
     returns the direction's backward pass, which maps the gradient of
-    ``dest`` and the column ranges of x's blocks (a slice for a block that
-    needs a gradient, else None) to (dxs, dw_ih, dw_hh, dbias); dxs holds
-    each block's gradient of the packed rows [L x ·], None for a None.
-    Reads and writes numpy arrays only, so it may run on the worker.
+    ``dest`` to (*dxs, dw_ih, dw_hh, dbias).  ``learned`` holds the columns
+    of each table block that needs a gradient, else None; dxs holds each
+    such block's gradient of its table rows, scatter-added through the
+    index the forward pass gathered with, and None for a None.  Reads and
+    writes numpy arrays only, so it may run on the worker.
     """
     n = rows.size
     h = wh.shape[1]
     wh_t = np.ascontiguousarray(wh.T)
     perm, sizes, offsets = _time_major(lengths, starts, reverse)
     bounds = offsets.tolist()
-    xp = xdata[rows[perm]]
+    reads = rows[perm]  # the table row of each time-major row
+    xp = xdata[reads]
     acts = xp @ wi.T  # pre-activations, overwritten by the gate values
     acts += bias
     cells = np.empty((n, h), dtype=acts.dtype)
@@ -894,7 +896,7 @@ def _lstm_direction(xdata, rows, lengths, starts, wi, wh, bias, reverse: bool, d
         hidden[lo:hi] *= o[lo:hi]
     dest[perm] = hidden
 
-    def back(gout, x_blocks: Sequence[slice | None]):
+    def back(gout):
         gout = gout[perm]
         first = bounds[1]  # from here on, row r continues row prev_rows[r - first]
         prev_rows = np.arange(first, n) - np.repeat(sizes[:-1], sizes[1:])
@@ -921,9 +923,11 @@ def _lstm_direction(xdata, rows, lengths, starts, wi, wh, bias, reverse: bool, d
                 np.matmul(dgates[lo:hi].reshape(k, -1), wh, out=dh_next[:k])
                 np.multiply(dc, f[lo:hi], out=dc_next[:k])
         dg = dgates.reshape(n, 4 * h)
-        unperm = np.argsort(perm)  # packed row order back to x's
-        dxs = [None if cols is None else (dg @ wi[:, cols])[unperm] for cols in x_blocks]
-        return dxs, dg.T @ xp, dg[first:].T @ hidden[prev_rows], dg.sum(axis=0)
+        dxs = [
+            None if cols is None else _scatter_rows(dg @ wi[:, cols], reads, xdata[:, cols])
+            for cols in learned
+        ]
+        return (*dxs, dg.T @ xp, dg[first:].T @ hidden[prev_rows], dg.sum(axis=0))
 
     return back
 
@@ -952,8 +956,11 @@ def lstm_sequence(
     running, plus the cell update.  The backward pass is BPTT over the
     stacked gate gradients dG [L x 4h]; the weight gradients are GEMMs on
     dG.  A block that needs a gradient gets one GEMM of dG against its
-    columns of w_ih per direction, and the directions' sum is scatter-added
-    into its table rows in packed row order; a constant block gets none.
+    columns of w_ih per direction, scatter-added into its table rows; a
+    constant block gets none.  The record lists each direction's blocks
+    and weights in turn, so the tape's walk sums a block's two gradients,
+    as for any input read twice: the op has the bits of two one-direction
+    calls side by side.
 
     With both directions, ``_split`` runs the backward one beside the
     forward one, in the forward and in the backward pass.
@@ -969,6 +976,8 @@ def lstm_sequence(
     if not directions:
         raise UsageError("lstm_sequence needs a forward or a backward direction")
     xdata = blocks[0].data if len(blocks) == 1 else np.concatenate([b.data for b in blocks], 1)
+    spans = zip(bounds, bounds[1:])
+    learned = [slice(*span) if b.requires_grad else None for b, span in zip(blocks, spans)]
     columns = []
     width = 0
     for (w_ih, w_hh, bias), _ in directions:
@@ -984,29 +993,18 @@ def lstm_sequence(
     backs = _split(
         [
             functools.partial(
-                _lstm_direction, xdata, rows, lengths, starts, *(w.data for w in weights), rev,
-                out.data[:, cols],
+                _lstm_direction, xdata, rows, lengths, starts, learned,
+                *(w.data for w in weights), rev, out.data[:, cols],
             )
             for (weights, rev), cols in zip(directions, columns)
         ]
     )
 
-    spans = zip(bounds, bounds[1:])
-    x_blocks = [slice(*span) if b.requires_grad else None for b, span in zip(blocks, spans)]
-
     def back(gout):
-        grads = _split(
-            [functools.partial(b, gout[:, cols], x_blocks) for b, cols in zip(backs, columns)]
-        )
-        dxs = grads[0][0]
-        for other in grads[1:]:
-            for dx, more in zip(dxs, other[0]):
-                if dx is not None:
-                    dx += more
-        dxs = [dx if dx is None else _scatter_rows(dx, rows, b.data) for dx, b in zip(dxs, blocks)]
-        return (*dxs, *(g for direction in grads for g in direction[1:]))
+        grads = _split([functools.partial(b, gout[:, cols]) for b, cols in zip(backs, columns)])
+        return tuple(g for direction in grads for g in direction)
 
-    inputs = (*blocks, *(w for weights, _ in directions for w in weights))
+    inputs = tuple(t for weights, _ in directions for t in (*blocks, *weights))
     return _emit(out, inputs, back)
 
 

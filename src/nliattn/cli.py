@@ -395,20 +395,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help=f"key=value config file (or ${CONFIG_ENV_VAR})")
         p.add_argument("--out-dir", dest="out_dir", help="output root directory")
         p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--pooling", choices=POOLING_METHODS)
-        p.add_argument(
-            "--chars",
-            dest="use_chars",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="use character features (--no-chars disables)",
-        )
         p.add_argument("--batch-size", dest="batch_size", type=int)
         p.add_argument("--epochs", dest="max_epochs", type=int)
         p.add_argument("--lr", dest="learning_rate", type=float)
 
     p_train = sub.add_parser("train", help="train a model and keep the best checkpoint")
     add_common(p_train)
+    # sweep has neither: each of its cells sets its own pooling and use_chars
+    p_train.add_argument("--pooling", choices=POOLING_METHODS)
+    p_train.add_argument(
+        "--chars",
+        dest="use_chars",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="use character features (--no-chars disables)",
+    )
     p_train.set_defaults(fn=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -92,8 +92,11 @@ def load_dataset(path) -> DatasetLoad:
     """Read a corpus file into NLIExamples.
 
     Pairs labeled "-" are dropped and counted; records that end up with an
-    empty token list on either side are skipped and counted.  A missing
-    field, or a sentence or binary parse that is not a string, raises DataError.
+    empty token list on either side are skipped and counted.  A record that
+    is not a JSON object, a missing field, or a label, sentence or binary
+    parse that is not a string raises DataError.  A null ``pairID`` or
+    ``genre`` counts as absent: the pair id is then the line number, the
+    genre ``unknown``.
     """
     result = DatasetLoad(examples=[])
     with open(path, "r", encoding="utf-8") as fh:
@@ -105,13 +108,15 @@ def load_dataset(path) -> DatasetLoad:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: not a valid record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{lineno}: a record must be a JSON object")
             for required in ("gold_label", "sentence1", "sentence2"):
                 if required not in record:
                     raise DataError(f"{path}:{lineno}: missing field {required!r}")
-            for side in ("sentence1", "sentence2"):
-                for name in (side, f"{side}_binary_parse"):
-                    if not isinstance(record.get(name, ""), str):
-                        raise DataError(f"{path}:{lineno}: field {name!r} is not a string")
+            texts = ("sentence1", "sentence2", "sentence1_binary_parse", "sentence2_binary_parse")
+            for name in ("gold_label", *texts):
+                if not isinstance(record.get(name, ""), str):
+                    raise DataError(f"{path}:{lineno}: field {name!r} is not a string")
             label = record["gold_label"]
             if label == "-":
                 result.dropped_no_label += 1
@@ -123,10 +128,11 @@ def load_dataset(path) -> DatasetLoad:
             if not premise or not hypothesis:
                 result.skipped_empty += 1
                 continue
+            pair_id, genre = record.get("pairID"), record.get("genre")
             result.examples.append(
                 NLIExample(
-                    pair_id=str(record.get("pairID", lineno)),
-                    genre=str(record.get("genre", "unknown")),
+                    pair_id=str(lineno if pair_id is None else pair_id),
+                    genre="unknown" if genre is None else str(genre),
                     premise_tokens=premise,
                     hypothesis_tokens=hypothesis,
                     label=label,

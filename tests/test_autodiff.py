@@ -395,8 +395,9 @@ class TestRequiresGrad:
 
     @staticmethod
     def _lstm_rule_dxs(x, concurrent, monkeypatch):
-        """The input gradients that ``lstm_sequence``'s rule hands back for
-        the blocks of x, each of whose 8 rows is read once."""
+        """The input gradients of the blocks of x, each of whose 8 rows is
+        read once: the sums of the two directions' gradients that
+        ``lstm_sequence``'s rule hands back, as the tape's walk forms them."""
         monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
         rng = np.random.default_rng(41)
         lengths = [3, 1, 4]
@@ -407,7 +408,11 @@ class TestRequiresGrad:
             out = ad.lstm_sequence(x, np.arange(8), lengths, forward, backward)
         (record_out, _, rule), = tape._records
         assert record_out is out
-        return rule(rng.normal(size=out.shape).astype(out.data.dtype))[: len(x)]
+        grads = rule(rng.normal(size=out.shape).astype(out.data.dtype))
+        k = len(x)
+        return tuple(
+            None if f is None else f + b for f, b in zip(grads[:k], grads[k + 3 : 2 * k + 3])
+        )
 
     @pytest.mark.parametrize("concurrent", [True, False])
     def test_lstm_forms_no_dx_for_a_constant_input(self, monkeypatch, concurrent):
@@ -889,14 +894,14 @@ class TestLstmSequenceDirections:
     LENGTHS = np.array([4, 1, 4, 7])
     ROWS = np.arange(16)  # each table row read once
 
-    def _case(self):
+    def _case(self, table_rows=16):
         rng = np.random.default_rng(40)
         n, d = self.LENGTHS.sum(), 5
 
         def rand(*shape):
             return ad.Tensor(rng.normal(size=shape))
 
-        x = rand(n, d)
+        x = rand(table_rows, d)
         forward = (rand(12, d), rand(12, 3), rand(12))
         backward = (rand(16, d), rand(16, 4), rand(16))
         return x, forward, backward, rand(n, 7)
@@ -912,24 +917,33 @@ class TestLstmSequenceDirections:
         return out.data, [leaf.grad for leaf in leaves]
 
     @pytest.mark.parametrize("concurrent", [True, False])
-    def test_bit_identical_to_one_direction_calls(self, monkeypatch, concurrent):
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize(
+        "table_rows, rows",
+        [(16, ROWS), (6, np.array([0, 3, 5, 3, 1, 0, 2, 4, 0, 5, 3, 3, 1, 2, 0, 4]))],
+        ids=["each-row-once", "rows-repeat"],
+    )
+    def test_bit_identical_to_one_direction_calls(
+        self, monkeypatch, concurrent, dtype, table_rows, rows
+    ):
         monkeypatch.setattr(ad, "_use_worker", lambda: concurrent)
-        x, forward, backward, weights = self._case()
-        assert x.data.dtype == np.float32
-        out, grads = self._run(
-            lambda: ad.lstm_sequence([x], self.ROWS, self.LENGTHS, forward, backward),
-            x, forward, backward, weights,
-        )
-        ref_out, ref_grads = self._run(
-            lambda: ad.concat(
-                [
-                    ad.lstm_sequence([x], self.ROWS, self.LENGTHS, forward),
-                    ad.lstm_sequence([x], self.ROWS, self.LENGTHS, backward=backward),
-                ],
-                axis=1,
-            ),
-            x, forward, backward, weights,
-        )
+        with ad.precision(dtype):
+            x, forward, backward, weights = self._case(table_rows)
+            assert x.data.dtype == dtype
+            out, grads = self._run(
+                lambda: ad.lstm_sequence([x], rows, self.LENGTHS, forward, backward),
+                x, forward, backward, weights,
+            )
+            ref_out, ref_grads = self._run(
+                lambda: ad.concat(
+                    [
+                        ad.lstm_sequence([x], rows, self.LENGTHS, forward),
+                        ad.lstm_sequence([x], rows, self.LENGTHS, backward=backward),
+                    ],
+                    axis=1,
+                ),
+                x, forward, backward, weights,
+            )
         assert out.shape == (self.LENGTHS.sum(), 7)
         assert np.array_equal(out, ref_out)
         assert len(grads) == 7

@@ -254,8 +254,11 @@ class TestModel:
             inputs for _, inputs, _ in tape._records
             if any(t is encoder.forward_cell.w_ih for t in inputs)
         ]
-        words, char_block, *weights = inputs
-        assert weights == [*encoder.forward_cell, *encoder.backward_cell]
+        # each direction's blocks, then its weights
+        words, char_block, *forward, again_words, again_chars = inputs[:7]
+        assert again_words is words and again_chars is char_block
+        assert forward == [*encoder.forward_cell]
+        assert list(inputs[7:]) == [*encoder.backward_cell]
         config = model.config.encoder
         # one row per distinct word, read by the tokens through word_index
         assert words.shape == (len(batch.char_lengths), config.word_dim)

@@ -548,14 +548,14 @@ class TestSweepAndExport:
             assert method in (run_dir / "sweep_mean.txt").read_text()
 
     @pytest.mark.parametrize(
-        "keep_hidden,flags,widths",
+        "keep_hidden,use_chars,widths",
         [
-            (False, [], {False: 600, True: 700}),
-            (False, ["--chars"], {False: 600, True: 700}),
-            (True, ["--chars"], {False: 8, True: 8}),
+            (False, "false", {False: 600, True: 700}),
+            (False, "true", {False: 600, True: 700}),
+            (True, "true", {False: 8, True: 8}),
         ],
     )
-    def test_sweep_cell_width(self, tmp_path, capsys, monkeypatch, keep_hidden, flags, widths):
+    def test_sweep_cell_width(self, tmp_path, capsys, monkeypatch, keep_hidden, use_chars, widths):
         # unset hidden_per_dir: each cell resolves it from its own use_chars,
         # whatever the base use_chars; an explicit value holds in every cell
         seen = {}
@@ -566,13 +566,21 @@ class TestSweepAndExport:
             return training.TrainResult(best_epoch=1, best_dev_accuracy=0.5)
 
         monkeypatch.setattr(training, "train", fake_train)
-        config = write_tiny_config(tmp_path, max_epochs=1)
+        config = write_tiny_config(tmp_path, max_epochs=1, use_chars=use_chars)
         lines = config.read_text().splitlines()
         if not keep_hidden:
             lines = [line for line in lines if not line.startswith("hidden_per_dir=")]
         config.write_text("\n".join(lines) + "\n")
-        assert main(["sweep", "--config", str(config), "--runs-per-cell", "2"] + flags) == 0
+        assert main(["sweep", "--config", str(config), "--runs-per-cell", "2"]) == 0
         assert seen == {flag: {width} for flag, width in widths.items()}
+
+    @pytest.mark.parametrize("flag", ["--pooling=max", "--chars", "--no-chars"])
+    def test_sweep_has_no_pooling_or_chars_flag(self, tmp_path, capsys, flag):
+        # every cell sets its own pooling and use_chars
+        config = write_tiny_config(tmp_path)
+        assert main(["sweep", "--config", str(config), flag]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("key", ["snli_file", "embeddings_file"])
     def test_sweep_rejects_unsupported_key(self, tmp_path, capsys, key):

@@ -102,6 +102,30 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=f"bad.jsonl:2: field '{name}' is not a string"):
             data.load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (5, "a record must be a JSON object"),
+            (["gold_label", "sentence1", "sentence2"], "a record must be a JSON object"),
+            ({**record(), "gold_label": ["neutral"]}, "field 'gold_label' is not a string"),
+        ],
+        ids=["number", "list", "list-label"],
+    )
+    def test_malformed_record_names_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(path, [record(), line])
+        with pytest.raises(DataError, match=f"bad.jsonl:2: {message}"):
+            data.load_dataset(path)
+
+    def test_null_pair_id_and_genre_read_as_absent(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_jsonl(path, [record(pairID=None, genre=None)] * 2)
+        load = data.load_dataset(path)
+        assert [(ex.pair_id, ex.genre) for ex in load.examples] == [
+            ("1", "unknown"),
+            ("2", "unknown"),
+        ]
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_jsonl(path, [record(label="maybe")])
